@@ -1,28 +1,19 @@
 #!/usr/bin/env python3
 """End-to-end desk-scale experiment: elastic distillation plus budget sweep.
 
-Trains the tiny preset against the frozen synthetic teacher with nested
-budget sampling, then evaluates the frozen student at every budget on a held
-out synthetic batch and reports how the distillation loss varies with the
-number of active cores. Artifacts (checkpoint, training log, budget schedule,
-sweep CSV) land in --out.
+Runs ``veca train-toy`` (tiny preset, float32, frozen synthetic teacher,
+nested budget sampling) and then ``veca eval-budgets`` on the saved
+checkpoint, which reports the distillation loss at every budget on a held-out
+synthetic batch. Artifacts land in --out: checkpoint.veca, train_log.csv,
+budget_schedule.txt and budget_sweep.csv.
 """
 
 import argparse
-from pathlib import Path
 
-import numpy as np
-
-from veca.checkpoint import save_model
-from veca.data import synthetic_images
-from veca.distill import DistillConfig, SyntheticTeacher, loss_dense, loss_global, train
-from veca.elastic import BudgetDistribution, save_schedule
-from veca.model import Encoder, get_preset
-from veca.rng import RngStream
-from veca.tensor import Tensor
+from veca.cli import main as veca
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=500)
     parser.add_argument("--batch", type=int, default=8)
@@ -31,48 +22,18 @@ def main() -> None:
     parser.add_argument("--out", default="toy-sweep")
     args = parser.parse_args()
 
-    config = get_preset("tiny-test")
-    student = Encoder(config, seed=args.seed, dtype=np.float32)
-    teacher = SyntheticTeacher(config, seed=7001, dtype=np.float32)
-    dcfg = DistillConfig(total_steps=args.steps, batch_size=args.batch)
-
-    print(f"training tiny preset for {args.steps} steps (seed {args.seed})")
-    records = train(
-        student,
-        teacher,
-        BudgetDistribution(),
-        dcfg,
-        data_stream=RngStream(args.seed, "data"),
-        budget_stream=RngStream(args.seed, "budgets"),
-    )
-    early = float(np.mean([r.loss for r in records[:10]]))
-    final = float(np.mean([r.loss for r in records[-10:]]))
-    print(f"loss: early 10-step mean {early:.4f} -> final 10-step mean {final:.4f}")
-
-    images = synthetic_images(RngStream(args.seed, "eval-data"), args.eval_batch, 16)
-    targets = teacher.targets(images)
-    y_star = Tensor(np.asarray(targets[0], dtype=student.dtype))
-    z_star = Tensor(np.asarray(targets[1], dtype=student.dtype))
-    print(f"\n{'budget':>6} {'global':>10} {'dense':>10} {'total':>10}")
-    sweep_lines = ["budget,global_loss,dense_loss,total"]
-    for budget in config.budgets:
-        y, z = student(images, budget)
-        lg = float(loss_global(y, y_star).data)
-        ld = float(loss_dense(z, z_star).data)
-        print(f"{budget:>6} {lg:>10.4f} {ld:>10.4f} {lg + ld:>10.4f}")
-        sweep_lines.append(f"{budget},{lg:.10g},{ld:.10g},{lg + ld:.10g}")
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(out / "checkpoint.veca", student)
-    save_schedule(out / "budget_schedule.txt", [r.budget for r in records])
-    (out / "train_log.csv").write_text(
-        "step,budget,loss,lr\n"
-        + "".join(f"{r.step},{r.budget},{r.loss:.10g},{r.lr:.10g}\n" for r in records)
-    )
-    (out / "budget_sweep.csv").write_text("".join(l + "\n" for l in sweep_lines))
-    print(f"\nartifacts in {out}/")
+    train = ["--steps", str(args.steps), "--batch", str(args.batch), "--seed", str(args.seed)]
+    code = veca(["train-toy", *train, "--out", args.out])
+    if code:
+        return code
+    code = veca([
+        "eval-budgets", "--checkpoint", f"{args.out}/checkpoint.veca",
+        "--eval-batch", str(args.eval_batch), "--out", f"{args.out}/budget_sweep.csv",
+    ])
+    if not code:
+        print(f"budget sweep in {args.out}/budget_sweep.csv")
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -160,8 +160,11 @@ def export_core_maps(
     return out
 
 
-def write_core_map_csv(path: str | Path, matrix: np.ndarray, image_name: str, layer: int, active_c: int) -> None:
-    lines = [f"# image={image_name} layer={layer} C={active_c}"]
+def write_core_map_csv(
+    path: str | Path, matrix: np.ndarray, image_name: str, layer: int, active_c: int, header: str
+) -> None:
+    """One layer's patch-over-core matrix as CSV, after the run's config header line."""
+    lines = [header, f"# image={image_name} layer={layer} C={active_c}"]
     for row in matrix:
         lines.append(",".join(f"{v:.17g}" for v in row))
     Path(path).write_text("".join(line + "\n" for line in lines))

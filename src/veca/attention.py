@@ -5,7 +5,8 @@ are learned core tokens, the rest are image patches. Core queries attend to
 the whole sequence; patch queries attend only to the active cores (their own
 token is excluded too; the residual connection carries patch identity).
 Rotary tables are applied to queries and keys after projection, never to
-values.
+values. The contract is 1 <= C <= T; at C = T there are no patch rows and
+the block is dense self-attention, which is how the synthetic teacher runs.
 
 ``masked_dense_oracle`` recomputes the same contract as one dense T x T
 attention with an additive mask, in plain numpy with no shared scoring code,
@@ -94,8 +95,8 @@ def _validate(x: Tensor, active_c: int, heads: int) -> tuple[int, int, int]:
     b, t, d = x.shape
     if d % heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
-    if active_c < 1 or active_c >= t:
-        raise BudgetError(f"active core count must satisfy 1 <= C < T, got C={active_c}, T={t}")
+    if active_c < 1 or active_c > t:
+        raise BudgetError(f"active core count must satisfy 1 <= C <= T, got C={active_c}, T={t}")
     return b, t, d
 
 
@@ -146,7 +147,8 @@ def core_attention(
 
     Rows 0..C-1 (cores) are softmax(Q_R K_X^T / sqrt(d_k)) V_X per head; rows
     C..T-1 (patches) are softmax(Q_Z K_R^T / sqrt(d_k)) V_R. Both are merged
-    and output-projected in input order. ``capture``, if given, receives the
+    and output-projected in input order; at C = T there are no patch rows and
+    this is dense self-attention. ``capture``, if given, receives the
     detached per-head probabilities and values for analysis.
     """
     x = as_tensor(x)

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +48,10 @@ def _resolve_config(defaults: dict, config_path: str | None, overrides: dict) ->
             file_values = json.loads(Path(config_path).read_text())
         except OSError as err:
             raise CheckpointError(f"cannot read config file: {err}") from err
+        except ValueError as err:
+            raise ConfigError(f"config file {config_path} is not valid JSON: {err}") from err
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"config file {config_path} must hold a JSON object")
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys in {config_path}: {sorted(unknown)}")
@@ -102,42 +105,8 @@ def cmd_bench_flops(args) -> int:
     reports = analysis.flop_sweep(args.preset, resolutions, args.budget)
     lines = [_config_header("bench-flops", resolved)]
     lines.extend(analysis.cost_csv_lines(reports))
-    if args.microbench:
-        lines.extend(_microbench_lines(args.preset, min(resolutions), args.budget))
     _emit(lines, args.out)
     return 0
-
-
-def _microbench_lines(preset: str, resolution: int, budget: int) -> list[str]:
-    """Optional wall-clock timing of the attention path; hardware-dependent,
-    no tolerance attached."""
-    config = get_preset(preset)
-    n = (resolution // config.patch_size) ** 2
-    d = config.dim
-    rng = np.random.default_rng(0)
-    lines = ["# microbench (seconds per path, numpy float32, informational only)"]
-    for mode, t in (("dense_baseline", n + 5), (f"core({budget})", n + budget)):
-        x = rng.normal(size=(t, d)).astype(np.float32)
-        w = rng.normal(size=(4, d, d)).astype(np.float32) * 0.02
-        start = time.perf_counter()
-        q, k, v = x @ w[0], x @ w[1], x @ w[2]
-        if mode == "dense_baseline":
-            scores = q @ k.T / np.sqrt(d)
-            probs = np.exp(scores - scores.max(-1, keepdims=True))
-            probs /= probs.sum(-1, keepdims=True)
-            out = probs @ v
-        else:
-            c = budget
-            s_core = q[:c] @ k.T / np.sqrt(d)
-            p_core = np.exp(s_core - s_core.max(-1, keepdims=True))
-            p_core /= p_core.sum(-1, keepdims=True)
-            s_patch = q[c:] @ k[:c].T / np.sqrt(d)
-            p_patch = np.exp(s_patch - s_patch.max(-1, keepdims=True))
-            p_patch /= p_patch.sum(-1, keepdims=True)
-            out = np.concatenate([p_core @ v, p_patch @ v[:c]], axis=0)
-        out = out @ w[3]
-        lines.append(f"# microbench {mode}: {time.perf_counter() - start:.4f}s")
-    return lines
 
 
 _TRAIN_DEFAULTS = {
@@ -274,17 +243,15 @@ def cmd_export_maps(args) -> int:
     }
     maps = analysis.export_core_maps(student, image, args.budget, layers)
     out_dir = Path(args.out or "core-maps")
+    header = _config_header("export-maps", resolved)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for layer, matrix in sorted(maps.items()):
             path = out_dir / f"layer_{layer:02d}.csv"
-            header = _config_header("export-maps", resolved)
-            body = [header, f"# image={image_name} layer={layer} C={args.budget}"]
-            body += [",".join(f"{v:.17g}" for v in row) for row in matrix]
-            path.write_text("".join(l + "\n" for l in body))
+            analysis.write_core_map_csv(path, matrix, image_name, layer, args.budget, header)
     except OSError as err:
         raise CheckpointError(f"cannot write maps to {out_dir}: {err}") from err
-    print(_config_header("export-maps", resolved))
+    print(header)
     print(f"wrote {len(maps)} layer map(s) to {out_dir}/")
     return 0
 
@@ -319,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", default="1024", help="comma-separated resolutions")
     p.add_argument("--budget", type=int, default=64)
     p.add_argument("--out", default=None)
-    p.add_argument("--microbench", action="store_true", help="also time the path on CPU")
     p.set_defaults(func=cmd_bench_flops)
 
     p = sub.add_parser("train-toy", help="desk-scale elastic distillation run")

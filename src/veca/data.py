@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import VecaError
+from .errors import CheckpointError, VecaError
 from .rng import RngStream
 
 NORM_MEAN = np.array([0.485, 0.456, 0.406])
@@ -87,10 +87,20 @@ def _read_ppm(path: Path) -> np.ndarray:
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         fields.append(raw[start:pos])
+    if b"" in fields:
+        raise CheckpointError(f"{path}: PPM header truncated (needs magic, width, height, maxval)")
     if fields[0] != b"P6":
         raise VecaError(f"{path}: only binary P6 PPM is supported")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        width, height, maxval = (int(f) for f in fields[1:])
+    except ValueError:
+        raise CheckpointError(f"{path}: PPM width, height and maxval must be integers") from None
+    if min(width, height, maxval) < 1 or maxval > 255:
+        raise CheckpointError(f"{path}: PPM header out of range: {width}x{height}, maxval {maxval}")
     pos += 1
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=width * height * 3, offset=pos)
+    count = width * height * 3
+    if len(raw) - pos < count:
+        raise CheckpointError(f"{path}: PPM pixel data truncated ({max(len(raw) - pos, 0)} of {count} bytes)")
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=count, offset=pos)
     img = pixels.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64)
     return img / maxval

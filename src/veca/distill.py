@@ -8,7 +8,7 @@ a decoupled-weight-decay adaptive-moment method with a linear-warmup cosine
 learning-rate schedule.
 
 At desk scale the teacher is a frozen randomly-initialized dense
-full-self-attention encoder; precomputed target files (see
+self-attention encoder on the student's blocks; precomputed target files (see
 :func:`save_target_file`) can stand in for a real teacher ingested offline.
 """
 
@@ -20,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rope as rope_mod
+from .attention import AttnParams
 from .data import synthetic_images
 from .elastic import BudgetDistribution, sample_budget
 from .errors import ConfigError, NonFiniteError, ShapeError, TrainingDivergedError, VecaError
-from .model import Encoder, ModelConfig, ffn_swiglu
+from .model import BlockParams, Encoder, ModelConfig, block_forward, patchify
 from .rng import RngStream
-from .rope import RopeSpec
+from .rope import RopeSpec, patch_grid
 from .tensor import (
     Tensor,
     add,
@@ -34,15 +34,11 @@ from .tensor import (
     div,
     layer_norm,
     linear,
-    matmul,
     mul,
     neg,
     power,
-    reshape,
-    softmax_rows,
     sub,
     tmean,
-    transpose,
     tsum,
 )
 
@@ -123,12 +119,13 @@ def total_loss(
 
 
 class SyntheticTeacher:
-    """Frozen randomly-initialized dense full-self-attention encoder.
+    """Frozen randomly-initialized dense self-attention encoder.
 
-    Two pre-norm blocks at the student's width and patch size, full N x N
-    attention over patch tokens with grid rotary coordinates, SwiGLU FFN,
-    final LayerNorm. Global target is the mean-pooled patch feature. Purely
-    deterministic for a fixed seed.
+    Two pre-norm blocks at the student's width and patch size, run on the
+    student's own patchify and blocks with every patch token as a core
+    (C = T, so attention is full N x N self-attention) and grid rotary
+    coordinates, then a final LayerNorm. Global target is the mean-pooled
+    patch feature. Purely deterministic for a fixed seed.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 7001, layers: int = 2, dtype=np.float64):
@@ -137,70 +134,37 @@ class SyntheticTeacher:
         self.layers = layers
         self.rope = RopeSpec(config.head_dim, config.rope_base)
         root = RngStream(seed, "teacher")
-        d = config.dim
+        d, hidden = config.dim, config.hidden
 
-        def t(name: str, shape, kind: str = "weight") -> Tensor:
-            if kind == "weight":
-                arr = root.spawn(name).trunc_normal(0.02, size=shape)
-            elif kind == "zeros":
-                arr = np.zeros(shape)
-            else:
-                arr = np.ones(shape)
-            return Tensor(arr.astype(self.dtype))
+        def w(name: str, shape) -> Tensor:
+            return Tensor(root.spawn(name).trunc_normal(0.02, size=shape).astype(self.dtype))
+
+        def const(value: float, size: int) -> Tensor:
+            return Tensor(np.full(size, value, dtype=self.dtype))
 
         pdim = config.patch_size * config.patch_size * config.in_channels
-        self.patch_w, self.patch_b = t("patch.w", (pdim, d)), t("patch.b", d, "zeros")
-        self.blocks = []
+        self.patch_w, self.patch_b = w("patch.w", (pdim, d)), const(0.0, d)
+        self.blocks: list[BlockParams] = []
         for i in range(layers):
-            blk = {
-                "ng": t(f"b{i}.ng", d, "ones"), "nb": t(f"b{i}.nb", d, "zeros"),
-                "wq": t(f"b{i}.wq", (d, d)), "bq": t(f"b{i}.bq", d, "zeros"),
-                "wk": t(f"b{i}.wk", (d, d)), "bk": t(f"b{i}.bk", d, "zeros"),
-                "wv": t(f"b{i}.wv", (d, d)), "bv": t(f"b{i}.bv", d, "zeros"),
-                "wo": t(f"b{i}.wo", (d, d)), "bo": t(f"b{i}.bo", d, "zeros"),
-                "fg": t(f"b{i}.fg", d, "ones"), "fb": t(f"b{i}.fb", d, "zeros"),
-                "w1": t(f"b{i}.w1", (d, 2 * config.hidden)), "b1": t(f"b{i}.b1", 2 * config.hidden, "zeros"),
-                "w2": t(f"b{i}.w2", (config.hidden, d)), "b2": t(f"b{i}.b2", d, "zeros"),
-            }
-            self.blocks.append(blk)
-        self.fg, self.fb = t("final.g", d, "ones"), t("final.b", d, "zeros")
-
-    def _dense_attention(self, x: Tensor, coords: Tensor, blk: dict) -> Tensor:
-        b, n, d = x.shape
-        h = self.config.heads
-        hd = d // h
-
-        def split(t: Tensor) -> Tensor:
-            return transpose(reshape(t, (b, n, h, hd)), (0, 2, 1, 3))
-
-        q = split(linear(x, blk["wq"], blk["bq"]))
-        k = split(linear(x, blk["wk"], blk["bk"]))
-        v = split(linear(x, blk["wv"], blk["bv"]))
-        ct, st = rope_mod.cos_sin(self.rope, coords)
-        ct = reshape(ct, (b, 1, n, hd // 2))
-        st = reshape(st, (b, 1, n, hd // 2))
-        q, k = rope_mod.apply(q, ct, st), rope_mod.apply(k, ct, st)
-        probs = softmax_rows(mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd)))
-        out = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, n, d))
-        return linear(out, blk["wo"], blk["bo"])
+            attn = AttnParams(
+                w(f"b{i}.wq", (d, d)), const(0.0, d), w(f"b{i}.wk", (d, d)), const(0.0, d),
+                w(f"b{i}.wv", (d, d)), const(0.0, d), w(f"b{i}.wo", (d, d)), const(0.0, d),
+                config.heads,
+            )
+            self.blocks.append(BlockParams(
+                const(1.0, d), const(0.0, d), attn, const(1.0, d), const(0.0, d),
+                w(f"b{i}.w1", (d, 2 * hidden)), const(0.0, 2 * hidden), w(f"b{i}.w2", (hidden, d)), const(0.0, d),
+            ))
+        self.fg, self.fb = const(1.0, d), const(0.0, d)
 
     def targets(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.config
-        arr = np.asarray(images, dtype=self.dtype)
-        p = cfg.patch_size
-        b, ch, himg, wimg = arr.shape
-        hp, wp = himg // p, wimg // p
-        tiles = arr.reshape(b, ch, hp, p, wp, p).transpose(0, 2, 4, 1, 3, 5)
-        flat = Tensor(np.ascontiguousarray(tiles.reshape(b, hp * wp, ch * p * p)))
+        flat, (hp, wp) = patchify(images, self.config, self.dtype)
         x = linear(flat, self.patch_w, self.patch_b)
-        coords = Tensor(
-            np.broadcast_to(rope_mod.patch_grid(hp, wp).astype(self.dtype)[None], (b, hp * wp, 2)).copy()
-        )
+        b, n, _ = x.shape
+        coords = Tensor(np.broadcast_to(patch_grid(hp, wp).astype(self.dtype)[None], (b, n, 2)).copy())
         for blk in self.blocks:
-            x = add(x, self._dense_attention(layer_norm(x, blk["ng"], blk["nb"]), coords, blk))
-            x = add(x, ffn_swiglu(layer_norm(x, blk["fg"], blk["fb"]), blk["w1"], blk["b1"], blk["w2"], blk["b2"]))
-        x = layer_norm(x, self.fg, self.fb)
-        dense = x.data.copy()
+            x = block_forward(x, coords, n, blk, self.rope)
+        dense = layer_norm(x, self.fg, self.fb).data.copy()
         return dense.mean(axis=1), dense
 
 

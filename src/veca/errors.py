@@ -38,7 +38,7 @@ class CapacityError(VecaError):
 
 
 class CheckpointError(VecaError):
-    """A checkpoint file is malformed."""
+    """A checkpoint or input file is malformed or truncated."""
 
 
 class UnsupportedVersionError(CheckpointError):

@@ -112,6 +112,27 @@ def param_count(config: ModelConfig) -> int:
     return patch + config.layers * per_block + 2 * d + cores + coord_heads
 
 
+def patchify(images, config: ModelConfig, dtype) -> tuple[Tensor, tuple[int, int]]:
+    """Split [B, C, H, W] images into flattened P x P patches, [B, N, C*P*P].
+
+    Patches are in row-major grid order; returns them with the (rows, cols)
+    grid shape.
+    """
+    arr = images.data if isinstance(images, Tensor) else np.asarray(images)
+    arr = arr.astype(dtype, copy=False)
+    if arr.ndim != 4 or arr.shape[1] != config.in_channels:
+        raise ShapeError(f"images must be [B, {config.in_channels}, H, W], got {arr.shape}")
+    p = config.patch_size
+    b, ch, himg, wimg = arr.shape
+    if himg % p or wimg % p:
+        raise ResolutionError(f"resolution {himg}x{wimg} not divisible by patch size {p}")
+    hp, wp = himg // p, wimg // p
+    if hp == 0 or wp == 0:
+        raise ResolutionError(f"resolution {himg}x{wimg} is smaller than one {p}x{p} patch")
+    tiles = arr.reshape(b, ch, hp, p, wp, p).transpose(0, 2, 4, 1, 3, 5)
+    return Tensor(np.ascontiguousarray(tiles.reshape(b, hp * wp, ch * p * p))), (hp, wp)
+
+
 @dataclass
 class BlockParams:
     norm_attn_gamma: Tensor
@@ -263,22 +284,8 @@ class Encoder:
 
     def patch_embed(self, images) -> tuple[Tensor, tuple[int, int]]:
         """Affine embedding of flattened patches; row-major patch order."""
-        arr = images.data if isinstance(images, Tensor) else np.asarray(images)
-        arr = arr.astype(self.dtype, copy=False)
-        if arr.ndim != 4 or arr.shape[1] != self.config.in_channels:
-            raise ShapeError(
-                f"images must be [B, {self.config.in_channels}, H, W], got {arr.shape}"
-            )
-        p = self.config.patch_size
-        b, ch, himg, wimg = arr.shape
-        if himg % p or wimg % p:
-            raise ResolutionError(
-                f"resolution {himg}x{wimg} not divisible by patch size {p}"
-            )
-        hp, wp = himg // p, wimg // p
-        tiles = arr.reshape(b, ch, hp, p, wp, p).transpose(0, 2, 4, 1, 3, 5)
-        flat = Tensor(np.ascontiguousarray(tiles.reshape(b, hp * wp, ch * p * p)))
-        return linear(flat, self.patch_w, self.patch_b), (hp, wp)
+        flat, grid = patchify(images, self.config, self.dtype)
+        return linear(flat, self.patch_w, self.patch_b), grid
 
     def _check_budget(self, active_c: int) -> int:
         if active_c not in self.config.budgets:

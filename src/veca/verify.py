@@ -29,30 +29,61 @@ def _tiny_encoder(seed: int) -> Encoder:
     return Encoder(get_preset("tiny-test"), seed=seed)
 
 
-def suite_attention(seed: int = 0, corrupt: bool = False) -> list[Check]:
-    checks: list[Check] = []
+def oracle_equivalence(rng_seed: int, param_stream, cases: int = 50, corrupt: bool = False) -> Check:
+    """Block-sparse attention vs the masked-dense oracle on random configs.
+
+    ``rng_seed`` draws shapes, inputs and coordinates; ``param_stream(i)``
+    gives the weight stream of case ``i``. ``corrupt`` offsets the first
+    output, a negative control. Passes at max |diff| <= 1e-12.
+    """
+    rng = np.random.default_rng(rng_seed)
     worst = 0.0
-    rng = np.random.default_rng(seed)
-    cases = 0
-    for trial in range(50):
-        b = int(rng.integers(1, 3))
+    for i in range(cases):
+        c = int(rng.choice([2, 4, 8]))
         heads = int(rng.choice([1, 2]))
         dim = int(rng.choice([8, 16]))
-        c = int(rng.choice([2, 4, 8]))
         t = int(rng.integers(c + 1, 33))
-        params = AttnParams.init(dim, heads, RngStream(seed * 1000 + trial, "attn"))
+        b = int(rng.integers(1, 3))
+        params = AttnParams.init(dim, heads, param_stream(i))
         x = Tensor(rng.normal(size=(b, t, dim)))
         coords = Tensor(rng.uniform(-1, 1, size=(t, 2)))
         spec = RopeSpec(dim // heads)
         out = core_attention(params, x, coords, c, spec).data
-        if corrupt and trial == 0:
+        if corrupt and i == 0:
             out = out + 1e-3
         ref = masked_dense_oracle(params, x, coords, c, spec)
         worst = max(worst, float(np.abs(out - ref).max()))
-        cases += 1
-    checks.append(
-        ("oracle equivalence (50 random configs)", worst <= 1e-12, f"max |diff| = {worst:.2e}")
-    )
+    return (f"oracle equivalence ({cases} random configs)", worst <= 1e-12,
+            f"max |diff| = {worst:.2e} (tol 1e-12)")
+
+
+def budget_sampler_fit(streams: list[RngStream], draws: int = 100_000) -> list[Check]:
+    """Empirical budget frequencies vs p_C, one run of ``draws`` per stream.
+
+    Two checks: every frequency within 0.005 of p_C, and the chi^2 statistic
+    below its critical value at significance 1e-3, on every stream.
+    """
+    dist = BudgetDistribution()
+    crit = float(sp_stats.chi2.isf(1e-3, df=len(dist.budgets) - 1))
+    expected = dist.probs * draws
+    max_dev = 0.0
+    max_stat = 0.0
+    for stream in streams:
+        counts = dict.fromkeys(dist.budgets, 0)
+        for _ in range(draws):
+            counts[sample_budget(dist, stream)] += 1
+        observed = np.array([counts[b] for b in dist.budgets])
+        max_dev = max(max_dev, float(np.abs(observed / draws - dist.probs).max()))
+        max_stat = max(max_stat, float(((observed - expected) ** 2 / expected).sum()))
+    n = len(streams)
+    return [
+        (f"sampler frequencies within 0.005 of p_C ({n} streams)", max_dev <= 0.005, f"max dev = {max_dev:.4f}"),
+        (f"chi^2 goodness of fit at 1e-3 ({n} streams)", max_stat < crit, f"max stat {max_stat:.2f} < {crit:.2f}"),
+    ]
+
+
+def suite_attention(seed: int = 0, corrupt: bool = False) -> list[Check]:
+    checks = [oracle_equivalence(seed, lambda i: RngStream(seed * 1000 + i, "attn"), corrupt=corrupt)]
 
     capture: dict = {}
     params = AttnParams.init(16, 2, RngStream(seed, "cap"))
@@ -271,27 +302,7 @@ def suite_elastic(seed: int = 0, corrupt: bool = False) -> list[Check]:
         invariant &= np.array_equal(g0.data, g1.data) and np.array_equal(d0.data, d1.data)
     checks.append(("inactive-core perturbation leaves outputs bit-identical", invariant, "budgets 8..56"))
 
-    dist = BudgetDistribution()
-    crit = float(sp_stats.chi2.isf(1e-3, df=len(dist.budgets) - 1))
-    draws = 100_000
-    max_dev = 0.0
-    max_stat = 0.0
-    for s in range(5):
-        stream = RngStream(seed * 10 + s, "budget-sampler")
-        counts = dict.fromkeys(dist.budgets, 0)
-        for _ in range(draws):
-            counts[sample_budget(dist, stream)] += 1
-        freqs = np.array([counts[b] / draws for b in dist.budgets])
-        max_dev = max(max_dev, float(np.abs(freqs - dist.probs).max()))
-        expected = dist.probs * draws
-        observed = np.array([counts[b] for b in dist.budgets])
-        max_stat = max(max_stat, float(((observed - expected) ** 2 / expected).sum()))
-    checks.append(
-        ("sampler frequencies within 0.005 of p_C (5 streams)", max_dev <= 0.005, f"max dev = {max_dev:.4f}")
-    )
-    checks.append(
-        ("chi^2 goodness of fit at 1e-3 (5 streams)", max_stat < crit, f"max stat {max_stat:.2f} < {crit:.2f}")
-    )
+    checks += budget_sampler_fit([RngStream(seed * 10 + s, "budget-sampler") for s in range(5)])
     return checks
 
 

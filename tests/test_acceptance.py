@@ -7,20 +7,19 @@ the test names.
 
 import numpy as np
 import pytest
-from scipy import stats as sp_stats
 
 from veca.analysis import attention_path_flops, contribution_map, influence_probe
-from veca.attention import AttnParams, core_attention, dense_count, interaction_count, masked_dense_oracle
+from veca.attention import AttnParams, core_attention, dense_count, interaction_count
 from veca.checkpoint import load_container, load_model, save_container, save_model
 from veca.data import synthetic_images
 from veca.distill import DistillConfig, SyntheticTeacher, loss_dense, loss_global, train
-from veca.elastic import BudgetDistribution, active_prefix, sample_budget
+from veca.elastic import BudgetDistribution, active_prefix
 from veca.model import Encoder, get_preset, param_count
 from veca.rng import RngStream
 from veca.rope import RopeSpec, cos_sin
 from veca.rope import apply as rope_apply
 from veca.tensor import Tensor, reshape
-from veca.verify import model_grad_check
+from veca.verify import budget_sampler_fit, model_grad_check, oracle_equivalence
 
 from test_analysis import contribution_scalar_oracle
 
@@ -63,26 +62,8 @@ def test_c02_interaction_ratios():
 
 
 def test_c03_oracle_equivalence():
-    worst = 0.0
-    count = 0
-    rng = np.random.default_rng(2024)
-    while count < 50:
-        c = int(rng.choice([2, 4, 8]))
-        heads = int(rng.choice([1, 2]))
-        dim = int(rng.choice([8, 16]))
-        t = int(rng.integers(c + 1, 33))
-        b = int(rng.integers(1, 3))
-        params = AttnParams.init(dim, heads, RngStream(count, "acc3"))
-        x = Tensor(rng.normal(size=(b, t, dim)))
-        coords = Tensor(rng.uniform(-1, 1, size=(t, 2)))
-        spec = RopeSpec(dim // heads)
-        out = core_attention(params, x, coords, c, spec).data
-        ref = masked_dense_oracle(params, x, coords, c, spec)
-        worst = max(worst, float(np.abs(out - ref).max()))
-        count += 1
-    ok = worst <= 1e-12
-    report(3, "block-sparse vs masked-dense oracle", ok,
-           f"max |diff| {worst:.2e} over {count} random configs (tol 1e-12)")
+    name, ok, detail = oracle_equivalence(2024, lambda i: RngStream(i, "acc3"))
+    report(3, "block-sparse vs masked-dense oracle", ok, f"{name}: {detail}")
 
 
 def test_c04_parameter_counts():
@@ -154,24 +135,9 @@ def test_c07_elastic_prefix_invariance():
 
 
 def test_c08_budget_sampler():
-    dist = BudgetDistribution()
-    crit = float(sp_stats.chi2.isf(1e-3, df=len(dist.budgets) - 1))
-    draws = 100_000
-    max_dev = 0.0
-    max_stat = 0.0
-    for s in range(5):
-        stream = RngStream(100 + s, "acc8")
-        counts = dict.fromkeys(dist.budgets, 0)
-        for _ in range(draws):
-            counts[sample_budget(dist, stream)] += 1
-        observed = np.array([counts[b] for b in dist.budgets])
-        freqs = observed / draws
-        max_dev = max(max_dev, float(np.abs(freqs - dist.probs).max()))
-        expected = dist.probs * draws
-        max_stat = max(max_stat, float(((observed - expected) ** 2 / expected).sum()))
-    ok = max_dev <= 0.005 and max_stat < crit
-    report(8, "budget sampler distribution", ok,
-           f"max |freq - p| {max_dev:.4f} (tol 0.005); chi^2 max {max_stat:.2f} < {crit:.2f} over 5 streams")
+    checks = budget_sampler_fit([RngStream(100 + s, "acc8") for s in range(5)])
+    report(8, "budget sampler distribution", all(ok for _, ok, _ in checks),
+           "; ".join(f"{name}: {detail}" for name, _, detail in checks))
 
 
 def test_c09_toy_elastic_distillation():

@@ -170,8 +170,8 @@ class TestExportMaps:
         m2 = export_core_maps(tiny_encoder, img, 8)[1]
         np.testing.assert_array_equal(m1, m2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_core_map_csv(p1, m1, "img", 1, 8)
-        write_core_map_csv(p2, m2, "img", 1, 8)
+        write_core_map_csv(p1, m1, "img", 1, 8, "# header")
+        write_core_map_csv(p2, m2, "img", 1, 8, "# header")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_layer_out_of_range(self, tiny_encoder):

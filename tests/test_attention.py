@@ -58,9 +58,19 @@ class TestCoreAttention:
     def test_budget_errors(self):
         params, x, coords, spec = random_case(3)
         with pytest.raises(BudgetError):
-            core_attention(params, x, coords, 12, spec)
+            core_attention(params, x, coords, 13, spec)
         with pytest.raises(BudgetError):
             core_attention(params, x, coords, 0, spec)
+
+    def test_all_cores_matches_oracle(self):
+        # C = T: no patch rows, so core attention is dense self-attention
+        for seed in range(10):
+            t = 2 + seed
+            heads, batch = 1 + seed % 2, 1 + seed % 2
+            params, x, coords, spec = random_case(100 + seed, t=t, c=t, heads=heads, batch=batch)
+            out = core_attention(params, x, coords, t, spec).data
+            ref = masked_dense_oracle(params, x, coords, t, spec)
+            assert np.abs(out - ref).max() <= 1e-12
 
     def test_head_divisibility_error(self):
         with pytest.raises(ConfigError):

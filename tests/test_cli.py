@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from veca.analysis import export_core_maps
 from veca.checkpoint import save_model
 from veca.cli import main
+from veca.data import synthetic_images
 from veca.model import Encoder, ModelConfig
+from veca.rng import RngStream
 
 
 def run(capsys, *argv):
@@ -38,10 +41,6 @@ class TestBenchFlops:
     def test_bad_resolution_exit_code(self, capsys):
         code, _, err = run(capsys, "bench-flops", "--res", "1000")
         assert code == 2 and "error" in err
-
-    def test_microbench_lines(self, capsys):
-        code, out, _ = run(capsys, "bench-flops", "--res", "256", "--microbench")
-        assert code == 0 and "# microbench" in out
 
 
 class TestParamCount:
@@ -167,6 +166,23 @@ class TestExportMaps:
             run(capsys, "export-maps", "--checkpoint", str(ckpt), "--budget", "8", "--out", str(d))
         assert (d1 / "layer_01.csv").read_bytes() == (d2 / "layer_01.csv").read_bytes()
 
+    def test_file_layout(self, capsys, tmp_path):
+        # config header, map header, then one %.17g row per patch
+        cfg = ModelConfig(layers=3, dim=16, heads=2, mlp_ratio=2.0, patch_size=4)
+        ckpt = tmp_path / "m.veca"
+        model = Encoder(cfg, seed=1)
+        save_model(ckpt, model)
+        out_dir = tmp_path / "maps"
+        code, out, _ = run(capsys, "export-maps", "--checkpoint", str(ckpt), "--budget", "8", "--out", str(out_dir))
+        assert code == 0
+        header = out.splitlines()[0]
+        image = synthetic_images(RngStream(0, "export-data"), 1, 16)[0]
+        for layer, matrix in export_core_maps(model, image, 8).items():
+            lines = [header, f"# image=synth:0 layer={layer} C=8"]
+            lines += [",".join(f"{v:.17g}" for v in row) for row in matrix]
+            want = "".join(line + "\n" for line in lines)
+            assert (out_dir / f"layer_{layer:02d}.csv").read_text() == want
+
 
 class TestVerifyCommand:
     def test_attention_suite_passes(self, capsys):
@@ -193,6 +209,33 @@ class TestVerifyCommand:
     def test_config_echo_present(self, capsys):
         _, out, _ = run(capsys, "verify", "--suite", "attention", "--seed", "7")
         assert out.splitlines()[0] == '# verify config: {"corrupt": false, "seed": 7, "suite": "attention"}'
+
+
+class TestExitCodes:
+    CASES = {
+        "config not JSON": ("config", b'{"steps": 3', 2),
+        "config not an object": ("config", b"5", 2),
+        "PPM pixels truncated": ("ppm", b"P6\n4 4\n255\n" + bytes(10), 3),
+        "PPM header with 3 fields": ("ppm", b"P6\n4 4", 3),
+        "PPM header not integers": ("ppm", b"P6\nfour 4\n255\n" + bytes(48), 3),
+        "PPM maxval zero": ("ppm", b"P6\n4 4\n0\n" + bytes(48), 3),
+        "PPM 16-bit maxval": ("ppm", b"P6\n4 4\n65535\n" + bytes(96), 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_malformed_input(self, capsys, tmp_path, case):
+        kind, raw, want = self.CASES[case]
+        bad = tmp_path / ("cfg.json" if kind == "config" else "img.ppm")
+        bad.write_bytes(raw)
+        if kind == "config":
+            argv = ["train-toy", "--config", str(bad), "--out", str(tmp_path / "run")]
+        else:
+            ckpt = tmp_path / "m.veca"
+            save_model(ckpt, Encoder(ModelConfig(layers=2, dim=16, heads=2, mlp_ratio=2.0, patch_size=4), seed=0))
+            argv = ["export-maps", "--checkpoint", str(ckpt), "--image", str(bad),
+                    "--budget", "8", "--out", str(tmp_path / "maps")]
+        code, _, err = run(capsys, *argv)
+        assert code == want and err.startswith(("error:", "i/o error:"))
 
 
 class TestSeedEnv:

@@ -17,8 +17,8 @@ from veca.distill import (
     train,
 )
 from veca.elastic import BudgetDistribution
-from veca.errors import ConfigError, TrainingDivergedError
-from veca.model import Encoder
+from veca.errors import ConfigError, ResolutionError, TrainingDivergedError
+from veca.model import Encoder, get_preset
 from veca.rng import RngStream
 from veca.tensor import Tensor
 
@@ -140,6 +140,43 @@ class TestSyntheticTeacher:
         y, z = tiny_teacher.targets(tiny_images)
         assert np.all(np.isfinite(y)) and np.all(np.isfinite(z))
         assert np.linalg.norm(z, axis=-1).max() <= 1e3
+
+    # Values recorded from the earlier teacher, which had its own patchify and
+    # dense attention: sampled entries of y and z plus mean |z|, images from
+    # RngStream(11, "teacher-pin"), teacher seed 7001, float64.
+    PINNED = {
+        ("tiny-test", 16, 2): (
+            [-0.2735501735566478, -0.3858790571865963, 0.5728678858733647, 0.26893444394623245],
+            [-0.3628701230686133, 1.8975168859560987, 1.011378727715157, 0.44486540606912645],
+            0.8488755922820593,
+        ),
+        ("tiny-test", 32, 2): (
+            [-0.8307952004533816, -0.934688995324539, 0.5639203814453297, -1.5410726779424935],
+            [-0.0584926221287417, -1.206720548827455, 0.5212175761976939, -1.7051038848929096],
+            0.8212563161824773,
+        ),
+        ("small", 64, 1): (
+            [-0.24280488371524034, -0.6604866809100007, -0.36099886831141265, 0.23137633449238357],
+            [0.2199184752461009, 1.0379235115262182, -0.4763995671232059, -0.6663160469440119],
+            0.807797324243229,
+        ),
+    }
+
+    @pytest.mark.parametrize("preset,res,batch", sorted(PINNED))
+    def test_targets_match_recorded_values(self, preset, res, batch):
+        want_y, want_z, want_abs = self.PINNED[(preset, res, batch)]
+        teacher = SyntheticTeacher(get_preset(preset), seed=7001)
+        y, z = teacher.targets(synthetic_images(RngStream(11, "teacher-pin"), batch, res))
+        y, z = y.reshape(-1), z.reshape(-1)
+        yi = np.linspace(0, y.size - 1, 4).astype(int)
+        zi = np.linspace(0, z.size - 1, 4).astype(int)
+        np.testing.assert_allclose(y[yi], want_y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(z[zi], want_z, rtol=0, atol=1e-12)
+        assert abs(float(np.abs(z).mean()) - want_abs) <= 1e-12
+
+    def test_zero_patch_image_is_resolution_error(self, tiny_teacher):
+        with pytest.raises(ResolutionError):
+            tiny_teacher.targets(np.zeros((1, 3, 0, 0)))
 
 
 class TestSchedule:

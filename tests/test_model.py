@@ -111,6 +111,12 @@ class TestPatchEmbed:
         _, (hp, wp) = enc.patch_embed(np.zeros((1, 3, 256, 256)))
         assert hp * wp == 256
 
+    def test_smaller_than_one_patch(self):
+        enc = Encoder(get_preset("tiny-test"), seed=0)
+        for shape in ((1, 3, 0, 0), (1, 3, 0, 16), (1, 3, 16, 0)):
+            with pytest.raises(ResolutionError):
+                enc.patch_embed(np.zeros(shape))
+
 
 def ffn_scalar_oracle(x, w1, b1, w2, b2):
     hidden = w2.shape[0]
