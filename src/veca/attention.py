@@ -30,7 +30,6 @@ from .tensor import (
     as_tensor,
     broadcast_to,
     concat,
-    dropout,
     getitem,
     linear,
     matmul,
@@ -139,8 +138,6 @@ def core_attention(
     coords,
     active_c: int,
     rope: RopeSpec,
-    attn_dropout: float = 0.0,
-    dropout_stream: RngStream | None = None,
     capture: dict | None = None,
 ) -> Tensor:
     """Block-sparse attention over x = [cores ; patches], shape [B, T, D].
@@ -180,12 +177,6 @@ def core_attention(
     v_cores = getitem(v, (slice(None), slice(None), slice(0, c)))
     probs_patch = softmax_rows(matmul(q_patch, k_cores_t))
 
-    if attn_dropout > 0.0:
-        if dropout_stream is None:
-            raise ConfigError("attention dropout needs an explicit RNG stream")
-        probs_core = dropout(probs_core, attn_dropout, dropout_stream)
-        probs_patch = dropout(probs_patch, attn_dropout, dropout_stream)
-
     if capture is not None:
         capture["probs_core"] = probs_core.data.copy()
         capture["probs_patch"] = probs_patch.data.copy()
@@ -204,8 +195,8 @@ def masked_dense_oracle(params: AttnParams, x, coords, active_c: int, rope: Rope
 
     Entries (i, j) with i >= C and j >= C (including the diagonal) get a large
     negative additive mask, so patch rows attend to exactly the C cores.
-    Returns the same values as :func:`core_attention` evaluated without
-    dropout; used as the independent equivalence reference.
+    Returns the same values as :func:`core_attention`; used as the
+    independent equivalence reference.
     """
     x = as_tensor(x)
     b, t, d = _validate(x, active_c, params.heads)

@@ -13,21 +13,24 @@ Layout (all integers little-endian):
         dtype    u8   (0 = float32, 1 = float64)
         payload  raw little-endian scalars, row-major
 
-Round-trips are bitwise lossless for both dtypes. Unknown versions and bad
-magic raise explicit errors. Big-endian hosts byte-swap on load and save so
-the on-disk format stays canonical.
+Round-trips are bitwise lossless for both dtypes. Every malformed container
+raises :class:`CheckpointError` (unknown versions its subclass
+:class:`UnsupportedVersionError`). Big-endian hosts byte-swap on load and save
+so the on-disk format stays canonical.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, UnsupportedVersionError
+from .errors import CheckpointError, UnsupportedVersionError, VecaError
 
 MAGIC = b"VECA"
 VERSION = 1
@@ -89,17 +92,25 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise UnsupportedVersionError(
             f"{path}: container version {version} unsupported (this build reads {VERSION})"
         )
-    config = json.loads(r.take(r.u32()).decode())
+    try:
+        config = json.loads(r.take(r.u32()).decode())
+    except ValueError as err:  # covers both JSONDecodeError and UnicodeDecodeError
+        raise CheckpointError(f"{path}: config blob is not UTF-8 JSON: {err}") from err
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config blob is not a JSON object")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode()
+        try:
+            name = r.take(r.u32()).decode()
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8: {err}") from err
         rank = r.u32()
-        shape = struct.unpack(f"<{rank}Q", r.take(8 * rank)) if rank else ()
+        shape = struct.unpack(f"<{rank}Q", r.take(8 * rank))
         tag = r.u8()
         if tag not in _DTYPE_TAGS:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype tag {tag}")
         dt = _DTYPE_TAGS[tag]
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         arr = np.frombuffer(r.take(count * dt.itemsize), dtype=dt).reshape(shape)
         tensors[name] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
     if r.pos != len(r.raw):
@@ -109,8 +120,6 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def save_model(path: str | Path, encoder, extra_config: dict | None = None) -> None:
     """Serialize an encoder's config and every parameter tensor."""
-    from dataclasses import asdict
-
     config = {
         "model": asdict(encoder.config),
         "seed": encoder.seed,
@@ -122,16 +131,29 @@ def save_model(path: str | Path, encoder, extra_config: dict | None = None) -> N
 
 
 def load_model(path: str | Path):
-    """Rebuild an encoder from a checkpoint written by :func:`save_model`."""
+    """Rebuild an encoder from a checkpoint written by :func:`save_model`.
+
+    Checkpoints written while the model had a ``dropout`` field carry
+    ``"dropout": 0.0``; that entry is dropped. A non-zero one describes a model
+    this build cannot construct and is refused.
+    """
     from .model import Encoder, ModelConfig
 
     config, tensors = load_container(path)
+    if not isinstance(config.get("model"), dict):
+        raise CheckpointError(f"{path}: config has no 'model' object")
     model_cfg = dict(config["model"])
-    model_cfg["budgets"] = tuple(model_cfg["budgets"])
-    enc = Encoder(
-        ModelConfig(**model_cfg),
-        seed=int(config.get("seed", 0)),
-        dtype=np.dtype(config.get("dtype", "float64")),
-    )
-    enc.load_state(tensors)
+    if model_cfg.pop("dropout", 0.0) != 0.0:
+        raise CheckpointError(f"{path}: model dropout is no longer supported")
+    try:
+        if "budgets" in model_cfg:
+            model_cfg["budgets"] = tuple(model_cfg["budgets"])
+        enc = Encoder(
+            ModelConfig(**model_cfg),
+            seed=int(config.get("seed", 0)),
+            dtype=np.dtype(config.get("dtype", "float64")),
+        )
+        enc.load_state(tensors)
+    except (TypeError, ValueError, VecaError) as err:  # an unknown field is a TypeError
+        raise CheckpointError(f"{path}: cannot rebuild the encoder it describes: {err}") from err
     return enc, config

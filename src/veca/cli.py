@@ -135,25 +135,30 @@ def cmd_train_toy(args) -> int:
     resolved = _resolve_config(_TRAIN_DEFAULTS, args.config, overrides)
     if resolved["seed"] is None:
         resolved["seed"] = _default_seed()
-    seed = int(resolved["seed"])
 
-    config = get_preset(resolved["preset"])
-    weights = tuple(float(w) for w in str(resolved["budget_weights"]).split(","))
+    config = get_preset(str(resolved["preset"]))
+    try:
+        seed = int(resolved["seed"])
+        weights = tuple(float(w) for w in str(resolved["budget_weights"]).split(","))
+        dcfg = DistillConfig(
+            lr=float(resolved["lr"]),
+            min_lr=float(resolved["min_lr"]),
+            warmup_steps=int(resolved["warmup"]),
+            total_steps=int(resolved["steps"]),
+            weight_decay=float(resolved["weight_decay"]),
+            batch_size=int(resolved["batch"]),
+            resolutions=(int(resolved["res"]),),
+        )
+        dtype = np.dtype(resolved["dtype"])
+        teacher_seed = int(resolved["teacher_seed"])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"train-toy config value has the wrong type: {err}") from err
     dist = BudgetDistribution(budgets=DEFAULT_BUDGETS, weights=weights, chunk=config.chunk)
-    dcfg = DistillConfig(
-        lr=float(resolved["lr"]),
-        min_lr=float(resolved["min_lr"]),
-        warmup_steps=int(resolved["warmup"]),
-        total_steps=int(resolved["steps"]),
-        weight_decay=float(resolved["weight_decay"]),
-        batch_size=int(resolved["batch"]),
-        resolutions=(int(resolved["res"]),),
-    )
-    student = Encoder(config, seed=seed, dtype=np.dtype(resolved["dtype"]))
+    student = Encoder(config, seed=seed, dtype=dtype)
     file_teacher = FileTeacher(resolved["targets_file"]) if resolved["targets_file"] else None
     teacher = None
     if file_teacher is None:
-        teacher = SyntheticTeacher(config, seed=int(resolved["teacher_seed"]), dtype=student.dtype)
+        teacher = SyntheticTeacher(config, seed=teacher_seed, dtype=student.dtype)
 
     records = train(
         student,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, VecaError
+from .errors import CheckpointError
 from .rng import RngStream
 
 NORM_MEAN = np.array([0.485, 0.456, 0.406])
@@ -58,18 +58,23 @@ def load_raster(path: str | Path) -> np.ndarray:
     """Load one image as [3, H, W] floats in [0, 1] from .npy or binary PPM."""
     path = Path(path)
     if path.suffix == ".npy":
-        arr = np.load(path)
+        try:
+            arr = np.load(path)
+        except (ValueError, EOFError) as err:
+            raise CheckpointError(f"{path}: not a readable .npy array: {err}") from err
+        if not isinstance(arr, np.ndarray) or arr.dtype.kind not in "biuf":
+            raise CheckpointError(f"{path}: expected one real-valued .npy array")
         if arr.ndim == 3 and arr.shape[-1] == 3 and arr.shape[0] != 3:
             arr = arr.transpose(2, 0, 1)
         if arr.ndim != 3 or arr.shape[0] != 3:
-            raise VecaError(f"{path}: expected [3,H,W] or [H,W,3], got {arr.shape}")
+            raise CheckpointError(f"{path}: expected [3,H,W] or [H,W,3], got {arr.shape}")
         arr = arr.astype(np.float64)
         if arr.max() > 1.5:
             arr = arr / 255.0
         return np.clip(arr, 0.0, 1.0)
     if path.suffix in (".ppm", ".pnm"):
         return _read_ppm(path)
-    raise VecaError(f"{path}: unsupported raster format (use .npy or binary .ppm)")
+    raise CheckpointError(f"{path}: unsupported raster format (use .npy or binary .ppm)")
 
 
 def _read_ppm(path: Path) -> np.ndarray:
@@ -90,7 +95,7 @@ def _read_ppm(path: Path) -> np.ndarray:
     if b"" in fields:
         raise CheckpointError(f"{path}: PPM header truncated (needs magic, width, height, maxval)")
     if fields[0] != b"P6":
-        raise VecaError(f"{path}: only binary P6 PPM is supported")
+        raise CheckpointError(f"{path}: only binary P6 PPM is supported")
     try:
         width, height, maxval = (int(f) for f in fields[1:])
     except ValueError:

@@ -65,6 +65,8 @@ class DistillConfig:
             raise ConfigError(f"need 0 < min_lr <= lr, got {self.min_lr} and {self.lr}")
         if self.warmup_steps < 0 or self.total_steps < 1:
             raise ConfigError("invalid step counts")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def _safe_norm(t: Tensor, eps: float) -> Tensor:

@@ -36,7 +36,7 @@ from .tensor import (
     silu,
     tanh,
 )
-from .tensor import dropout as dropout_op
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -51,7 +51,6 @@ class ModelConfig:
     budgets: tuple[int, ...] = DEFAULT_BUDGETS
     rope_base: float = 100.0
     norm_eps: float = 1e-6
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.dim % self.heads:
@@ -163,22 +162,11 @@ def block_forward(
     block: BlockParams,
     rope: RopeSpec,
     eps: float = 1e-6,
-    attn_dropout: float = 0.0,
-    dropout_stream: RngStream | None = None,
     capture: dict | None = None,
 ) -> Tensor:
     """Pre-norm residual attention, then pre-norm residual SwiGLU."""
-    a = core_attention(
-        block.attn,
-        layer_norm(x, block.norm_attn_gamma, block.norm_attn_beta, eps),
-        coords,
-        active_c,
-        rope,
-        attn_dropout,
-        dropout_stream,
-        capture,
-    )
-    x = add(x, a)
+    normed = layer_norm(x, block.norm_attn_gamma, block.norm_attn_beta, eps)
+    x = add(x, core_attention(block.attn, normed, coords, active_c, rope, capture))
     f = ffn_swiglu(
         layer_norm(x, block.norm_ffn_gamma, block.norm_ffn_beta, eps),
         block.ffn_w1,
@@ -186,8 +174,6 @@ def block_forward(
         block.ffn_w2,
         block.ffn_b2,
     )
-    if attn_dropout > 0.0 and dropout_stream is not None:
-        f = dropout_op(f, attn_dropout, dropout_stream)
     return add(x, f)
 
 
@@ -302,8 +288,6 @@ class Encoder:
         active_c: int,
         num_blocks: int | None = None,
         *,
-        dropout_stream: RngStream | None = None,
-        coord_jitter_stream: RngStream | None = None,
         capture: list | None = None,
         apply_final_norm: bool = True,
     ) -> Tensor:
@@ -326,20 +310,13 @@ class Encoder:
         cores_b = broadcast_to(reshape(core_tokens, (1, c, d)), (b, c, d))
         rho_b = broadcast_to(reshape(rho, (1, c, 2)), (b, c, 2))
 
-        if coord_jitter_stream is not None:
-            # optional train-time augmentation: one global shift per image
+        # constant leaf tensor, safe to share across graphs
+        key = (b, hp, wp)
+        patch_coords = self._grid_cache.get(key)
+        if patch_coords is None:
             grid = rope_mod.patch_grid(hp, wp).astype(self.dtype)
-            grid = np.broadcast_to(grid[None], (b, n, 2)).copy()
-            grid += coord_jitter_stream.uniform(-0.02, 0.02, size=(b, 1, 2)).astype(self.dtype)
-            patch_coords = Tensor(grid)
-        else:
-            # constant leaf tensor, safe to share across graphs
-            key = (b, hp, wp)
-            patch_coords = self._grid_cache.get(key)
-            if patch_coords is None:
-                grid = rope_mod.patch_grid(hp, wp).astype(self.dtype)
-                patch_coords = Tensor(np.broadcast_to(grid[None], (b, n, 2)).copy())
-                self._grid_cache[key] = patch_coords
+            patch_coords = Tensor(np.broadcast_to(grid[None], (b, n, 2)).copy())
+            self._grid_cache[key] = patch_coords
 
         x = concat([cores_b, patch_tokens], axis=1)
         core_u = tanh(rho_b)
@@ -356,17 +333,7 @@ class Encoder:
             if capture is not None:
                 layer_capture = {"coords": coords.data.copy()}
                 capture.append(layer_capture)
-            x = block_forward(
-                x,
-                coords,
-                c,
-                self.blocks[li],
-                self.rope,
-                cfg.norm_eps,
-                cfg.dropout,
-                dropout_stream,
-                layer_capture,
-            )
+            x = block_forward(x, coords, c, self.blocks[li], self.rope, cfg.norm_eps, layer_capture)
         if apply_final_norm:
             x = layer_norm(x, self.final_gamma, self.final_beta, cfg.norm_eps)
         return x
@@ -376,22 +343,12 @@ class Encoder:
         images,
         active_c: int | None = None,
         *,
-        dropout_stream: RngStream | None = None,
-        coord_jitter_stream: RngStream | None = None,
         capture: list | None = None,
     ) -> tuple[Tensor, Tensor]:
         """Encode images into (global [B, D], dense [B, N, D]) features."""
         c = self.config.max_cores if active_c is None else int(active_c)
         tokens, (hp, wp) = self.patch_embed(images)
-        x = self.encode_tokens(
-            tokens,
-            hp,
-            wp,
-            c,
-            dropout_stream=dropout_stream,
-            coord_jitter_stream=coord_jitter_stream,
-            capture=capture,
-        )
+        x = self.encode_tokens(tokens, hp, wp, c, capture=capture)
         global_feat = getitem(x, (slice(None), 0))
         dense = getitem(x, (slice(None), slice(c, None)))
         return global_feat, dense

@@ -597,15 +597,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _from_op(out.reshape(lead + (w.shape[1],)), parents, grad_fn, "linear")
 
 
-def dropout(x: Tensor, p: float, stream) -> Tensor:
-    """Inverted dropout with an explicit stream; identity when p == 0."""
-    if p <= 0.0:
-        return x
-    x = as_tensor(x)
-    keep = (stream.uniform(size=x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return mul(x, Tensor(keep))
-
-
 # -- gradient checking --------------------------------------------------------------
 
 

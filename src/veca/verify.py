@@ -7,6 +7,8 @@ into the first suite check, as a negative control that the harness can fail.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 from scipy import stats as sp_stats
 
@@ -82,6 +84,107 @@ def budget_sampler_fit(streams: list[RngStream], draws: int = 100_000) -> list[C
     ]
 
 
+def rope_properties(rngs, enc: Encoder, images: np.ndarray, budget: int, corrupt: bool = False) -> list[Check]:
+    """Rotary isometry and translation invariance of logits, then bounded cores.
+
+    Draw ``i`` takes q, k, coordinates and a shift for 4 tokens from
+    ``rngs[i]``; both rotary checks pass at max error <= 1e-6. The third check
+    encodes ``images`` at ``budget`` and needs every core coordinate in (-1, 1)
+    at every layer. ``corrupt`` scales the first rotated q, a negative control.
+    """
+    spec = RopeSpec(8)
+
+    def rotate(z: Tensor, cc: np.ndarray) -> np.ndarray:
+        ct, st = cos_sin(spec, Tensor(cc))
+        return rope_apply(z, reshape(ct, (1, 1, 4, 4)), reshape(st, (1, 1, 4, 4))).data
+
+    worst_iso = 0.0
+    worst_shift = 0.0
+    for i, rng in enumerate(rngs):
+        q = Tensor(rng.normal(size=(1, 1, 4, 8)))
+        k = Tensor(rng.normal(size=(1, 1, 4, 8)))
+        coords = rng.uniform(-1, 1, size=(1, 4, 2))
+        shift = rng.uniform(-0.5, 0.5, size=2)
+        qr = rotate(q, coords) * (1.001 if corrupt and i == 0 else 1.0)
+        iso = np.abs(np.linalg.norm(qr, axis=-1) - np.linalg.norm(q.data, axis=-1)).max()
+        worst_iso = max(worst_iso, float(iso))
+        dots = [np.einsum("bhtd,bhsd->bhts", rotate(q, cc), rotate(k, cc)) for cc in (coords, coords - shift)]
+        worst_shift = max(worst_shift, float(np.abs(dots[0] - dots[1]).max()))
+
+    capture: list[dict] = []
+    enc(images, budget, capture=capture)
+    bounded = all(np.all(np.abs(layer["coords"][:, :budget]) < 1.0) for layer in capture)
+    n = len(rngs)
+    return [
+        (f"rotation isometry ({n} draws)", worst_iso <= 1e-6, f"max = {worst_iso:.2e} (tol 1e-6)"),
+        (f"translation invariance of logits ({n} draws)", worst_shift <= 1e-6, f"max = {worst_shift:.2e} (tol 1e-6)"),
+        ("core coordinates in (-1,1) at every layer", bounded, f"{len(capture)} layers at C={budget}"),
+    ]
+
+
+def prefix_invariance(enc: Encoder, images: np.ndarray, corrupt: bool = False) -> list[Check]:
+    """Exact core-bank prefix nesting, and bit-identical outputs under
+    perturbation of every inactive chunk at each budget below ``max_cores``.
+
+    Two perturbations are applied in turn: tokens +123.4 with coordinate
+    states -7, and tokens +1e6 with coordinate states set to -42. ``corrupt``
+    also perturbs the first active chunk at the smallest budget, a negative
+    control. Parameters are restored afterwards.
+    """
+    cfg = enc.config
+    nested = all(
+        np.array_equal(small.data, large.data[:c1])
+        for c1, c2 in combinations(cfg.budgets, 2)
+        for small, large in zip(active_prefix(enc.core_bank, c1), active_prefix(enc.core_bank, c2))
+    )
+    perturbations = ((123.4, lambda r: r - 7.0), (1e6, lambda r: np.full_like(r, -42.0)))
+    saved = enc.state()
+    invariant = True
+    for c in cfg.budgets[:-1]:
+        g0, d0 = enc(images, c)
+        for shift, move in perturbations:
+            for j in range(c // cfg.chunk, cfg.max_cores // cfg.chunk):
+                tokens, coords = enc.params[f"core.tokens.{j}"], enc.params[f"core.coords.{j}"]
+                tokens.data, coords.data = tokens.data + shift, move(coords.data)
+            if corrupt and c == cfg.budgets[0]:
+                enc.params["core.tokens.0"].data = enc.params["core.tokens.0"].data + 1e-4
+            g1, d1 = enc(images, c)
+            enc.load_state(saved)
+            invariant &= np.array_equal(g0.data, g1.data) and np.array_equal(d0.data, d1.data)
+    budgets = f"budgets {cfg.budgets[0]}..{cfg.budgets[-2]}"
+    return [
+        ("prefix nesting exact", nested, "all budget pairs"),
+        ("inactive-core perturbation leaves outputs bit-identical", invariant, f"{budgets}, 2 perturbations"),
+    ]
+
+
+def graph_diameter(cases, corrupt: bool = False) -> list[Check]:
+    """Cross-patch influence through one block is zero, through two present.
+
+    ``cases`` are (encoder, [C, H, W] image) pairs. Off-diagonal one-block
+    influence must be <= 1e-12 on every case; on every case at least 90% of
+    off-diagonal two-block entries must exceed 1e-9. ``corrupt`` offsets the
+    first one-block probe, a negative control.
+    """
+    one_max = 0.0
+    frac_min = 1.0
+    for i, (enc, img) in enumerate(cases):
+        j1 = influence_probe(enc, img, 1) + (1e-6 if corrupt and i == 0 else 0.0)
+        j2 = influence_probe(enc, img, 2)
+        off = ~np.eye(j1.shape[0], dtype=bool)
+        one_max = max(one_max, float(j1[off].max()))
+        frac_min = min(frac_min, float((j2[off] > 1e-9).mean()))
+    n = len(cases)
+    return [
+        (f"one-block cross-patch influence is zero ({n} cases)", one_max <= 1e-12, f"max = {one_max:.2e} (tol 1e-12)"),
+        (
+            f"two-block cross-patch influence present (>=90% of pairs, {n} cases)",
+            frac_min >= 0.9,
+            f"min fraction = {frac_min:.3f}",
+        ),
+    ]
+
+
 def suite_attention(seed: int = 0, corrupt: bool = False) -> list[Check]:
     checks = [oracle_equivalence(seed, lambda i: RngStream(seed * 1000 + i, "attn"), corrupt=corrupt)]
 
@@ -124,55 +227,14 @@ def suite_attention(seed: int = 0, corrupt: bool = False) -> list[Check]:
 
 
 def suite_rope(seed: int = 0, corrupt: bool = False) -> list[Check]:
-    checks: list[Check] = []
     rng = np.random.default_rng(seed)
-    spec = RopeSpec(8)
-    worst_iso = 0.0
-    worst_shift = 0.0
-    for trial in range(100):
-        q = Tensor(rng.normal(size=(1, 1, 3, 8)))
-        k = Tensor(rng.normal(size=(1, 1, 3, 8)))
-        coords = rng.uniform(-1, 1, size=(1, 3, 2))
-        shift = rng.uniform(-0.5, 0.5, size=2)
-
-        def rotated_dots(cc: np.ndarray) -> np.ndarray:
-            ct, st = cos_sin(spec, Tensor(cc))
-            ct = reshape(ct, (1, 1, 3, 4))
-            st = reshape(st, (1, 1, 3, 4))
-            qq = rope_apply(q, ct, st).data
-            kk = rope_apply(k, ct, st).data
-            return np.einsum("bhtd,bhsd->bhts", qq, kk)
-
-        ct, st = cos_sin(spec, Tensor(coords))
-        qr = rope_apply(q, reshape(ct, (1, 1, 3, 4)), reshape(st, (1, 1, 3, 4))).data
-        if corrupt and trial == 0:
-            qr = qr * 1.001
-        iso = np.abs(
-            np.linalg.norm(qr, axis=-1) - np.linalg.norm(q.data, axis=-1)
-        ).max()
-        worst_iso = max(worst_iso, float(iso))
-        worst_shift = max(
-            worst_shift,
-            float(np.abs(rotated_dots(coords) - rotated_dots(coords - shift)).max()),
-        )
-    checks.append(("rotation isometry (100 draws)", worst_iso <= 1e-6, f"max = {worst_iso:.2e}"))
-    checks.append(
-        ("translation invariance of logits (100 draws)", worst_shift <= 1e-6, f"max = {worst_shift:.2e}")
-    )
+    img = synthetic_images(RngStream(seed, "rope-img"), 1, 16)
+    checks = rope_properties([rng] * 100, _tiny_encoder(seed), img, 16, corrupt=corrupt)
 
     grid = patch_grid(3, 5)
     flipped = patch_grid(3, 5).reshape(3, 5, 2)[:, ::-1].reshape(-1, 2)
     refl = bool(np.array_equal(flipped[:, 0], -grid[:, 0]) and np.array_equal(flipped[:, 1], grid[:, 1]))
     checks.append(("patch grid x-reflection", refl, "column flip negates x exactly"))
-
-    enc = _tiny_encoder(seed)
-    capture: list[dict] = []
-    img = synthetic_images(RngStream(seed, "rope-img"), 1, 16)
-    enc.forward(img, 16, capture=capture)
-    core_ok = all(
-        np.all(np.abs(layer["coords"][:, :16, :]) < 1.0) for layer in capture
-    )
-    checks.append(("core coordinates in (-1,1) at every layer", core_ok, f"{len(capture)} layers"))
 
     same = np.array_equal(fps_init(16, 16), fps_init(16, 16))
     pts = np.tanh(fps_init(64, 64))
@@ -270,62 +332,17 @@ def model_grad_check(
 
 
 def suite_elastic(seed: int = 0, corrupt: bool = False) -> list[Check]:
-    checks: list[Check] = []
-    enc = _tiny_encoder(seed)
-    bank = enc.core_bank
-    nested = True
-    for c1 in enc.config.budgets:
-        for c2 in enc.config.budgets:
-            if c1 >= c2:
-                continue
-            t1, r1 = active_prefix(bank, c1)
-            t2, r2 = active_prefix(bank, c2)
-            nested &= np.array_equal(t1.data, t2.data[:c1]) and np.array_equal(
-                r1.data, r2.data[:c1]
-            )
-    checks.append(("prefix nesting exact", nested, "all budget pairs"))
-
     img = synthetic_images(RngStream(seed, "elastic-img"), 2, 16)
-    invariant = True
-    for c in enc.config.budgets[:-1]:
-        g0, d0 = enc(img, c)
-        saved = enc.state()
-        start = c // enc.config.chunk
-        for j in range(start, enc.config.max_cores // enc.config.chunk):
-            enc.params[f"core.tokens.{j}"].data += 123.4
-            enc.params[f"core.coords.{j}"].data -= 7.0
-        g1, d1 = enc(img, c)
-        if corrupt and c == enc.config.budgets[0]:
-            enc.params["core.tokens.0"].data += 1e-4
-            g1, d1 = enc(img, c)
-        enc.load_state(saved)
-        invariant &= np.array_equal(g0.data, g1.data) and np.array_equal(d0.data, d1.data)
-    checks.append(("inactive-core perturbation leaves outputs bit-identical", invariant, "budgets 8..56"))
-
+    checks = prefix_invariance(_tiny_encoder(seed), img, corrupt=corrupt)
     checks += budget_sampler_fit([RngStream(seed * 10 + s, "budget-sampler") for s in range(5)])
     return checks
 
 
 def suite_diameter(seed: int = 0, corrupt: bool = False) -> list[Check]:
-    checks: list[Check] = []
-    one_max = 0.0
-    frac_min = 1.0
-    for s in range(2):
-        enc = _tiny_encoder(seed + s)
-        img = synthetic_images(RngStream(seed + s, "probe"), 1, 16)[0]
-        j1 = influence_probe(enc, img, 1)
-        j2 = influence_probe(enc, img, 2)
-        if corrupt and s == 0:
-            j1 = j1 + 1e-6
-        off = ~np.eye(j1.shape[0], dtype=bool)
-        one_max = max(one_max, float(j1[off].max()))
-        frac_min = min(frac_min, float((j2[off] > 1e-9).mean()))
-    checks.append(("one-block cross-patch influence is zero", one_max <= 1e-12, f"max = {one_max:.2e}"))
-    checks.append((
-        "two-block cross-patch influence present (>=90% of pairs)",
-        frac_min >= 0.9,
-        f"min fraction = {frac_min:.3f}",
-    ))
+    cases = [
+        (_tiny_encoder(seed + s), synthetic_images(RngStream(seed + s, "probe"), 1, 16)[0]) for s in range(2)
+    ]
+    checks = graph_diameter(cases, corrupt=corrupt)
 
     config = get_preset("small")
     linked = all(

@@ -86,20 +86,6 @@ class TestCoreAttention:
         with pytest.raises(ShapeError):
             core_attention(params, x, Tensor(np.zeros((5, 2))), 4, spec)
 
-    def test_dropout_deterministic_and_off_by_default(self):
-        params, x, coords, spec = random_case(6)
-        base = core_attention(params, x, coords, 4, spec).data
-        d1 = core_attention(
-            params, x, coords, 4, spec, attn_dropout=0.5, dropout_stream=RngStream(0, "d")
-        ).data
-        d2 = core_attention(
-            params, x, coords, 4, spec, attn_dropout=0.5, dropout_stream=RngStream(0, "d")
-        ).data
-        np.testing.assert_array_equal(d1, d2)
-        assert np.abs(d1 - base).max() > 1e-6
-        with pytest.raises(ConfigError):
-            core_attention(params, x, coords, 4, spec, attn_dropout=0.5)
-
     def test_capture_shapes_and_row_sums(self):
         params, x, coords, spec = random_case(7, t=14, c=4, dim=16, heads=2, batch=2)
         cap = {}

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -90,6 +91,23 @@ class TestModelCheckpoint:
         for name, tensor in enc.params.items():
             assert loaded.params[name].data.tobytes() == tensor.data.tobytes()
 
+    def test_legacy_zero_dropout_entry_loads(self, tmp_path, tiny_config, tiny_images):
+        # checkpoints written while ModelConfig had a dropout field carry "dropout": 0.0
+        enc = Encoder(tiny_config, seed=9)
+        path = tmp_path / "legacy.veca"
+        save_container(
+            path, {"model": {**asdict(tiny_config), "dropout": 0.0}, "seed": 9, "dtype": "float64"}, enc.state()
+        )
+        loaded, _ = load_model(path)
+        assert loaded.config == tiny_config
+        np.testing.assert_array_equal(loaded(tiny_images, 8)[1].data, enc(tiny_images, 8)[1].data)
+
+    def test_nonzero_dropout_entry_refused(self, tmp_path, tiny_config):
+        path = tmp_path / "dropout.veca"
+        save_container(path, {"model": {**asdict(tiny_config), "dropout": 0.1}}, Encoder(tiny_config).state())
+        with pytest.raises(CheckpointError, match="dropout"):
+            load_model(path)
+
     def test_identical_saves_are_byte_identical(self, tmp_path, tiny_config):
         p1, p2 = tmp_path / "a.veca", tmp_path / "b.veca"
         save_model(p1, Encoder(tiny_config, seed=4))
@@ -101,8 +119,6 @@ class TestModelCheckpoint:
         for name in ("small", "small_plus", "base", "large", "tiny-test"):
             cfg = get_preset(name)
             enc = Encoder(get_preset("tiny-test"), seed=0)
-            from dataclasses import asdict
-
             path = tmp_path / f"{name}.veca"
             save_container(path, {"model": asdict(cfg)}, enc.state())
             got_cfg, got_tensors = load_container(path)

@@ -1,4 +1,7 @@
+import io
 import json
+import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -211,10 +214,40 @@ class TestVerifyCommand:
         assert out.splitlines()[0] == '# verify config: {"corrupt": false, "seed": 7, "suite": "attention"}'
 
 
+TINY = ModelConfig(layers=2, dim=16, heads=2, mlp_ratio=2.0, patch_size=4)
+
+
+def container(blob: bytes, name: bytes = b"x") -> bytes:
+    """A version-1 checkpoint container: config ``blob`` and one float64 scalar."""
+    head = b"VECA" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 1)
+    return head + struct.pack("<I", len(name)) + name + struct.pack("<I", 0) + b"\x01" + bytes(8)
+
+
+def model_blob(**extra) -> bytes:
+    return json.dumps({"model": {**asdict(TINY), **extra}}).encode()
+
+
+def npy_bytes(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
 class TestExitCodes:
     CASES = {
         "config not JSON": ("config", b'{"steps": 3', 2),
         "config not an object": ("config", b"5", 2),
+        "config value of the wrong type": ("config", b'{"steps": "abc"}', 2),
+        "batch of zero": ("flags", b"--batch 0", 2),
+        "npy of random bytes": ("npy", bytes(range(256)), 3),
+        "npy of the wrong shape": ("npy", npy_bytes(np.zeros((4, 4))), 3),
+        "PPM that is not P6": ("ppm", b"P3\n4 4\n255\n" + bytes(48), 3),
+        "checkpoint config not JSON": ("checkpoint", container(b"{nope"), 3),
+        "checkpoint without model": ("checkpoint", container(b"{}"), 3),
+        "checkpoint tensor name not UTF-8": ("checkpoint", container(b"{}", b"\xff\xfe"), 3),
+        "checkpoint unknown model field": ("checkpoint", container(model_blob(width=3)), 3),
+        "checkpoint non-zero dropout": ("checkpoint", container(model_blob(dropout=0.1)), 3),
+        "checkpoint tensors not the model's": ("checkpoint", container(model_blob()), 3),
         "PPM pixels truncated": ("ppm", b"P6\n4 4\n255\n" + bytes(10), 3),
         "PPM header with 3 fields": ("ppm", b"P6\n4 4", 3),
         "PPM header not integers": ("ppm", b"P6\nfour 4\n255\n" + bytes(48), 3),
@@ -225,13 +258,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_malformed_input(self, capsys, tmp_path, case):
         kind, raw, want = self.CASES[case]
-        bad = tmp_path / ("cfg.json" if kind == "config" else "img.ppm")
+        bad = tmp_path / {"config": "cfg.json", "ppm": "img.ppm", "npy": "img.npy"}.get(kind, "bad.veca")
         bad.write_bytes(raw)
         if kind == "config":
             argv = ["train-toy", "--config", str(bad), "--out", str(tmp_path / "run")]
+        elif kind == "flags":
+            argv = ["train-toy", *raw.decode().split(), "--out", str(tmp_path / "run")]
+        elif kind == "checkpoint":
+            argv = ["eval-budgets", "--checkpoint", str(bad)]
         else:
             ckpt = tmp_path / "m.veca"
-            save_model(ckpt, Encoder(ModelConfig(layers=2, dim=16, heads=2, mlp_ratio=2.0, patch_size=4), seed=0))
+            save_model(ckpt, Encoder(TINY, seed=0))
             argv = ["export-maps", "--checkpoint", str(ckpt), "--image", str(bad),
                     "--budget", "8", "--out", str(tmp_path / "maps")]
         code, _, err = run(capsys, *argv)

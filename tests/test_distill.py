@@ -199,6 +199,8 @@ class TestSchedule:
             DistillConfig(lr=1e-3, min_lr=1e-2)
         with pytest.raises(ConfigError):
             DistillConfig(lambda_dense=-0.1)
+        with pytest.raises(ConfigError):
+            DistillConfig(batch_size=0)
 
 
 class TestTrain:

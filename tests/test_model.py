@@ -253,14 +253,6 @@ class TestEncoder:
         _, d32 = tiny_encoder(imgs32, 8)
         assert d32.shape[1] == 4 * d16.shape[1]
 
-    def test_coord_jitter_optional_and_off_by_default(self, tiny_config, tiny_images):
-        enc = Encoder(tiny_config, seed=4)
-        g0, _ = enc(tiny_images, 8)
-        g1, _ = enc(tiny_images, 8)
-        np.testing.assert_array_equal(g0.data, g1.data)
-        gj, _ = enc(tiny_images, 8, coord_jitter_stream=RngStream(0, "jit"))
-        assert np.abs(gj.data - g0.data).max() > 0
-
     def test_state_roundtrip(self, tiny_config, tiny_images):
         a = Encoder(tiny_config, seed=5)
         b = Encoder(tiny_config, seed=6)

@@ -13,7 +13,6 @@ from veca.tensor import (
     concat,
     cos,
     div,
-    dropout,
     exp,
     getitem,
     grad_check,
@@ -313,16 +312,3 @@ class TestInvariants:
 
     def test_int_input_promotes(self):
         assert Tensor([1, 2, 3]).dtype == np.float64
-
-
-class TestDropout:
-    def test_identity_at_zero(self):
-        x = Tensor(np.ones((4, 4)))
-        assert dropout(x, 0.0, None) is x
-
-    def test_deterministic_given_stream(self):
-        x = Tensor(np.ones((8, 8)))
-        a = dropout(x, 0.5, RngStream(0, "drop")).data
-        b = dropout(x, 0.5, RngStream(0, "drop")).data
-        np.testing.assert_array_equal(a, b)
-        assert (a == 0).any() and (a == 2.0).any()
