@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, UnsupportedVersionError, VecaError
+from .errors import CheckpointError, DTypeError, UnsupportedVersionError, VecaError
 
 MAGIC = b"VECA"
 VERSION = 1
@@ -135,7 +135,8 @@ def load_model(path: str | Path):
 
     Checkpoints written while the model had a ``dropout`` field carry
     ``"dropout": 0.0``; that entry is dropped. A non-zero one describes a model
-    this build cannot construct and is refused.
+    this build cannot construct and is refused, as is a tensor whose dtype is
+    not the config's ``dtype`` (no silent cast).
     """
     from .model import Encoder, ModelConfig
 
@@ -153,6 +154,12 @@ def load_model(path: str | Path):
             seed=int(config.get("seed", 0)),
             dtype=np.dtype(config.get("dtype", "float64")),
         )
+        cast = [name for name, arr in tensors.items() if arr.dtype != enc.dtype]
+        if cast:
+            raise DTypeError(
+                f"{len(cast)} tensor(s), first {cast[0]!r} ({tensors[cast[0]].dtype}), "
+                f"are not the config's {np.dtype(enc.dtype).name}"
+            )
         enc.load_state(tensors)
     except (TypeError, ValueError, VecaError) as err:  # an unknown field is a TypeError
         raise CheckpointError(f"{path}: cannot rebuild the encoder it describes: {err}") from err

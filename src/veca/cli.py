@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, checkpoint, verify
 from .data import load_raster, normalize, synthetic_images
 from .distill import DistillConfig, FileTeacher, SyntheticTeacher, loss_dense, loss_global, train
-from .elastic import DEFAULT_BUDGETS, BudgetDistribution, save_schedule
+from .elastic import DEFAULT_WEIGHTS, BudgetDistribution, save_schedule
 from .errors import (
     BudgetError,
     CheckpointError,
@@ -119,7 +119,7 @@ _TRAIN_DEFAULTS = {
     "warmup": 20,
     "weight_decay": 0.01,
     "seed": None,  # filled from --seed / VECA_SEED
-    "budget_weights": ",".join(str(w) for w in (1, 1, 2, 2, 3, 3, 4, 4)),
+    "budget_weights": ",".join(str(w) for w in DEFAULT_WEIGHTS),
     "dtype": "float32",
     "teacher_seed": 7001,
     "targets_file": None,
@@ -153,7 +153,7 @@ def cmd_train_toy(args) -> int:
         teacher_seed = int(resolved["teacher_seed"])
     except (TypeError, ValueError) as err:
         raise ConfigError(f"train-toy config value has the wrong type: {err}") from err
-    dist = BudgetDistribution(budgets=DEFAULT_BUDGETS, weights=weights, chunk=config.chunk)
+    dist = BudgetDistribution(budgets=config.budgets, weights=weights, chunk=config.chunk)
     student = Encoder(config, seed=seed, dtype=dtype)
     file_teacher = FileTeacher(resolved["targets_file"]) if resolved["targets_file"] else None
     teacher = None

@@ -23,7 +23,7 @@ import numpy as np
 from .attention import AttnParams
 from .data import synthetic_images
 from .elastic import BudgetDistribution, sample_budget
-from .errors import ConfigError, NonFiniteError, ShapeError, TrainingDivergedError, VecaError
+from .errors import CheckpointError, ConfigError, NonFiniteError, ShapeError, TrainingDivergedError
 from .model import BlockParams, Encoder, ModelConfig, block_forward, patchify
 from .rng import RngStream
 from .rope import RopeSpec, patch_grid
@@ -170,16 +170,29 @@ class SyntheticTeacher:
         return dense.mean(axis=1), dense
 
 
+def _check_targets(images: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
+    """Require images [B, C, H, W], global targets [B, D] and dense targets [B, N, D], B >= 1."""
+    if (
+        (images.ndim, y.ndim, z.ndim) != (4, 2, 3)
+        or not images.shape[0] == y.shape[0] == z.shape[0] >= 1
+        or y.shape[1] != z.shape[2]
+    ):
+        raise ShapeError(
+            "targets need images [B, C, H, W], global [B, D] and dense [B, N, D] with B >= 1; "
+            f"got {images.shape}, {y.shape} and {z.shape}"
+        )
+
+
 def save_target_file(path: str | Path, images: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
     """Write a precomputed-teacher target file in the checkpoint container."""
     from .checkpoint import save_container
 
-    if images.shape[0] != y.shape[0] or y.shape[0] != z.shape[0]:
-        raise ShapeError("images, global and dense targets must share a batch axis")
+    images, y, z = np.asarray(images), np.asarray(y), np.asarray(z)
+    _check_targets(images, y, z)
     save_container(
         path,
         {"kind": "teacher_targets", "count": int(images.shape[0])},
-        {"images": np.asarray(images), "global": np.asarray(y), "dense": np.asarray(z)},
+        {"images": images, "global": y, "dense": z},
     )
 
 
@@ -191,10 +204,17 @@ class FileTeacher:
 
         meta, tensors = load_container(path)
         if meta.get("kind") != "teacher_targets":
-            raise VecaError(f"{path}: not a teacher-target container")
+            raise CheckpointError(f"{path}: not a teacher-target container")
+        missing = [k for k in ("images", "global", "dense") if k not in tensors]
+        if missing:
+            raise CheckpointError(f"{path}: teacher-target container has no {missing} tensors")
         self.images = tensors["images"]
         self.global_targets = tensors["global"]
         self.dense_targets = tensors["dense"]
+        try:
+            _check_targets(self.images, self.global_targets, self.dense_targets)
+        except ShapeError as err:
+            raise CheckpointError(f"{path}: {err}") from err
 
     def batch(self, step: int, batch_size: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         n = self.images.shape[0]

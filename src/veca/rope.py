@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError, ShapeError
-from .tensor import Tensor, _accumulate, _from_op, as_tensor, cos, sin
+from .tensor import Tensor, _accumulate, _from_op, _unbroadcast, as_tensor, cos, sin
 
 
 @dataclass(frozen=True)
@@ -113,21 +113,14 @@ def apply(q_or_k: Tensor, cos_t: Tensor, sin_t: Tensor) -> Tensor:
     out[..., 1] = a * st + b * ct
     out = out.reshape(out.shape[:-2] + (hd,))
 
-    def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        extra = g.ndim - len(shape)
-        if extra:
-            g = g.sum(axis=tuple(range(extra)))
-        axes = tuple(i for i, (ds, dg) in enumerate(zip(shape, g.shape)) if ds == 1 and dg != 1)
-        return g.sum(axis=axes, keepdims=True) if axes else g
-
     def grad_fn(g: np.ndarray) -> None:
         ge, go = g[..., 0::2], g[..., 1::2]
         dz = np.empty(g.shape[:-1] + (hd // 2, 2), dtype=g.dtype)
         dz[..., 0] = ge * ct + go * st
         dz[..., 1] = -ge * st + go * ct
-        _accumulate(q_or_k, unbroadcast(dz.reshape(g.shape), q_or_k.shape))
-        _accumulate(cos_t, unbroadcast(ge * a + go * b, cos_t.shape))
-        _accumulate(sin_t, unbroadcast(go * a - ge * b, sin_t.shape))
+        _accumulate(q_or_k, _unbroadcast(dz.reshape(g.shape), q_or_k.shape))
+        _accumulate(cos_t, _unbroadcast(ge * a + go * b, cos_t.shape))
+        _accumulate(sin_t, _unbroadcast(go * a - ge * b, sin_t.shape))
 
     return _from_op(out, (q_or_k, cos_t, sin_t), grad_fn, "rope_apply")
 

@@ -1,10 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The substrate for everything else in the package: a row-major float32/float64
-array type and a small set of primitive ops that record a tape. Ops that sit
-inside every transformer block (linear, layer norm, softmax) are single tape
-nodes with hand-written backwards; everything else composes. Design
-constraints, all deliberate:
+array type and the primitive ops the model and its losses use, each recording
+a tape node: add, sub, mul, div, neg, power, tanh, sin, cos, silu, clip_min,
+reshape, transpose, getitem, concat, broadcast_to, tsum, tmean, matmul,
+softmax_rows, layer_norm and linear. The last three sit inside every
+transformer block, so they are single tape nodes with hand-written
+backwards; everything else composes. :func:`central_difference_error` (and
+:func:`grad_check` on top of it) compares recorded gradients with central
+finite differences. Design constraints, all deliberate:
 
 * every op validates that its output is finite and raises
   :class:`~veca.errors.NonFiniteError` otherwise;
@@ -82,15 +86,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._bad_item()
-
-    def _bad_item(self):
-        raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:  # pragma: no cover
         grad = ", grad" if self.grad is not None else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{grad})"
@@ -117,53 +112,11 @@ class Tensor:
             if node._grad_fn is not None and node.grad is not None:
                 node._grad_fn(node.grad)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
 
 def as_tensor(value, dtype=None) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value, dtype=dtype)
-
-
-def _coerce(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -216,12 +169,21 @@ def _unbroadcast_scalar(t: Tensor, g: np.ndarray) -> np.ndarray:
     return g
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` back to ``shape`` over the axes numpy broadcasting expanded."""
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (ds, dg) in enumerate(zip(shape, g.shape)) if ds == 1 and dg != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
 # -- primitive elementwise ops -------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a = as_tensor(a)
-    b = _coerce(b, a.dtype)
+    b = as_tensor(b, a.dtype)
     _binary_shapes(a, b, "add")
     data = a.data + b.data
 
@@ -234,7 +196,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a = as_tensor(a)
-    b = _coerce(b, a.dtype)
+    b = as_tensor(b, a.dtype)
     _binary_shapes(a, b, "sub")
     data = a.data - b.data
 
@@ -247,7 +209,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a = as_tensor(a)
-    b = _coerce(b, a.dtype)
+    b = as_tensor(b, a.dtype)
     _binary_shapes(a, b, "mul")
     data = a.data * b.data
 
@@ -260,7 +222,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a = as_tensor(a)
-    b = _coerce(b, a.dtype)
+    b = as_tensor(b, a.dtype)
     _binary_shapes(a, b, "div")
     with np.errstate(divide="ignore", invalid="ignore"):
         data = a.data / b.data
@@ -292,28 +254,6 @@ def power(a: Tensor, p: float) -> Tensor:
         _accumulate(a, g * p * a.data ** (p - 1.0))
 
     return _from_op(data, (a,), grad_fn, f"power({p})")
-
-
-def exp(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * data)
-
-    return _from_op(data, (a,), grad_fn, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, g / a.data)
-
-    return _from_op(data, (a,), grad_fn, "log")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -438,15 +378,7 @@ def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
     data = np.broadcast_to(a.data, shape).copy()
 
     def grad_fn(g: np.ndarray) -> None:
-        extra = g.ndim - a.ndim
-        if extra:
-            g = g.sum(axis=tuple(range(extra)))
-        expanded = tuple(
-            i for i, (da, dg) in enumerate(zip(a.shape, g.shape)) if da == 1 and dg != 1
-        )
-        if expanded:
-            g = g.sum(axis=expanded, keepdims=True)
-        _accumulate(a, g)
+        _accumulate(a, _unbroadcast(g, a.shape))
 
     return _from_op(data, (a,), grad_fn, "broadcast_to", check=False)
 
@@ -456,11 +388,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def grad_fn(g: np.ndarray) -> None:
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-            return
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        if not keepdims:
+        if axis is not None and not keepdims:
+            axes = (axis,) if isinstance(axis, int) else tuple(axis)
             for ax in sorted(ax % a.ndim for ax in axes):
                 g = np.expand_dims(g, ax)
         _accumulate(a, np.broadcast_to(g, a.shape).copy())
@@ -475,7 +404,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     else:
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         n = int(np.prod([a.shape[ax] for ax in axes]))
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 # -- matmul ----------------------------------------------------------------------
@@ -497,12 +426,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):
         data = np.matmul(a.data, b.data)
 
-    def swap(x: np.ndarray) -> np.ndarray:
-        return np.swapaxes(x, -1, -2)
-
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, np.matmul(g, swap(b.data)))
-        _accumulate(b, np.matmul(swap(a.data), g))
+        _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _from_op(data, (a, b), grad_fn, "matmul")
 
@@ -600,41 +526,55 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # -- gradient checking --------------------------------------------------------------
 
 
-def grad_check(f: Callable[[Tensor], Tensor], theta: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def central_difference_error(
+    params: dict[str, Tensor], loss: Callable[[], Tensor], h: float
+) -> float:
+    """Max relative error of the recorded gradient of ``loss`` w.r.t. ``params``.
 
-    ``f`` must map a tensor to a scalar tensor. The analytic gradient comes
-    from one recorded forward/backward; each coordinate is then perturbed by
-    +-h for the finite-difference estimate. Error per coordinate is
-    |analytic - numeric| / max(1, |analytic|). Requires float64.
+    The analytic gradient comes from one recorded forward/backward with every
+    parameter requiring grad. Then, with the tape off, each coordinate moves
+    in place by +h and -h for the central difference (up - down) / 2h. Error
+    per coordinate is |analytic - numeric| / max(1, |analytic|). A non-finite
+    probe raises :class:`NonFiniteError` naming the parameter and coordinate.
+    Every parameter's data and ``requires_grad`` flag are restored.
     """
+    flags = {name: p.requires_grad for name, p in params.items()}
+    analytic, numeric = [], []
+    try:
+        for p in params.values():
+            p.grad, p.requires_grad = None, True
+        loss().backward()
+        for p in params.values():
+            analytic.append(p.grad.reshape(-1) if p.grad is not None else np.zeros(p.size, p.dtype))
+            p.requires_grad = False
+        for name, p in params.items():
+            flat = p.data.reshape(-1)
+            num = np.zeros(flat.size, dtype=np.float64)
+            for i in range(flat.size):
+                orig, values = flat[i], []
+                for step, label in ((h, "+h"), (-h, "-h")):
+                    flat[i] = orig + step
+                    try:
+                        values.append(float(loss().data.reshape(-1)[0]))
+                    except NonFiniteError as err:
+                        where = f"{name} coordinate {i} ({label})"
+                        raise NonFiniteError(f"loss non-finite at {where}: {err}") from err
+                    finally:
+                        flat[i] = orig
+                num[i] = (values[0] - values[1]) / (2.0 * h)
+            numeric.append(num)
+    finally:
+        for name, p in params.items():
+            p.requires_grad = flags[name]
+    ana, num = np.concatenate(analytic), np.concatenate(numeric)
+    rel = np.abs(ana - num) / np.maximum(1.0, np.abs(ana))
+    return float(rel.max()) if rel.size else 0.0
+
+
+def grad_check(f: Callable[[Tensor], Tensor], theta: Tensor, h: float = 1e-5) -> float:
+    """:func:`central_difference_error` of a scalar function of one float64 tensor."""
     theta = as_tensor(theta)
     if theta.dtype != np.float64:
         raise DTypeError("grad_check requires float64 parameters")
-    base = Tensor(theta.data.copy(), requires_grad=True)
-    out = f(base)
-    if out.size != 1:
-        raise ShapeError(f"grad_check: f must return a scalar, got shape {out.shape}")
-    out.backward()
-    analytic = (
-        base.grad.copy() if base.grad is not None else np.zeros_like(base.data)
-    )
-
-    def probe(i: int, sign: float) -> float:
-        bumped = theta.data.reshape(-1).copy()
-        bumped[i] += sign * h
-        try:
-            val = f(Tensor(bumped.reshape(theta.shape)))
-        except NonFiniteError as err:
-            raise NonFiniteError(
-                f"grad_check: f non-finite at coordinate {i} ({'+h' if sign > 0 else '-h'}): {err}"
-            ) from err
-        return float(val.data.reshape(-1)[0])
-
-    numeric = np.zeros(theta.size, dtype=np.float64)
-    for i in range(theta.size):
-        numeric[i] = (probe(i, +1.0) - probe(i, -1.0)) / (2.0 * h)
-
-    ana = analytic.reshape(-1)
-    rel = np.abs(ana - numeric) / np.maximum(1.0, np.abs(ana))
-    return float(rel.max()) if rel.size else 0.0
+    base = Tensor(theta.data.copy())
+    return central_difference_error({"theta": base}, lambda: f(base), h)

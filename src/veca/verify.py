@@ -22,7 +22,7 @@ from .model import Encoder, ModelConfig, get_preset
 from .rng import RngStream
 from .rope import RopeSpec, cos_sin, fps_init, patch_grid
 from .rope import apply as rope_apply
-from .tensor import Tensor, grad_check, mul, reshape, silu, softmax_rows, tanh, tsum
+from .tensor import Tensor, central_difference_error, grad_check, mul, reshape, silu, softmax_rows, tanh, tsum
 
 Check = tuple[str, bool, str]
 
@@ -290,45 +290,16 @@ def model_grad_check(
 ) -> float:
     """Full-model finite-difference check of d(total loss)/d(every parameter).
 
-    Perturbs each parameter coordinate in place by +-h with the tape disabled
-    and compares against the recorded backward pass, using the same error
-    metric as :func:`veca.tensor.grad_check`.
+    Runs :func:`veca.tensor.grad_check`'s loop,
+    :func:`veca.tensor.central_difference_error`, over every encoder parameter.
     """
     cfg = DistillConfig()
     targets = teacher.targets(images)
 
-    def loss_value() -> float:
-        loss, _ = total_loss(images, budget, enc, teacher, cfg, targets=targets)
-        return float(loss.data)
+    def loss() -> Tensor:
+        return total_loss(images, budget, enc, teacher, cfg, targets=targets)[0]
 
-    enc.zero_grad()
-    loss, _ = total_loss(images, budget, enc, teacher, cfg, targets=targets)
-    loss.backward()
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in enc.params.items()
-    }
-
-    for p in enc.params.values():
-        p.requires_grad = False
-    worst = 0.0
-    try:
-        for name, p in enc.params.items():
-            flat = p.data.reshape(-1)
-            ana = analytic[name].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = loss_value()
-                flat[i] = orig - h
-                down = loss_value()
-                flat[i] = orig
-                num = (up - down) / (2.0 * h)
-                worst = max(worst, abs(ana[i] - num) / max(1.0, abs(ana[i])))
-    finally:
-        for p in enc.params.values():
-            p.requires_grad = True
-    return worst
+    return central_difference_error(enc.params, loss, h)
 
 
 def suite_elastic(seed: int = 0, corrupt: bool = False) -> list[Check]:

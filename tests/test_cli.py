@@ -217,14 +217,26 @@ class TestVerifyCommand:
 TINY = ModelConfig(layers=2, dim=16, heads=2, mlp_ratio=2.0, patch_size=4)
 
 
-def container(blob: bytes, name: bytes = b"x") -> bytes:
-    """A version-1 checkpoint container: config ``blob`` and one float64 scalar."""
-    head = b"VECA" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 1)
-    return head + struct.pack("<I", len(name)) + name + struct.pack("<I", 0) + b"\x01" + bytes(8)
+def container(blob: bytes, tensors: dict[bytes, np.ndarray] | None = None) -> bytes:
+    """A version-1 checkpoint container: config ``blob`` and named tensors (default: one float64 scalar)."""
+    tensors = {b"x": np.zeros(())} if tensors is None else tensors
+    out = b"VECA" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", len(tensors))
+    for name, arr in tensors.items():
+        tag = b"\x00" if arr.dtype == np.float32 else b"\x01"
+        out += struct.pack(f"<I{len(name)}sI{arr.ndim}Q", len(name), name, arr.ndim, *arr.shape)
+        out += tag + arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    return out
 
 
 def model_blob(**extra) -> bytes:
     return json.dumps({"model": {**asdict(TINY), **extra}}).encode()
+
+
+def targets(kind: str = "teacher_targets", batches=(2, 2, 2), drop: str = "") -> bytes:
+    """A target-file container of ``kind`` with ``batches`` for images/global/dense, minus ``drop``."""
+    shapes = {"images": (batches[0], 3, 16, 16), "global": (batches[1], 16), "dense": (batches[2], 16, 16)}
+    blob = json.dumps({"kind": kind}).encode()
+    return container(blob, {k.encode(): np.zeros(v) for k, v in shapes.items() if k != drop})
 
 
 def npy_bytes(arr: np.ndarray) -> bytes:
@@ -244,7 +256,15 @@ class TestExitCodes:
         "PPM that is not P6": ("ppm", b"P3\n4 4\n255\n" + bytes(48), 3),
         "checkpoint config not JSON": ("checkpoint", container(b"{nope"), 3),
         "checkpoint without model": ("checkpoint", container(b"{}"), 3),
-        "checkpoint tensor name not UTF-8": ("checkpoint", container(b"{}", b"\xff\xfe"), 3),
+        "checkpoint tensor name not UTF-8": ("checkpoint", container(b"{}", {b"\xff\xfe": np.zeros(())}), 3),
+        "checkpoint tensor dtype not the config's": (
+            "checkpoint",
+            container(model_blob(), {k.encode(): v.astype(np.float32) for k, v in Encoder(TINY, seed=0).state().items()}),
+            3,
+        ),
+        "targets without images": ("targets", targets(drop="images"), 3),
+        "targets of another kind": ("targets", targets(kind="model"), 3),
+        "targets with misaligned batches": ("targets", targets(batches=(2, 3, 3)), 3),
         "checkpoint unknown model field": ("checkpoint", container(model_blob(width=3)), 3),
         "checkpoint non-zero dropout": ("checkpoint", container(model_blob(dropout=0.1)), 3),
         "checkpoint tensors not the model's": ("checkpoint", container(model_blob()), 3),
@@ -266,6 +286,9 @@ class TestExitCodes:
             argv = ["train-toy", *raw.decode().split(), "--out", str(tmp_path / "run")]
         elif kind == "checkpoint":
             argv = ["eval-budgets", "--checkpoint", str(bad)]
+        elif kind == "targets":
+            argv = ["train-toy", "--preset", "tiny-test", "--targets-file", str(bad),
+                    "--steps", "2", "--batch", "2", "--out", str(tmp_path / "run")]
         else:
             ckpt = tmp_path / "m.veca"
             save_model(ckpt, Encoder(TINY, seed=0))

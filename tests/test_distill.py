@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from veca.distill import (
     train,
 )
 from veca.elastic import BudgetDistribution
-from veca.errors import ConfigError, ResolutionError, TrainingDivergedError
-from veca.model import Encoder, get_preset
+from veca.errors import ConfigError, NonFiniteError, ResolutionError, TrainingDivergedError
+from veca.model import Encoder, ModelConfig, get_preset
 from veca.rng import RngStream
 from veca.tensor import Tensor
+from veca.verify import model_grad_check
 
 
 class TestLossGlobal:
@@ -324,6 +326,30 @@ class TestTrain:
             file_teacher=ft,
         )
         assert len(records) == 4 and all(math.isfinite(r.loss) for r in records)
+
+
+class TestModelGradCheck:
+    CONFIG = ModelConfig(layers=1, dim=8, heads=2, mlp_ratio=1.0, patch_size=2, max_cores=8, budgets=(8,))
+
+    def case(self):
+        enc = Encoder(self.CONFIG, seed=0)
+        return enc, SyntheticTeacher(self.CONFIG, seed=1), synthetic_images(RngStream(0, "gc"), 1, 4)
+
+    def test_restores_requires_grad(self):
+        enc, teacher, images = self.case()
+        enc.params["patch_embed.b"].requires_grad = False
+        assert model_grad_check(enc, teacher, images, budget=8) <= 1e-4
+        assert [name for name, p in enc.params.items() if not p.requires_grad] == ["patch_embed.b"]
+
+    def test_non_finite_probe_names_parameter_and_coordinate(self):
+        enc, teacher, images = self.case()
+        before = enc.state()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as err:
+            model_grad_check(enc, teacher, images, budget=8, h=1e300)
+        where = re.search(r"at (\S+) coordinate (\d+) \(\+h\)", str(err.value))
+        assert where and where.group(1) in enc.params
+        for name, value in before.items():
+            np.testing.assert_array_equal(enc.params[name].data, value)
 
 
 class TestAdamW:

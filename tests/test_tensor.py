@@ -13,12 +13,10 @@ from veca.tensor import (
     concat,
     cos,
     div,
-    exp,
     getitem,
     grad_check,
     layer_norm,
     linear,
-    log,
     matmul,
     mul,
     neg,
@@ -189,8 +187,6 @@ class TestGradCheck:
 
 
 UNARY_OPS = [
-    ("exp", lambda t: exp(t), 1.0),
-    ("log", lambda t: log(add(mul(t, t), 1.5)), 1.0),
     ("tanh", tanh, 3.0),
     ("sin", sin, 3.0),
     ("cos", cos, 3.0),
@@ -294,9 +290,9 @@ class TestInvariants:
         with pytest.raises(NonFiniteError):
             Tensor(np.array([1.0, np.inf]))
 
-    def test_exp_overflow_surfaces(self):
+    def test_power_overflow_surfaces(self):
         with pytest.raises(NonFiniteError):
-            exp(Tensor(np.array([1000.0])))
+            power(Tensor(np.array([1e200])), 2.0)
 
     def test_div_by_zero_surfaces(self):
         with pytest.raises((NonFiniteError, FloatingPointError)):
