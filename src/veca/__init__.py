@@ -1,7 +1,7 @@
 """Elastic core-periphery attention encoder and analysis tooling."""
 
 from .attention import AttnParams, core_attention, dense_count, interaction_count, masked_dense_oracle
-from .elastic import BudgetDistribution, CoreBank, active_prefix, sample_budget
+from .elastic import BudgetDistribution, active_prefix, sample_budget
 from .errors import VecaError
 from .model import PRESETS, Encoder, ModelConfig, get_preset, param_count
 from .rng import RngStream
@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttnParams",
     "BudgetDistribution",
-    "CoreBank",
     "Encoder",
     "ModelConfig",
     "PRESETS",

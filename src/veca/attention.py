@@ -69,9 +69,6 @@ class AttnParams:
 
     @staticmethod
     def init(dim: int, heads: int, stream: RngStream, dtype=np.float64) -> "AttnParams":
-        if dim % heads != 0:
-            raise ConfigError(f"model dim {dim} not divisible by {heads} heads")
-
         def affine(name: str) -> tuple[Tensor, Tensor]:
             w = stream.spawn(name).trunc_normal(0.02, size=(dim, dim)).astype(dtype)
             b = np.zeros(dim, dtype=dtype)

@@ -5,7 +5,7 @@ Layout (all integers little-endian):
     magic   4 bytes  b"VECA"
     version u32      container version (currently 1)
     cfg_len u32      length of the UTF-8 JSON config blob
-    config  bytes    JSON object (model config, rope base, seeds, ...)
+    config  bytes    JSON object (model config, seed, dtype, ...)
     count   u32      number of tensors
     per tensor:
         name_len u32, name UTF-8 bytes
@@ -30,12 +30,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import CHANNELS
+from .elastic import CHUNK
 from .errors import CheckpointError, DTypeError, UnsupportedVersionError, VecaError
+from .rope import BASE
 
 MAGIC = b"VECA"
 VERSION = 1
 _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _TAG_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+# model fields older checkpoints carry, each with the one value this build implements
+RETIRED_FIELDS = {"dropout": 0.0, "in_channels": CHANNELS, "chunk": CHUNK, "rope_base": BASE, "norm_eps": 1e-6}
 
 
 def save_container(path: str | Path, config: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -133,10 +138,11 @@ def save_model(path: str | Path, encoder, extra_config: dict | None = None) -> N
 def load_model(path: str | Path):
     """Rebuild an encoder from a checkpoint written by :func:`save_model`.
 
-    Checkpoints written while the model had a ``dropout`` field carry
-    ``"dropout": 0.0``; that entry is dropped. A non-zero one describes a model
-    this build cannot construct and is refused, as is a tensor whose dtype is
-    not the config's ``dtype`` (no silent cast).
+    Older checkpoints carry model fields that are now constants
+    (:data:`RETIRED_FIELDS`). A field holding exactly the constant's value is
+    dropped; any other value describes a model this build cannot construct and
+    is refused, as is a tensor whose dtype is not the config's ``dtype`` (no
+    silent cast).
     """
     from .model import Encoder, ModelConfig
 
@@ -144,8 +150,9 @@ def load_model(path: str | Path):
     if not isinstance(config.get("model"), dict):
         raise CheckpointError(f"{path}: config has no 'model' object")
     model_cfg = dict(config["model"])
-    if model_cfg.pop("dropout", 0.0) != 0.0:
-        raise CheckpointError(f"{path}: model dropout is no longer supported")
+    for name, value in RETIRED_FIELDS.items():
+        if name in model_cfg and model_cfg.pop(name) != value:
+            raise CheckpointError(f"{path}: model {name} other than {value} is no longer supported")
     try:
         if "budgets" in model_cfg:
             model_cfg["budgets"] = tuple(model_cfg["budgets"])

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: verify, bench-flops, train-toy, eval-budgets, export-maps,
-param-count. Every command resolves its configuration from built-in defaults,
-then an optional --config JSON file, then explicit flags (flags win), and
-echoes the fully-resolved configuration as a '#' comment header into its
-output. Exit codes: 0 success, 1 verification/runtime failure, 2 usage error,
-3 I/O error. The VECA_SEED environment variable supplies the default seed.
+param-count. Every command echoes its fully-resolved configuration as a '#'
+comment header into its output; train-toy resolves it from built-in defaults,
+then an optional --config JSON file, then explicit flags (flags win). Exit
+codes: 0 success, 1 verification/runtime failure, 2 usage error, 3 I/O error.
+The VECA_SEED environment variable supplies the default seed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, checkpoint, verify
 from .data import load_raster, normalize, synthetic_images
-from .distill import DistillConfig, FileTeacher, SyntheticTeacher, loss_dense, loss_global, train
+from .distill import TEACHER_SEED, DistillConfig, FileTeacher, SyntheticTeacher, total_loss, train
 from .elastic import DEFAULT_WEIGHTS, BudgetDistribution, save_schedule
 from .errors import (
     BudgetError,
@@ -33,7 +33,6 @@ from .errors import (
 )
 from .model import PRESETS, Encoder, get_preset, param_count
 from .rng import RngStream
-from .tensor import Tensor
 
 
 def _default_seed() -> int:
@@ -109,29 +108,27 @@ def cmd_bench_flops(args) -> int:
     return 0
 
 
+_DISTILL = DistillConfig()
 _TRAIN_DEFAULTS = {
     "preset": "tiny-test",
-    "steps": 500,
-    "batch": 8,
-    "res": 16,
-    "lr": 3e-3,
-    "min_lr": 3e-4,
-    "warmup": 20,
-    "weight_decay": 0.01,
+    "steps": _DISTILL.total_steps,
+    "batch": _DISTILL.batch_size,
+    "res": _DISTILL.resolutions[0],
+    "lr": _DISTILL.lr,
+    "min_lr": _DISTILL.min_lr,
+    "warmup": _DISTILL.warmup_steps,
+    "weight_decay": _DISTILL.weight_decay,
     "seed": None,  # filled from --seed / VECA_SEED
     "budget_weights": ",".join(str(w) for w in DEFAULT_WEIGHTS),
     "dtype": "float32",
-    "teacher_seed": 7001,
+    "teacher_seed": TEACHER_SEED,
     "targets_file": None,
 }
 
 
 def cmd_train_toy(args) -> int:
-    overrides = {
-        k: getattr(args, k, None)
-        for k in _TRAIN_DEFAULTS
-        if k not in ("teacher_seed",)
-    }
+    # teacher_seed has no flag: getattr gives None, which _resolve_config skips
+    overrides = {k: getattr(args, k, None) for k in _TRAIN_DEFAULTS}
     resolved = _resolve_config(_TRAIN_DEFAULTS, args.config, overrides)
     if resolved["seed"] is None:
         resolved["seed"] = _default_seed()
@@ -153,9 +150,9 @@ def cmd_train_toy(args) -> int:
         teacher_seed = int(resolved["teacher_seed"])
     except (TypeError, ValueError) as err:
         raise ConfigError(f"train-toy config value has the wrong type: {err}") from err
-    dist = BudgetDistribution(budgets=config.budgets, weights=weights, chunk=config.chunk)
+    dist = BudgetDistribution(budgets=config.budgets, weights=weights)
     student = Encoder(config, seed=seed, dtype=dtype)
-    file_teacher = FileTeacher(resolved["targets_file"]) if resolved["targets_file"] else None
+    file_teacher = FileTeacher(resolved["targets_file"], config) if resolved["targets_file"] else None
     teacher = None
     if file_teacher is None:
         teacher = SyntheticTeacher(config, seed=teacher_seed, dtype=student.dtype)
@@ -206,21 +203,18 @@ def cmd_eval_budgets(args) -> int:
         "eval_batch": args.eval_batch,
         "seed": seed,
         "res": res,
-        "teacher_seed": int(train_cfg.get("teacher_seed", 7001)),
+        "teacher_seed": int(train_cfg.get("teacher_seed", TEACHER_SEED)),
     }
     teacher = SyntheticTeacher(
         student.config, seed=resolved["teacher_seed"], dtype=student.dtype
     )
     images = synthetic_images(RngStream(seed, "eval-data"), args.eval_batch, res)
     targets = teacher.targets(images)
-    y_star = Tensor(np.asarray(targets[0], dtype=student.dtype))
-    z_star = Tensor(np.asarray(targets[1], dtype=student.dtype))
 
     lines = [_config_header("eval-budgets", resolved), "budget,global_loss,dense_loss,total"]
     for budget in budgets:
-        y, z = student(images, budget)
-        lg = float(loss_global(y, y_star).data)
-        ld = float(loss_dense(z, z_star).data)
+        _, parts = total_loss(images, budget, student, None, DistillConfig(), targets=targets)
+        lg, ld = parts["global"], parts["dense"]
         lines.append(f"{budget},{lg:.10g},{ld:.10g},{lg + ld:.10g}")
     _emit(lines, args.out)
     return 0

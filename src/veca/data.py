@@ -16,14 +16,15 @@ import numpy as np
 from .errors import CheckpointError
 from .rng import RngStream
 
+CHANNELS = 3  # RGB; every model input is [B, CHANNELS, H, W]
 NORM_MEAN = np.array([0.485, 0.456, 0.406])
 NORM_STD = np.array([0.229, 0.224, 0.225])
 
 
 def normalize(images: np.ndarray) -> np.ndarray:
-    """Channelwise (x - mean) / std for images shaped [..., 3, H, W] in [0, 1]."""
-    mean = NORM_MEAN.reshape(3, 1, 1)
-    std = NORM_STD.reshape(3, 1, 1)
+    """Channelwise (x - mean) / std for images shaped [..., CHANNELS, H, W] in [0, 1]."""
+    mean = NORM_MEAN.reshape(CHANNELS, 1, 1)
+    std = NORM_STD.reshape(CHANNELS, 1, 1)
     return (images - mean) / std
 
 

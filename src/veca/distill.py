@@ -1,8 +1,8 @@
 """Distillation objective, synthetic teacher, and the training loop.
 
 The student is trained to match a frozen teacher's global feature (cosine
-distance) and dense patch features (cosine distance plus MSE, weighted by
-beta), with the dense term scaled by lambda. One active-core budget is
+distance) and dense patch features (cosine distance plus MSE), with the dense
+term scaled by lambda. One active-core budget is
 sampled per optimizer step and shared by the whole batch. The optimizer is
 a decoupled-weight-decay adaptive-moment method with a linear-warmup cosine
 learning-rate schedule.
@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .attention import AttnParams
-from .data import synthetic_images
+from .data import CHANNELS, synthetic_images
 from .elastic import BudgetDistribution, sample_budget
-from .errors import CheckpointError, ConfigError, NonFiniteError, ShapeError, TrainingDivergedError
+from .errors import CheckpointError, ConfigError, NonFiniteError, ResolutionError, ShapeError, TrainingDivergedError
 from .model import BlockParams, Encoder, ModelConfig, block_forward, patchify
 from .rng import RngStream
 from .rope import RopeSpec, patch_grid
@@ -43,6 +43,10 @@ from .tensor import (
 )
 
 
+NORM_FLOOR = 1e-6  # cosine losses floor each feature norm here
+TEACHER_SEED = 7001  # default synthetic teacher
+
+
 @dataclass(frozen=True)
 class DistillConfig:
     """Objective weights plus the optimizer schedule for one training stage."""
@@ -54,13 +58,11 @@ class DistillConfig:
     weight_decay: float = 0.01
     batch_size: int = 8
     lambda_dense: float = 1.0
-    beta_mse: float = 1.0
-    norm_eps: float = 1e-6
     resolutions: tuple[int, ...] = (16,)
 
     def __post_init__(self):
-        if self.lambda_dense < 0 or self.beta_mse < 0:
-            raise ConfigError("lambda_dense and beta_mse must be nonnegative")
+        if self.lambda_dense < 0:
+            raise ConfigError(f"lambda_dense must be nonnegative, got {self.lambda_dense}")
         if not 0 < self.min_lr <= self.lr:
             raise ConfigError(f"need 0 < min_lr <= lr, got {self.min_lr} and {self.lr}")
         if self.warmup_steps < 0 or self.total_steps < 1:
@@ -69,28 +71,28 @@ class DistillConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def _safe_norm(t: Tensor, eps: float) -> Tensor:
-    # max(||t||, eps) over the last axis, computed as sqrt(max(sum t^2, eps^2))
-    # so the gradient stays finite at the floor
+def _safe_norm(t: Tensor) -> Tensor:
+    # max(||t||, NORM_FLOOR) over the last axis, computed as
+    # sqrt(max(sum t^2, NORM_FLOOR^2)) so the gradient stays finite at the floor
     sumsq = tsum(mul(t, t), axis=-1)
-    return power(clip_min(sumsq, eps * eps), 0.5)
+    return power(clip_min(sumsq, NORM_FLOOR * NORM_FLOOR), 0.5)
 
 
-def loss_global(y: Tensor, y_star: Tensor, eps: float = 1e-6) -> Tensor:
-    """Mean cosine distance 1 - <y, y*> / (||y|| ||y*||), norms floored at eps."""
+def loss_global(y: Tensor, y_star: Tensor) -> Tensor:
+    """Mean cosine distance 1 - <y, y*> / (||y|| ||y*||), norms floored at NORM_FLOOR."""
     if y.shape != y_star.shape:
         raise ShapeError(f"loss_global: shapes differ: {y.shape} vs {y_star.shape}")
     dot = tsum(mul(y, y_star), axis=-1)
-    cosine = div(dot, mul(_safe_norm(y, eps), _safe_norm(y_star, eps)))
+    cosine = div(dot, mul(_safe_norm(y), _safe_norm(y_star)))
     return tmean(add(neg(cosine), 1.0))
 
 
-def loss_dense(z: Tensor, z_star: Tensor, beta_mse: float = 1.0, eps: float = 1e-6) -> Tensor:
+def loss_dense(z: Tensor, z_star: Tensor, beta_mse: float = 1.0) -> Tensor:
     """Patch-mean cosine distance plus beta * elementwise-mean squared error."""
     if z.shape != z_star.shape:
         raise ShapeError(f"loss_dense: shapes differ: {z.shape} vs {z_star.shape}")
     dot = tsum(mul(z, z_star), axis=-1)
-    cosine = div(dot, mul(_safe_norm(z, eps), _safe_norm(z_star, eps)))
+    cosine = div(dot, mul(_safe_norm(z), _safe_norm(z_star)))
     cos_term = tmean(add(neg(cosine), 1.0))
     diff = sub(z, z_star)
     return add(cos_term, mul(tmean(mul(diff, diff)), float(beta_mse)))
@@ -114,8 +116,8 @@ def total_loss(
     y_star = Tensor(np.asarray(targets[0], dtype=student.dtype))
     z_star = Tensor(np.asarray(targets[1], dtype=student.dtype))
     y, z = student(images, active_c)
-    lg = loss_global(y, y_star, cfg.norm_eps)
-    ld = loss_dense(z, z_star, cfg.beta_mse, cfg.norm_eps)
+    lg = loss_global(y, y_star)
+    ld = loss_dense(z, z_star)
     loss = add(lg, mul(ld, float(cfg.lambda_dense)))
     return loss, {"global": float(lg.data), "dense": float(ld.data)}
 
@@ -130,11 +132,10 @@ class SyntheticTeacher:
     patch feature. Purely deterministic for a fixed seed.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 7001, layers: int = 2, dtype=np.float64):
+    def __init__(self, config: ModelConfig, seed: int = TEACHER_SEED, dtype=np.float64):
         self.config = config
         self.dtype = np.dtype(dtype).type
-        self.layers = layers
-        self.rope = RopeSpec(config.head_dim, config.rope_base)
+        self.rope = RopeSpec(config.head_dim)
         root = RngStream(seed, "teacher")
         d, hidden = config.dim, config.hidden
 
@@ -144,10 +145,10 @@ class SyntheticTeacher:
         def const(value: float, size: int) -> Tensor:
             return Tensor(np.full(size, value, dtype=self.dtype))
 
-        pdim = config.patch_size * config.patch_size * config.in_channels
+        pdim = config.patch_size * config.patch_size * CHANNELS
         self.patch_w, self.patch_b = w("patch.w", (pdim, d)), const(0.0, d)
         self.blocks: list[BlockParams] = []
-        for i in range(layers):
+        for i in range(2):
             attn = AttnParams(
                 w(f"b{i}.wq", (d, d)), const(0.0, d), w(f"b{i}.wk", (d, d)), const(0.0, d),
                 w(f"b{i}.wv", (d, d)), const(0.0, d), w(f"b{i}.wo", (d, d)), const(0.0, d),
@@ -197,9 +198,13 @@ def save_target_file(path: str | Path, images: np.ndarray, y: np.ndarray, z: np.
 
 
 class FileTeacher:
-    """Fixed (image, target) set loaded from a precomputed target file."""
+    """Fixed (image, target) set loaded from a precomputed target file.
 
-    def __init__(self, path: str | Path):
+    The images must be ones ``config``'s model takes, and the dense targets
+    [B, N, D] must have its patch count N and width D.
+    """
+
+    def __init__(self, path: str | Path, config: ModelConfig):
         from .checkpoint import load_container
 
         meta, tensors = load_container(path)
@@ -213,8 +218,13 @@ class FileTeacher:
         self.dense_targets = tensors["dense"]
         try:
             _check_targets(self.images, self.global_targets, self.dense_targets)
-        except ShapeError as err:
+            n = patchify(self.images[:1], config, self.images.dtype)[0].shape[1]
+        except (ShapeError, ResolutionError) as err:
             raise CheckpointError(f"{path}: {err}") from err
+        if self.dense_targets.shape[1:] != (n, config.dim):
+            raise CheckpointError(
+                f"{path}: dense targets {self.dense_targets.shape} do not fit {n} patches of width {config.dim}"
+            )
 
     def batch(self, step: int, batch_size: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         n = self.images.shape[0]
@@ -225,17 +235,11 @@ class FileTeacher:
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        weight_decay: float = 0.0,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.0):
         self.params = params
         self.weight_decay = weight_decay
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}

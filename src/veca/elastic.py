@@ -1,15 +1,15 @@
-"""Nested core budgets: the chunked bank, prefix retrieval, and sampling.
+"""Nested core budgets: prefix retrieval from the chunked bank, and sampling.
 
-Core tokens are stored in fixed-size chunks (8 per chunk). A budget C
-activates the first C/chunk chunks as an ordered prefix, so prefixes nest
-exactly: the C1 rows of a C1 budget are the leading rows of any larger
+Core tokens and coordinate states are stored in chunks of CHUNK = 8 rows. A
+budget C activates the first C/CHUNK chunks as an ordered prefix, so prefixes
+nest exactly: the C1 rows of a C1 budget are the leading rows of any larger
 budget. Budget sampling uses one uniform draw from an explicit stream against
 the cumulative distribution, so a schedule can be replayed exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from .errors import BudgetError, ConfigError
 from .rng import RngStream
 from .tensor import Tensor, concat
 
+CHUNK = 8
 DEFAULT_BUDGETS = (8, 16, 24, 32, 40, 48, 56, 64)
 DEFAULT_WEIGHTS = (1, 1, 2, 2, 3, 3, 4, 4)
 
@@ -28,13 +29,12 @@ class BudgetDistribution:
 
     budgets: tuple[int, ...] = DEFAULT_BUDGETS
     weights: tuple[float, ...] = DEFAULT_WEIGHTS
-    chunk: int = 8
 
     def __post_init__(self):
         if len(self.budgets) != len(self.weights) or not self.budgets:
             raise ConfigError("budgets and weights must be non-empty and equal-length")
-        if any(b <= 0 or b % self.chunk for b in self.budgets):
-            raise ConfigError(f"budgets must be positive multiples of {self.chunk}: {self.budgets}")
+        if any(b <= 0 or b % CHUNK for b in self.budgets):
+            raise ConfigError(f"budgets must be positive multiples of {CHUNK}: {self.budgets}")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ConfigError(f"budgets must be strictly increasing: {self.budgets}")
         if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
@@ -63,41 +63,17 @@ def load_schedule(path: str | Path) -> list[int]:
     return [int(line) for line in Path(path).read_text().split()]
 
 
-@dataclass
-class CoreBank:
-    """Ordered learnable core tokens and coordinate states, stored in chunks."""
-
-    token_chunks: list[Tensor] = field(default_factory=list)
-    coord_chunks: list[Tensor] = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.token_chunks) != len(self.coord_chunks) or not self.token_chunks:
-            raise ConfigError("core bank needs matching, non-empty token and coord chunks")
-        cs = self.token_chunks[0].shape[0]
-        for tc, cc in zip(self.token_chunks, self.coord_chunks):
-            if tc.shape[0] != cs or cc.shape != (cs, 2):
-                raise ConfigError("core bank chunks must share one chunk size")
-
-    @property
-    def chunk_size(self) -> int:
-        return self.token_chunks[0].shape[0]
-
-    @property
-    def capacity(self) -> int:
-        return self.chunk_size * len(self.token_chunks)
-
-
-def active_prefix(bank: CoreBank, c: int) -> tuple[Tensor, Tensor]:
+def active_prefix(token_chunks: list[Tensor], coord_chunks: list[Tensor], c: int) -> tuple[Tensor, Tensor]:
     """First C core tokens and coordinate states, as chunk concatenations.
 
-    Only the first C/chunk chunk tensors enter the returned graph; chunks
+    Only the first C/CHUNK chunk tensors enter the returned graph; chunks
     beyond the budget are never touched, which is what makes inactive-core
     invariance exact.
     """
-    cs = bank.chunk_size
-    if c < cs or c > bank.capacity or c % cs:
+    capacity = CHUNK * len(token_chunks)
+    if c < CHUNK or c > capacity or c % CHUNK:
         raise BudgetError(
-            f"budget {c} invalid: must be a multiple of {cs} in [{cs}, {bank.capacity}]"
+            f"budget {c} invalid: must be a multiple of {CHUNK} in [{CHUNK}, {capacity}]"
         )
-    n = c // cs
-    return concat(bank.token_chunks[:n], axis=0), concat(bank.coord_chunks[:n], axis=0)
+    n = c // CHUNK
+    return concat(token_chunks[:n], axis=0), concat(coord_chunks[:n], axis=0)

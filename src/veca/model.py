@@ -19,7 +19,8 @@ import numpy as np
 
 from . import rope as rope_mod
 from .attention import AttnParams, core_attention
-from .elastic import DEFAULT_BUDGETS, CoreBank, active_prefix
+from .data import CHANNELS
+from .elastic import CHUNK, DEFAULT_BUDGETS, active_prefix
 from .errors import BudgetError, ConfigError, ResolutionError, ShapeError
 from .rng import RngStream
 from .rope import RopeSpec
@@ -40,17 +41,17 @@ from .tensor import (
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Encoder shape. Design constants are not fields: ``data.CHANNELS`` = 3 input
+    channels, core chunks of ``elastic.CHUNK`` = 8, rotary base ``rope.BASE`` =
+    100, and ``tensor.layer_norm``'s epsilon 1e-6."""
+
     layers: int
     dim: int
     heads: int
     mlp_ratio: float
     patch_size: int = 16
-    in_channels: int = 3
     max_cores: int = 64
-    chunk: int = 8
     budgets: tuple[int, ...] = DEFAULT_BUDGETS
-    rope_base: float = 100.0
-    norm_eps: float = 1e-6
 
     def __post_init__(self):
         if self.dim % self.heads:
@@ -59,13 +60,13 @@ class ModelConfig:
             raise ConfigError(
                 f"head dim {self.dim // self.heads} must be a multiple of 4 for 2D rotary pairs"
             )
-        if self.max_cores % self.chunk:
-            raise ConfigError(f"max_cores {self.max_cores} not divisible by chunk {self.chunk}")
-        bad = [b for b in self.budgets if b % self.chunk or not 0 < b <= self.max_cores]
+        if self.max_cores % CHUNK:
+            raise ConfigError(f"max_cores {self.max_cores} not divisible by chunk {CHUNK}")
+        bad = [b for b in self.budgets if b % CHUNK or not 0 < b <= self.max_cores]
         if bad or list(self.budgets) != sorted(set(self.budgets)):
             raise ConfigError(
-                f"budgets must be increasing multiples of {self.chunk} within "
-                f"[{self.chunk}, {self.max_cores}], got {self.budgets}"
+                f"budgets must be increasing multiples of {CHUNK} within "
+                f"[{CHUNK}, {self.max_cores}], got {self.budgets}"
             )
 
     @property
@@ -75,9 +76,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.dim // self.heads
-
-    def rope_spec(self) -> RopeSpec:
-        return RopeSpec(head_dim=self.head_dim, base=self.rope_base)
 
 
 PRESETS: dict[str, ModelConfig] = {
@@ -101,7 +99,7 @@ def get_preset(name: str) -> ModelConfig:
 def param_count(config: ModelConfig) -> int:
     """Exact number of learnable scalars for a configuration."""
     d, hidden = config.dim, config.hidden
-    patch = config.patch_size * config.patch_size * config.in_channels * d + d
+    patch = config.patch_size * config.patch_size * CHANNELS * d + d
     attn = 4 * (d * d + d)
     norms = 2 * 2 * d
     ffn = d * 2 * hidden + 2 * hidden + hidden * d + d
@@ -119,8 +117,8 @@ def patchify(images, config: ModelConfig, dtype) -> tuple[Tensor, tuple[int, int
     """
     arr = images.data if isinstance(images, Tensor) else np.asarray(images)
     arr = arr.astype(dtype, copy=False)
-    if arr.ndim != 4 or arr.shape[1] != config.in_channels:
-        raise ShapeError(f"images must be [B, {config.in_channels}, H, W], got {arr.shape}")
+    if arr.ndim != 4 or arr.shape[1] != CHANNELS:
+        raise ShapeError(f"images must be [B, {CHANNELS}, H, W], got {arr.shape}")
     p = config.patch_size
     b, ch, himg, wimg = arr.shape
     if himg % p or wimg % p:
@@ -161,14 +159,13 @@ def block_forward(
     active_c: int,
     block: BlockParams,
     rope: RopeSpec,
-    eps: float = 1e-6,
     capture: dict | None = None,
 ) -> Tensor:
     """Pre-norm residual attention, then pre-norm residual SwiGLU."""
-    normed = layer_norm(x, block.norm_attn_gamma, block.norm_attn_beta, eps)
+    normed = layer_norm(x, block.norm_attn_gamma, block.norm_attn_beta)
     x = add(x, core_attention(block.attn, normed, coords, active_c, rope, capture))
     f = ffn_swiglu(
-        layer_norm(x, block.norm_ffn_gamma, block.norm_ffn_beta, eps),
+        layer_norm(x, block.norm_ffn_gamma, block.norm_ffn_beta),
         block.ffn_w1,
         block.ffn_b1,
         block.ffn_w2,
@@ -190,7 +187,7 @@ class Encoder:
         self.config = config
         self.seed = seed
         self.dtype = np.dtype(dtype).type
-        self.rope = config.rope_spec()
+        self.rope = RopeSpec(config.head_dim)
         self.params: dict[str, Tensor] = {}
         self._grid_cache: dict[tuple[int, int, int], Tensor] = {}
         root = RngStream(seed, "init")
@@ -206,7 +203,7 @@ class Encoder:
             b = par(f"{name}.b", np.zeros(dout))
             return w, b
 
-        pdim = config.patch_size * config.patch_size * config.in_channels
+        pdim = config.patch_size * config.patch_size * CHANNELS
         self.patch_w, self.patch_b = affine("patch_embed", pdim, d)
 
         self.blocks: list[BlockParams] = []
@@ -226,15 +223,14 @@ class Encoder:
         self.final_gamma = par("final_norm.gamma", np.ones(d))
         self.final_beta = par("final_norm.beta", np.zeros(d))
 
-        n_chunks = config.max_cores // config.chunk
         fps_states = rope_mod.fps_init(config.max_cores)
-        token_chunks, coord_chunks = [], []
-        for j in range(n_chunks):
-            tok = root.spawn(f"core.tokens.{j}").normal(0.02, size=(config.chunk, d))
-            token_chunks.append(par(f"core.tokens.{j}", tok))
-            sl = fps_states[j * config.chunk : (j + 1) * config.chunk].copy()
-            coord_chunks.append(par(f"core.coords.{j}", sl))
-        self.core_bank = CoreBank(token_chunks, coord_chunks)
+        self.core_tokens: list[Tensor] = []
+        self.core_coords: list[Tensor] = []
+        for j in range(config.max_cores // CHUNK):
+            tok = root.spawn(f"core.tokens.{j}").normal(0.02, size=(CHUNK, d))
+            self.core_tokens.append(par(f"core.tokens.{j}", tok))
+            sl = fps_states[j * CHUNK : (j + 1) * CHUNK].copy()
+            self.core_coords.append(par(f"core.coords.{j}", sl))
 
         self.coord_heads: list[tuple[Tensor, Tensor, Tensor]] = []
         for i in range(config.layers - 1):
@@ -306,7 +302,7 @@ class Encoder:
         if not 0 < depth <= cfg.layers:
             raise ConfigError(f"num_blocks must be in [1, {cfg.layers}], got {depth}")
 
-        core_tokens, rho = active_prefix(self.core_bank, c)
+        core_tokens, rho = active_prefix(self.core_tokens, self.core_coords, c)
         cores_b = broadcast_to(reshape(core_tokens, (1, c, d)), (b, c, d))
         rho_b = broadcast_to(reshape(rho, (1, c, 2)), (b, c, 2))
 
@@ -333,9 +329,9 @@ class Encoder:
             if capture is not None:
                 layer_capture = {"coords": coords.data.copy()}
                 capture.append(layer_capture)
-            x = block_forward(x, coords, c, self.blocks[li], self.rope, cfg.norm_eps, layer_capture)
+            x = block_forward(x, coords, c, self.blocks[li], self.rope, layer_capture)
         if apply_final_norm:
-            x = layer_norm(x, self.final_gamma, self.final_beta, cfg.norm_eps)
+            x = layer_norm(x, self.final_gamma, self.final_beta)
         return x
 
     def forward(

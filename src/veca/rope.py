@@ -4,9 +4,9 @@ Tokens carry planar coordinates in [-1, 1]^2 (order x, y). Each attention
 head's query/key vectors are split into rotation pairs of adjacent elements
 (2t, 2t+1); the first half of the pairs rotate by angles proportional to x,
 the second half by angles proportional to y. Angles are coordinate * freq * pi
-with per-pair frequencies freq_j = base**(-j / num_freqs), strictly decreasing
-from 1. This ordering (x pairs first, adjacent-element pairing) is part of the
-checkpoint contract.
+with per-pair frequencies freq_j = BASE**(-j / num_freqs), strictly decreasing
+from 1; the base is the constant ``BASE`` = 100. This ordering (x pairs first,
+adjacent-element pairing) is part of the checkpoint contract.
 
 Also provides the fixed patch coordinate grid and the deterministic
 farthest-point initialization of core coordinate states.
@@ -22,18 +22,18 @@ from .errors import CapacityError, ConfigError, ShapeError
 from .tensor import Tensor, _accumulate, _from_op, _unbroadcast, as_tensor, cos, sin
 
 
+BASE = 100.0
+
+
 @dataclass(frozen=True)
 class RopeSpec:
-    """Frequency layout for one head dimension."""
+    """Frequency layout for one head dimension: head_dim / 4 frequencies per axis."""
 
     head_dim: int
-    base: float = 100.0
 
     def __post_init__(self):
         if self.head_dim <= 0 or self.head_dim % 4 != 0:
             raise ConfigError(f"head_dim must be a positive multiple of 4, got {self.head_dim}")
-        if self.base <= 0:
-            raise ConfigError(f"frequency base must be positive, got {self.base}")
 
     @property
     def num_freqs(self) -> int:
@@ -41,7 +41,7 @@ class RopeSpec:
 
     def freqs(self) -> np.ndarray:
         j = np.arange(self.num_freqs, dtype=np.float64)
-        return self.base ** (-j / self.num_freqs)
+        return BASE ** (-j / self.num_freqs)
 
 
 def patch_grid(hp: int, wp: int) -> np.ndarray:

@@ -476,7 +476,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         )
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        var = np.mean(centered * centered, axis=-1, keepdims=True)
+    # an overflowed variance would make inv 0 and the output silently beta
+    _check_finite(var, "layer_norm variance")
     inv = 1.0 / np.sqrt(var + eps)
     xn = centered * inv
     out = xn * gamma.data + beta.data

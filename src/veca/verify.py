@@ -16,7 +16,7 @@ from .analysis import influence_probe, score_macs_core
 from .attention import AttnParams, core_attention, dense_count, interaction_count, masked_dense_oracle
 from .data import synthetic_images
 from .distill import DistillConfig, SyntheticTeacher, total_loss
-from .elastic import BudgetDistribution, active_prefix, sample_budget
+from .elastic import CHUNK, BudgetDistribution, active_prefix, sample_budget
 from .errors import VecaError
 from .model import Encoder, ModelConfig, get_preset
 from .rng import RngStream
@@ -132,10 +132,11 @@ def prefix_invariance(enc: Encoder, images: np.ndarray, corrupt: bool = False) -
     control. Parameters are restored afterwards.
     """
     cfg = enc.config
+    bank = (enc.core_tokens, enc.core_coords)
     nested = all(
         np.array_equal(small.data, large.data[:c1])
         for c1, c2 in combinations(cfg.budgets, 2)
-        for small, large in zip(active_prefix(enc.core_bank, c1), active_prefix(enc.core_bank, c2))
+        for small, large in zip(active_prefix(*bank, c1), active_prefix(*bank, c2))
     )
     perturbations = ((123.4, lambda r: r - 7.0), (1e6, lambda r: np.full_like(r, -42.0)))
     saved = enc.state()
@@ -143,7 +144,7 @@ def prefix_invariance(enc: Encoder, images: np.ndarray, corrupt: bool = False) -
     for c in cfg.budgets[:-1]:
         g0, d0 = enc(images, c)
         for shift, move in perturbations:
-            for j in range(c // cfg.chunk, cfg.max_cores // cfg.chunk):
+            for j in range(c // CHUNK, cfg.max_cores // CHUNK):
                 tokens, coords = enc.params[f"core.tokens.{j}"], enc.params[f"core.coords.{j}"]
                 tokens.data, coords.data = tokens.data + shift, move(coords.data)
             if corrupt and c == cfg.budgets[0]:

@@ -11,7 +11,7 @@ from veca.analysis import attention_path_flops, contribution_map
 from veca.attention import AttnParams, core_attention, dense_count, interaction_count
 from veca.checkpoint import load_container, load_model, save_container, save_model
 from veca.data import synthetic_images
-from veca.distill import DistillConfig, SyntheticTeacher, loss_dense, loss_global, train
+from veca.distill import DistillConfig, SyntheticTeacher, total_loss, train
 from veca.elastic import BudgetDistribution
 from veca.model import Encoder, get_preset, param_count
 from veca.rng import RngStream
@@ -106,8 +106,13 @@ def test_c06_graph_diameter_property():
 
 
 def test_c07_elastic_prefix_invariance():
-    enc = Encoder(get_preset("tiny-test"), seed=0)
-    report_checks(7, "elastic prefix invariance", prefix_invariance(enc, synthetic_images(RngStream(0, "acc7"), 2, 16)))
+    images = synthetic_images(RngStream(0, "acc7"), 2, 16)
+    checks = [
+        (f"{name} ({np.dtype(dtype).name})", ok, detail)
+        for dtype in (np.float64, np.float32)
+        for name, ok, detail in prefix_invariance(Encoder(get_preset("tiny-test"), seed=0, dtype=dtype), images)
+    ]
+    report_checks(7, "elastic prefix invariance", checks)
 
 
 def test_c08_budget_sampler():
@@ -131,12 +136,10 @@ def test_c09_toy_elastic_distillation():
 
     eval_images = synthetic_images(RngStream(0, "eval-data"), 16, 16)
     targets = teacher.targets(eval_images)
-    y_star = Tensor(np.asarray(targets[0], dtype=student.dtype))
-    z_star = Tensor(np.asarray(targets[1], dtype=student.dtype))
     totals = {}
     for budget in cfg.budgets:
-        y, z = student(eval_images, budget)
-        totals[budget] = float(loss_global(y, y_star).data) + float(loss_dense(z, z_star).data)
+        _, parts = total_loss(eval_images, budget, student, None, DistillConfig(), targets=targets)
+        totals[budget] = parts["global"] + parts["dense"]
     finite = all(np.isfinite(v) for v in totals.values())
     ok = final <= 0.5 * early and finite and totals[64] <= totals[8]
     report(9, "toy elastic distillation", ok,

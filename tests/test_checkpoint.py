@@ -108,6 +108,27 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError, match="dropout"):
             load_model(path)
 
+    # the other model fields older checkpoints carry: name -> (the value they all hold, a value this build refuses)
+    RETIRED = {"in_channels": (3, 1), "chunk": (8, 16), "rope_base": (100.0, 1e4), "norm_eps": (1e-6, 1e-5)}
+
+    @pytest.mark.parametrize("field", sorted(RETIRED))
+    def test_retired_field_with_old_value_loads(self, tmp_path, tiny_config, tiny_images, field):
+        enc = Encoder(tiny_config, seed=9)
+        path = tmp_path / "legacy.veca"
+        model = {**asdict(tiny_config), field: self.RETIRED[field][0]}
+        save_container(path, {"model": model, "seed": 9, "dtype": "float64"}, enc.state())
+        loaded, _ = load_model(path)
+        assert loaded.config == tiny_config
+        np.testing.assert_array_equal(loaded(tiny_images, 8)[1].data, enc(tiny_images, 8)[1].data)
+
+    @pytest.mark.parametrize("field", sorted(RETIRED))
+    def test_retired_field_with_other_value_refused(self, tmp_path, tiny_config, field):
+        path = tmp_path / "retired.veca"
+        model = {**asdict(tiny_config), field: self.RETIRED[field][1]}
+        save_container(path, {"model": model}, Encoder(tiny_config).state())
+        with pytest.raises(CheckpointError, match=field):
+            load_model(path)
+
     def test_identical_saves_are_byte_identical(self, tmp_path, tiny_config):
         p1, p2 = tmp_path / "a.veca", tmp_path / "b.veca"
         save_model(p1, Encoder(tiny_config, seed=4))

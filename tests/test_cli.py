@@ -232,9 +232,12 @@ def model_blob(**extra) -> bytes:
     return json.dumps({"model": {**asdict(TINY), **extra}}).encode()
 
 
-def targets(kind: str = "teacher_targets", batches=(2, 2, 2), drop: str = "") -> bytes:
-    """A target-file container of ``kind`` with ``batches`` for images/global/dense, minus ``drop``."""
-    shapes = {"images": (batches[0], 3, 16, 16), "global": (batches[1], 16), "dense": (batches[2], 16, 16)}
+def targets(kind: str = "teacher_targets", batches=(2, 2, 2), drop: str = "", patches: int = 16) -> bytes:
+    """A target-file container of ``kind`` with ``batches`` for images/global/dense, minus ``drop``.
+
+    Images are 16 px, so ``patches`` = 16 fits TINY (patch size 4).
+    """
+    shapes = {"images": (batches[0], 3, 16, 16), "global": (batches[1], 16), "dense": (batches[2], patches, 16)}
     blob = json.dumps({"kind": kind}).encode()
     return container(blob, {k.encode(): np.zeros(v) for k, v in shapes.items() if k != drop})
 
@@ -265,6 +268,7 @@ class TestExitCodes:
         "targets without images": ("targets", targets(drop="images"), 3),
         "targets of another kind": ("targets", targets(kind="model"), 3),
         "targets with misaligned batches": ("targets", targets(batches=(2, 3, 3)), 3),
+        "targets with the wrong patch count": ("targets", targets(patches=5), 3),
         "checkpoint unknown model field": ("checkpoint", container(model_blob(width=3)), 3),
         "checkpoint non-zero dropout": ("checkpoint", container(model_blob(dropout=0.1)), 3),
         "checkpoint tensors not the model's": ("checkpoint", container(model_blob()), 3),

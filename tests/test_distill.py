@@ -310,7 +310,7 @@ class TestTrain:
         y, z = tiny_teacher.targets(imgs)
         path = tmp_path / "targets.veca"
         save_target_file(path, imgs, y, z)
-        ft = FileTeacher(path)
+        ft = FileTeacher(path, tiny_config)
         np.testing.assert_array_equal(ft.images, imgs)
         batch, (by, bz) = ft.batch(step=2, batch_size=4)
         assert batch.shape[0] == 4 and by.shape[0] == 4 and bz.shape[0] == 4

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veca.elastic import (
+    CHUNK,
     DEFAULT_BUDGETS,
     DEFAULT_WEIGHTS,
     BudgetDistribution,
-    CoreBank,
     active_prefix,
     load_schedule,
     sample_budget,
@@ -74,31 +74,32 @@ class TestSchedule:
         assert load_schedule(path) == budgets
 
 
-def make_bank(chunks=4, chunk=8, dim=16, seed=0):
+def make_bank(chunks=4, dim=16, seed=0):
+    """Token and coordinate-state chunk lists of ``chunks`` chunks of CHUNK rows."""
     stream = RngStream(seed, "bank")
-    tokens = [Tensor(stream.spawn(f"t{j}").normal(size=(chunk, dim))) for j in range(chunks)]
-    coords = [Tensor(stream.spawn(f"c{j}").normal(size=(chunk, 2))) for j in range(chunks)]
-    return CoreBank(tokens, coords)
+    tokens = [Tensor(stream.spawn(f"t{j}").normal(size=(CHUNK, dim))) for j in range(chunks)]
+    coords = [Tensor(stream.spawn(f"c{j}").normal(size=(CHUNK, 2))) for j in range(chunks)]
+    return tokens, coords
 
 
 class TestActivePrefix:
     def test_full_bank(self):
-        bank = make_bank()
-        tokens, coords = active_prefix(bank, 32)
+        token_chunks, coord_chunks = make_bank()
+        tokens, coords = active_prefix(token_chunks, coord_chunks, 32)
         np.testing.assert_array_equal(
-            tokens.data, np.concatenate([c.data for c in bank.token_chunks])
+            tokens.data, np.concatenate([c.data for c in token_chunks])
         )
         assert coords.shape == (32, 2)
 
     def test_single_chunk(self):
-        bank = make_bank()
-        tokens, _ = active_prefix(bank, 8)
-        np.testing.assert_array_equal(tokens.data, bank.token_chunks[0].data)
+        token_chunks, coord_chunks = make_bank()
+        tokens, _ = active_prefix(token_chunks, coord_chunks, 8)
+        np.testing.assert_array_equal(tokens.data, token_chunks[0].data)
 
     def test_prefix_identity(self):
         bank = make_bank()
-        t16, _ = active_prefix(bank, 16)
-        t8, _ = active_prefix(bank, 8)
+        t16, _ = active_prefix(*bank, 16)
+        t8, _ = active_prefix(*bank, 8)
         np.testing.assert_array_equal(t16.data[:8], t8.data)
 
     @given(
@@ -111,8 +112,8 @@ class TestActivePrefix:
         if c1 >= c2:
             return
         bank = make_bank(seed=seed)
-        small_t, small_c = active_prefix(bank, c1)
-        big_t, big_c = active_prefix(bank, c2)
+        small_t, small_c = active_prefix(*bank, c1)
+        big_t, big_c = active_prefix(*bank, c2)
         np.testing.assert_array_equal(small_t.data, big_t.data[:c1])
         np.testing.assert_array_equal(small_c.data, big_c.data[:c1])
 
@@ -120,13 +121,4 @@ class TestActivePrefix:
         bank = make_bank()
         for bad in (0, 4, 12, 40):
             with pytest.raises(BudgetError):
-                active_prefix(bank, bad)
-
-    def test_bank_validation(self):
-        with pytest.raises(ConfigError):
-            CoreBank([], [])
-        with pytest.raises(ConfigError):
-            CoreBank(
-                [Tensor(np.zeros((8, 4)))],
-                [Tensor(np.zeros((4, 2)))],
-            )
+                active_prefix(*bank, bad)

@@ -3,6 +3,7 @@ import pytest
 
 from veca.attention import AttnParams
 from veca.data import synthetic_images
+from veca.elastic import CHUNK
 from veca.errors import BudgetError, ConfigError, ResolutionError
 from veca.model import (
     PRESETS,
@@ -34,7 +35,7 @@ class TestConfig:
         assert (small.layers, small.dim, small.heads, small.mlp_ratio) == (12, 384, 6, 2.67)
         large = get_preset("large")
         assert (large.layers, large.dim, large.heads) == (24, 1024, 16)
-        assert small.patch_size == 16 and small.max_cores == 64 and small.chunk == 8
+        assert small.patch_size == 16 and small.max_cores == 64
         assert small.budgets == (8, 16, 24, 32, 40, 48, 56, 64)
 
     def test_invalid_configs(self):
@@ -223,7 +224,7 @@ class TestEncoder:
         for budget in enc.config.budgets[:-1]:
             g0, d0 = enc(tiny_images, budget)
             saved = enc.state()
-            for j in range(budget // enc.config.chunk, enc.config.max_cores // enc.config.chunk):
+            for j in range(budget // CHUNK, enc.config.max_cores // CHUNK):
                 enc.params[f"core.tokens.{j}"].data += 999.0
                 enc.params[f"core.coords.{j}"].data *= -3.0
             g1, d1 = enc(tiny_images, budget)

@@ -42,7 +42,7 @@ class TestRopeSpec:
             RopeSpec(6)
 
     def test_freqs_strictly_decreasing_from_one(self):
-        f = RopeSpec(16, base=100.0).freqs()
+        f = RopeSpec(16).freqs()
         assert f[0] == 1.0
         assert np.all(np.diff(f) < 0)
         np.testing.assert_allclose(f, 100.0 ** (-np.arange(4) / 4))

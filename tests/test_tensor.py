@@ -294,6 +294,12 @@ class TestInvariants:
         with pytest.raises(NonFiniteError):
             power(Tensor(np.array([1e200])), 2.0)
 
+    def test_layer_norm_variance_overflow_surfaces(self):
+        # the squared deviations overflow, so the variance is inf and the output would be just beta
+        for dtype, row in ((np.float64, [1e200, -1e200, 0.0, 3e199]), (np.float32, [1e20, -1e20, 0.0, 3e19])):
+            with pytest.raises(NonFiniteError, match="layer_norm"):
+                layer_norm(Tensor(np.array([row], dtype=dtype)), Tensor(np.ones(4, dtype)), Tensor(np.zeros(4, dtype)))
+
     def test_div_by_zero_surfaces(self):
         with pytest.raises((NonFiniteError, FloatingPointError)):
             div(Tensor(np.ones(2)), Tensor(np.array([1.0, 0.0])))
