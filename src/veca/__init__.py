@@ -5,7 +5,7 @@ from .elastic import BudgetDistribution, active_prefix, sample_budget
 from .errors import VecaError
 from .model import PRESETS, Encoder, ModelConfig, get_preset, param_count
 from .rng import RngStream
-from .rope import RopeSpec, fps_init, patch_grid
+from .rope import fps_init, patch_grid
 from .tensor import Tensor, grad_check
 
 __version__ = "0.1.0"
@@ -17,7 +17,6 @@ __all__ = [
     "ModelConfig",
     "PRESETS",
     "RngStream",
-    "RopeSpec",
     "Tensor",
     "VecaError",
     "active_prefix",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError
+from .errors import BudgetError, ConfigError, ResolutionError
 from .model import Encoder, ModelConfig, get_preset
 
 FLOPS_PER_MAC = 2
@@ -42,6 +42,8 @@ def _resolve(preset: str | ModelConfig) -> tuple[str, ModelConfig]:
 
 
 def _patch_count(config: ModelConfig, resolution: int) -> int:
+    if resolution < config.patch_size:
+        raise ResolutionError(f"resolution {resolution} is smaller than one {config.patch_size} px patch")
     if resolution % config.patch_size:
         raise ResolutionError(
             f"resolution {resolution} not divisible by patch size {config.patch_size}"
@@ -63,6 +65,8 @@ def attention_macs(config: ModelConfig, resolution: int, mode: str, budget: int 
         t = n + DENSE_EXTRA_TOKENS
         return t, 4 * t * d * d + 2 * t * t * d
     if mode == "core":
+        if budget < 1:
+            raise BudgetError(f"core mode needs a budget of at least 1, got {budget}")
         c = budget
         t = n + c
         return t, 4 * t * d * d + 2 * c * t * d + 2 * n * c * d

@@ -5,8 +5,10 @@ are learned core tokens, the rest are image patches. Core queries attend to
 the whole sequence; patch queries attend only to the active cores (their own
 token is excluded too; the residual connection carries patch identity).
 Rotary tables are applied to queries and keys after projection, never to
-values. The contract is 1 <= C <= T; at C = T there are no patch rows and
-the block is dense self-attention, which is how the synthetic teacher runs.
+values; their frequency layout follows the weights' head width
+(``AttnParams.head_dim``). The contract is 1 <= C <= T; at C = T there are
+no patch rows and the block is dense self-attention, which is how the
+synthetic teacher runs.
 
 ``masked_dense_oracle`` recomputes the same contract as one dense T x T
 attention with an additive mask, in plain numpy with no shared scoring code,
@@ -22,7 +24,6 @@ import numpy as np
 from . import rope as rope_mod
 from .errors import BudgetError, ConfigError, ShapeError
 from .rng import RngStream
-from .rope import RopeSpec
 from .tensor import (
     Tensor,
     _accumulate,
@@ -58,6 +59,7 @@ class AttnParams:
         d = self.wq.shape[0]
         if d % self.heads != 0:
             raise ConfigError(f"model dim {d} not divisible by {self.heads} heads")
+        rope_mod.freqs(self.head_dim)  # the head width must form 2D rotary pairs
 
     @property
     def dim(self) -> int:
@@ -134,7 +136,6 @@ def core_attention(
     x: Tensor,
     coords,
     active_c: int,
-    rope: RopeSpec,
     capture: dict | None = None,
 ) -> Tensor:
     """Block-sparse attention over x = [cores ; patches], shape [B, T, D].
@@ -142,22 +143,21 @@ def core_attention(
     Rows 0..C-1 (cores) are softmax(Q_R K_X^T / sqrt(d_k)) V_X per head; rows
     C..T-1 (patches) are softmax(Q_Z K_R^T / sqrt(d_k)) V_R. Both are merged
     and output-projected in input order; at C = T there are no patch rows and
-    this is dense self-attention. ``capture``, if given, receives the
+    this is dense self-attention. Queries and keys are rotated by the rotary
+    tables of ``params.head_dim``. ``capture``, if given, receives the
     detached per-head probabilities and values for analysis.
     """
     x = as_tensor(x)
     b, t, d = _validate(x, active_c, params.heads)
     coords = _coords_3d(coords, b, t, x.data.dtype)
     h, hd = params.heads, params.head_dim
-    if rope.head_dim != hd:
-        raise ConfigError(f"rope head_dim {rope.head_dim} != attention head_dim {hd}")
     c = active_c
 
     q = _split_heads(linear(x, params.wq, params.bq), h)
     k = _split_heads(linear(x, params.wk, params.bk), h)
     v = _split_heads(linear(x, params.wv, params.bv), h)
 
-    cos_t, sin_t = rope_mod.cos_sin(rope, coords)
+    cos_t, sin_t = rope_mod.cos_sin(hd, coords)
     cos_h = reshape(cos_t, (b, 1, t, hd // 2))
     sin_h = reshape(sin_t, (b, 1, t, hd // 2))
     # rotation commutes with scalar scaling, so 1/sqrt(d_k) is folded into q
@@ -187,11 +187,12 @@ def core_attention(
     return linear(merged, params.wo, params.bo)
 
 
-def masked_dense_oracle(params: AttnParams, x, coords, active_c: int, rope: RopeSpec) -> np.ndarray:
+def masked_dense_oracle(params: AttnParams, x, coords, active_c: int) -> np.ndarray:
     """Dense T x T attention with the core-periphery mask, in plain numpy.
 
     Entries (i, j) with i >= C and j >= C (including the diagonal) get a large
     negative additive mask, so patch rows attend to exactly the C cores.
+    Rotary tables come from ``params.head_dim``, as in :func:`core_attention`.
     Returns the same values as :func:`core_attention`; used as the
     independent equivalence reference.
     """
@@ -208,7 +209,7 @@ def masked_dense_oracle(params: AttnParams, x, coords, active_c: int, rope: Rope
 
     q, k, v = project(params.wq, params.bq), project(params.wk, params.bk), project(params.wv, params.bv)
 
-    cos_tab, sin_tab = rope_mod.cos_sin(rope, coords)
+    cos_tab, sin_tab = rope_mod.cos_sin(hd, coords)
     cos_np, sin_np = cos_tab.data, sin_tab.data
 
     def rotate(z: np.ndarray) -> np.ndarray:

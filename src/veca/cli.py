@@ -37,7 +37,10 @@ from .rng import RngStream
 
 def _default_seed() -> int:
     env = os.environ.get("VECA_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError as err:
+        raise ConfigError(f"VECA_SEED must be an integer, got {env!r}") from err
 
 
 def _resolve_config(defaults: dict, config_path: str | None, overrides: dict) -> dict:
@@ -72,7 +75,10 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def _ints(raw: str) -> list[int]:
-    return [int(v) for v in raw.split(",") if v.strip()]
+    try:
+        return [int(v) for v in raw.split(",") if v.strip()]
+    except ValueError as err:
+        raise ConfigError(f"expected comma-separated integers, got {raw!r}") from err
 
 
 # -- subcommands --------------------------------------------------------------
@@ -80,9 +86,10 @@ def _ints(raw: str) -> list[int]:
 
 def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    resolved = {"suite": args.suite, "seed": args.seed, "corrupt": args.corrupt}
+    seed = args.seed if args.seed is not None else _default_seed()
+    resolved = {"suite": args.suite, "seed": seed, "corrupt": args.corrupt}
     print(_config_header("verify", resolved))
-    ok, lines = verify.run_suites(names, seed=args.seed, corrupt=args.corrupt)
+    ok, lines = verify.run_suites(names, seed=seed, corrupt=args.corrupt)
     for line in lines:
         print(line)
     if not ok:
@@ -192,10 +199,18 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_eval_budgets(args) -> int:
+    if args.eval_batch < 1:
+        raise ConfigError(f"--eval-batch must be at least 1, got {args.eval_batch}")
     student, config = checkpoint.load_model(args.checkpoint)
     train_cfg = config.get("train", {})
-    seed = args.seed if args.seed is not None else int(train_cfg.get("seed", _default_seed()))
-    res = int(train_cfg.get("res", 16))
+    if not isinstance(train_cfg, dict):
+        raise CheckpointError(f"{args.checkpoint}: 'train' section is not a JSON object")
+    try:
+        seed = args.seed if args.seed is not None else int(train_cfg.get("seed", _default_seed()))
+        res = int(train_cfg.get("res", 16))
+        teacher_seed = int(train_cfg.get("teacher_seed", TEACHER_SEED))
+    except (TypeError, ValueError) as err:
+        raise CheckpointError(f"{args.checkpoint}: 'train' section value is not an integer: {err}") from err
     budgets = _ints(args.budgets) if args.budgets else list(student.config.budgets)
     resolved = {
         "checkpoint": str(args.checkpoint),
@@ -203,7 +218,7 @@ def cmd_eval_budgets(args) -> int:
         "eval_batch": args.eval_batch,
         "seed": seed,
         "res": res,
-        "teacher_seed": int(train_cfg.get("teacher_seed", TEACHER_SEED)),
+        "teacher_seed": teacher_seed,
     }
     teacher = SyntheticTeacher(
         student.config, seed=resolved["teacher_seed"], dtype=student.dtype
@@ -224,7 +239,10 @@ def cmd_export_maps(args) -> int:
     student, _ = checkpoint.load_model(args.checkpoint)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.image.startswith("synth:"):
-        index = int(args.image.split(":", 1)[1])
+        digits = args.image[len("synth:"):]
+        if not digits.isdecimal():
+            raise ConfigError(f"--image synth:<index> needs a non-negative integer, got {args.image!r}")
+        index = int(digits)
         batch = synthetic_images(RngStream(seed, "export-data"), index + 1, args.res)
         image = batch[index]
         image_name = args.image
@@ -276,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", default="all", choices=sorted(verify.SUITES) + ["all"])
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--corrupt", action="store_true", help="negative control: inject a fault")
     p.set_defaults(func=cmd_verify)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ResolutionError
 from .rng import RngStream
 
 CHANNELS = 3  # RGB; every model input is [B, CHANNELS, H, W]
@@ -35,6 +35,8 @@ def synthetic_images(stream: RngStream, batch: int, resolution: int) -> np.ndarr
     shapes (axis-aligned rectangles or disks) in random colors. Deterministic
     given the stream state.
     """
+    if resolution < 1:
+        raise ResolutionError(f"synthetic images need a resolution of at least 1, got {resolution}")
     r = resolution
     out = np.empty((batch, 3, r, r))
     yy, xx = np.mgrid[0:r, 0:r]

@@ -26,7 +26,7 @@ from .elastic import BudgetDistribution, sample_budget
 from .errors import CheckpointError, ConfigError, NonFiniteError, ResolutionError, ShapeError, TrainingDivergedError
 from .model import BlockParams, Encoder, ModelConfig, block_forward, patchify
 from .rng import RngStream
-from .rope import RopeSpec, patch_grid
+from .rope import patch_grid
 from .tensor import (
     Tensor,
     add,
@@ -135,7 +135,6 @@ class SyntheticTeacher:
     def __init__(self, config: ModelConfig, seed: int = TEACHER_SEED, dtype=np.float64):
         self.config = config
         self.dtype = np.dtype(dtype).type
-        self.rope = RopeSpec(config.head_dim)
         root = RngStream(seed, "teacher")
         d, hidden = config.dim, config.hidden
 
@@ -166,7 +165,7 @@ class SyntheticTeacher:
         b, n, _ = x.shape
         coords = Tensor(np.broadcast_to(patch_grid(hp, wp).astype(self.dtype)[None], (b, n, 2)).copy())
         for blk in self.blocks:
-            x = block_forward(x, coords, n, blk, self.rope)
+            x = block_forward(x, coords, n, blk)
         dense = layer_norm(x, self.fg, self.fb).data.copy()
         return dense.mean(axis=1), dense
 

@@ -23,7 +23,6 @@ from .data import CHANNELS
 from .elastic import CHUNK, DEFAULT_BUDGETS, active_prefix
 from .errors import BudgetError, ConfigError, ResolutionError, ShapeError
 from .rng import RngStream
-from .rope import RopeSpec
 from .tensor import (
     Tensor,
     add,
@@ -56,10 +55,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if (self.dim // self.heads) % 4:
-            raise ConfigError(
-                f"head dim {self.dim // self.heads} must be a multiple of 4 for 2D rotary pairs"
-            )
+        rope_mod.freqs(self.head_dim)  # the head width must form 2D rotary pairs
         if self.max_cores % CHUNK:
             raise ConfigError(f"max_cores {self.max_cores} not divisible by chunk {CHUNK}")
         bad = [b for b in self.budgets if b % CHUNK or not 0 < b <= self.max_cores]
@@ -158,12 +154,14 @@ def block_forward(
     coords,
     active_c: int,
     block: BlockParams,
-    rope: RopeSpec,
     capture: dict | None = None,
 ) -> Tensor:
-    """Pre-norm residual attention, then pre-norm residual SwiGLU."""
+    """Pre-norm residual attention, then pre-norm residual SwiGLU.
+
+    The rotary layout is the attention weights' own head width.
+    """
     normed = layer_norm(x, block.norm_attn_gamma, block.norm_attn_beta)
-    x = add(x, core_attention(block.attn, normed, coords, active_c, rope, capture))
+    x = add(x, core_attention(block.attn, normed, coords, active_c, capture))
     f = ffn_swiglu(
         layer_norm(x, block.norm_ffn_gamma, block.norm_ffn_beta),
         block.ffn_w1,
@@ -187,7 +185,6 @@ class Encoder:
         self.config = config
         self.seed = seed
         self.dtype = np.dtype(dtype).type
-        self.rope = RopeSpec(config.head_dim)
         self.params: dict[str, Tensor] = {}
         self._grid_cache: dict[tuple[int, int, int], Tensor] = {}
         root = RngStream(seed, "init")
@@ -329,7 +326,7 @@ class Encoder:
             if capture is not None:
                 layer_capture = {"coords": coords.data.copy()}
                 capture.append(layer_capture)
-            x = block_forward(x, coords, c, self.blocks[li], self.rope, layer_capture)
+            x = block_forward(x, coords, c, self.blocks[li], layer_capture)
         if apply_final_norm:
             x = layer_norm(x, self.final_gamma, self.final_beta)
         return x

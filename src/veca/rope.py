@@ -4,17 +4,17 @@ Tokens carry planar coordinates in [-1, 1]^2 (order x, y). Each attention
 head's query/key vectors are split into rotation pairs of adjacent elements
 (2t, 2t+1); the first half of the pairs rotate by angles proportional to x,
 the second half by angles proportional to y. Angles are coordinate * freq * pi
-with per-pair frequencies freq_j = BASE**(-j / num_freqs), strictly decreasing
-from 1; the base is the constant ``BASE`` = 100. This ordering (x pairs first,
-adjacent-element pairing) is part of the checkpoint contract.
+with per-pair frequencies freq_j = BASE**(-j / (head_dim / 4)), strictly
+decreasing from 1; the base is the constant ``BASE`` = 100. The layout depends
+only on the head width, which must be a positive multiple of 4 (:func:`freqs`).
+This ordering (x pairs first, adjacent-element pairing) is part of the
+checkpoint contract.
 
 Also provides the fixed patch coordinate grid and the deterministic
 farthest-point initialization of core coordinate states.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,23 +25,12 @@ from .tensor import Tensor, _accumulate, _from_op, _unbroadcast, as_tensor, cos,
 BASE = 100.0
 
 
-@dataclass(frozen=True)
-class RopeSpec:
-    """Frequency layout for one head dimension: head_dim / 4 frequencies per axis."""
-
-    head_dim: int
-
-    def __post_init__(self):
-        if self.head_dim <= 0 or self.head_dim % 4 != 0:
-            raise ConfigError(f"head_dim must be a positive multiple of 4, got {self.head_dim}")
-
-    @property
-    def num_freqs(self) -> int:
-        return self.head_dim // 4
-
-    def freqs(self) -> np.ndarray:
-        j = np.arange(self.num_freqs, dtype=np.float64)
-        return BASE ** (-j / self.num_freqs)
+def freqs(head_dim: int) -> np.ndarray:
+    """The head_dim / 4 per-axis frequencies; the head width must be a positive multiple of 4."""
+    if head_dim <= 0 or head_dim % 4 != 0:
+        raise ConfigError(f"head_dim must be a positive multiple of 4, got {head_dim}")
+    nf = head_dim // 4
+    return BASE ** (-np.arange(nf, dtype=np.float64) / nf)
 
 
 def patch_grid(hp: int, wp: int) -> np.ndarray:
@@ -59,7 +48,7 @@ def patch_grid(hp: int, wp: int) -> np.ndarray:
     return np.stack([gx, gy], axis=-1).reshape(-1, 2)
 
 
-def angles(spec: RopeSpec, coords) -> Tensor:
+def angles(head_dim: int, coords) -> Tensor:
     """Rotation angles [..., T, head_dim/2] from coordinates [..., T, 2].
 
     Columns 0..num_freqs-1 are x * freq_j * pi, the rest are y * freq_j * pi.
@@ -68,8 +57,8 @@ def angles(spec: RopeSpec, coords) -> Tensor:
     coords = as_tensor(coords)
     if coords.shape[-1] != 2:
         raise ShapeError(f"angles: coords must end in axis of size 2, got {coords.shape}")
-    nf = spec.num_freqs
-    f = (spec.freqs() * np.pi).astype(coords.data.dtype)
+    f = (freqs(head_dim) * np.pi).astype(coords.data.dtype)
+    nf = f.size
     data = np.concatenate(
         [coords.data[..., 0:1] * f, coords.data[..., 1:2] * f], axis=-1
     )
@@ -83,12 +72,12 @@ def angles(spec: RopeSpec, coords) -> Tensor:
     return _from_op(data, (coords,), grad_fn, "rope_angles")
 
 
-def cos_sin(spec: RopeSpec, coords) -> tuple[Tensor, Tensor]:
+def cos_sin(head_dim: int, coords) -> tuple[Tensor, Tensor]:
     """Per-token rotation tables (cos, sin), each [..., T, head_dim/2].
 
     One angle per rotation pair: x-driven pairs first, then y-driven pairs.
     """
-    theta = angles(spec, coords)
+    theta = angles(head_dim, coords)
     return cos(theta), sin(theta)
 
 

@@ -120,6 +120,9 @@ def as_tensor(value, dtype=None) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # constants (leaves without requires_grad) never keep a gradient
+    if not t.requires_grad:
+        return
     if t.grad is None:
         t.grad = g
     else:

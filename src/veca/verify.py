@@ -20,7 +20,7 @@ from .elastic import CHUNK, BudgetDistribution, active_prefix, sample_budget
 from .errors import VecaError
 from .model import Encoder, ModelConfig, get_preset
 from .rng import RngStream
-from .rope import RopeSpec, cos_sin, fps_init, patch_grid
+from .rope import cos_sin, fps_init, patch_grid
 from .rope import apply as rope_apply
 from .tensor import Tensor, central_difference_error, grad_check, mul, reshape, silu, softmax_rows, tanh, tsum
 
@@ -49,11 +49,10 @@ def oracle_equivalence(rng_seed: int, param_stream, cases: int = 50, corrupt: bo
         params = AttnParams.init(dim, heads, param_stream(i))
         x = Tensor(rng.normal(size=(b, t, dim)))
         coords = Tensor(rng.uniform(-1, 1, size=(t, 2)))
-        spec = RopeSpec(dim // heads)
-        out = core_attention(params, x, coords, c, spec).data
+        out = core_attention(params, x, coords, c).data
         if corrupt and i == 0:
             out = out + 1e-3
-        ref = masked_dense_oracle(params, x, coords, c, spec)
+        ref = masked_dense_oracle(params, x, coords, c)
         worst = max(worst, float(np.abs(out - ref).max()))
     return (f"oracle equivalence ({cases} random configs)", worst <= 1e-12,
             f"max |diff| = {worst:.2e} (tol 1e-12)")
@@ -92,10 +91,8 @@ def rope_properties(rngs, enc: Encoder, images: np.ndarray, budget: int, corrupt
     encodes ``images`` at ``budget`` and needs every core coordinate in (-1, 1)
     at every layer. ``corrupt`` scales the first rotated q, a negative control.
     """
-    spec = RopeSpec(8)
-
     def rotate(z: Tensor, cc: np.ndarray) -> np.ndarray:
-        ct, st = cos_sin(spec, Tensor(cc))
+        ct, st = cos_sin(8, Tensor(cc))
         return rope_apply(z, reshape(ct, (1, 1, 4, 4)), reshape(st, (1, 1, 4, 4))).data
 
     worst_iso = 0.0
@@ -193,7 +190,7 @@ def suite_attention(seed: int = 0, corrupt: bool = False) -> list[Check]:
     params = AttnParams.init(16, 2, RngStream(seed, "cap"))
     x = Tensor(np.random.default_rng(seed + 1).normal(size=(2, 20, 16)))
     coords = Tensor(np.random.default_rng(seed + 2).uniform(-1, 1, size=(20, 2)))
-    core_attention(params, x, coords, 4, RopeSpec(8), capture=capture)
+    core_attention(params, x, coords, 4, capture=capture)
     sums = np.concatenate(
         [capture["probs_core"].sum(-1).ravel(), capture["probs_patch"].sum(-1).ravel()]
     )
@@ -210,8 +207,8 @@ def suite_attention(seed: int = 0, corrupt: bool = False) -> list[Check]:
     c2 = cp.copy()
     x2[0, c:] = xp[0, c + perm]
     c2[c:] = cp[c + perm]
-    out1 = core_attention(params, Tensor(xp), Tensor(cp), c, RopeSpec(8)).data
-    out2 = core_attention(params, Tensor(x2), Tensor(c2), c, RopeSpec(8)).data
+    out1 = core_attention(params, Tensor(xp), Tensor(cp), c).data
+    out2 = core_attention(params, Tensor(x2), Tensor(c2), c).data
     diff = max(
         float(np.abs(out2[0, c:] - out1[0, c + perm]).max()),
         float(np.abs(out2[0, :c] - out1[0, :c]).max()),

@@ -15,7 +15,6 @@ from veca.distill import DistillConfig, SyntheticTeacher, total_loss, train
 from veca.elastic import BudgetDistribution
 from veca.model import Encoder, get_preset, param_count
 from veca.rng import RngStream
-from veca.rope import RopeSpec
 from veca.tensor import Tensor
 from veca.verify import (
     budget_sampler_fit,
@@ -153,7 +152,7 @@ def test_c10_contribution_maps():
     x = Tensor(rng.normal(size=(1, 14, 16)))
     coords = Tensor(rng.uniform(-1, 1, size=(14, 2)))
     cap = {}
-    core_attention(params, x, coords, 4, RopeSpec(8), capture=cap)
+    core_attention(params, x, coords, 4, capture=cap)
     s = contribution_map(cap)
     stochastic = float(np.abs(s.sum(-1) - 1.0).max()) <= 1e-6
     nonneg = bool(np.all(s >= 0))
@@ -163,7 +162,7 @@ def test_c10_contribution_maps():
     cap1 = {}
     p1 = AttnParams.init(8, 1, RngStream(11, "acc10b"))
     core_attention(p1, Tensor(rng.normal(size=(1, 10, 8))), Tensor(rng.uniform(-1, 1, size=(10, 2))),
-                   4, RopeSpec(8), capture=cap1)
+                   4, capture=cap1)
     cap1["values"] = np.broadcast_to(np.ones(8) / np.sqrt(8.0), cap1["values"].shape).copy()
     s1 = contribution_map(cap1)
     reduces = (

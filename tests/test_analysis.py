@@ -18,7 +18,6 @@ from veca.data import synthetic_images
 from veca.errors import ConfigError, ResolutionError
 from veca.model import Encoder, get_preset
 from veca.rng import RngStream
-from veca.rope import RopeSpec
 from veca.tensor import Tensor
 
 REFERENCE_GFLOPS = [
@@ -126,7 +125,7 @@ class TestContributionMap:
         x = Tensor(rng.normal(size=(batch, t, dim)))
         coords = Tensor(rng.uniform(-1, 1, size=(t, 2)))
         cap = {}
-        core_attention(params, x, coords, c, RopeSpec(dim // heads), capture=cap)
+        core_attention(params, x, coords, c, capture=cap)
         return cap
 
     def test_rows_stochastic_and_nonnegative(self):

@@ -12,7 +12,6 @@ from veca.attention import (
 )
 from veca.errors import BudgetError, ConfigError, ShapeError
 from veca.rng import RngStream
-from veca.rope import RopeSpec
 from veca.tensor import Tensor
 
 
@@ -25,15 +24,15 @@ def random_case(seed, t=12, c=4, dim=8, heads=2, batch=1):
     params = make_params(dim, heads, seed)
     x = Tensor(rng.normal(size=(batch, t, dim)))
     coords = Tensor(rng.uniform(-1, 1, size=(t, 2)))
-    return params, x, coords, RopeSpec(dim // heads)
+    return params, x, coords
 
 
 class TestCoreAttention:
     def test_identical_keys_give_value_mean(self):
         # zero key projection -> equal scores -> uniform softmax over allowed keys
-        params, x, coords, spec = random_case(0, t=10, c=3, dim=8, heads=1)
+        params, x, coords = random_case(0, t=10, c=3, dim=8, heads=1)
         params.wk.data[:] = 0.0
-        out = core_attention(params, x, coords, 3, spec).data
+        out = core_attention(params, x, coords, 3).data
         v = x.data.reshape(10, 8) @ params.wv.data + params.bv.data
         core_mean = v.mean(axis=0)  # core rows: uniform over all T values
         patch_mean = v[:3].mean(axis=0)  # patch rows: uniform over the C cores
@@ -43,53 +42,53 @@ class TestCoreAttention:
         np.testing.assert_allclose(out[0, 3:], np.tile(want_patch, (7, 1)), atol=1e-12)
 
     def test_singleton_core_softmax_is_one(self):
-        params, x, coords, spec = random_case(1, t=2, c=1)
-        out = core_attention(params, x, coords, 1, spec).data
+        params, x, coords = random_case(1, t=2, c=1)
+        out = core_attention(params, x, coords, 1).data
         v1 = x.data[0, 0] @ params.wv.data + params.bv.data
         want = v1 @ params.wo.data + params.bo.data
         np.testing.assert_allclose(out[0, 1], want, atol=1e-12)
 
     def test_matches_oracle_spec_example(self):
-        params, x, coords, spec = random_case(2, t=12, c=4, dim=8, heads=2)
-        out = core_attention(params, x, coords, 4, spec).data
-        ref = masked_dense_oracle(params, x, coords, 4, spec)
+        params, x, coords = random_case(2, t=12, c=4, dim=8, heads=2)
+        out = core_attention(params, x, coords, 4).data
+        ref = masked_dense_oracle(params, x, coords, 4)
         assert np.abs(out - ref).max() <= 1e-12
 
     def test_budget_errors(self):
-        params, x, coords, spec = random_case(3)
+        params, x, coords = random_case(3)
         with pytest.raises(BudgetError):
-            core_attention(params, x, coords, 13, spec)
+            core_attention(params, x, coords, 13)
         with pytest.raises(BudgetError):
-            core_attention(params, x, coords, 0, spec)
+            core_attention(params, x, coords, 0)
 
     def test_all_cores_matches_oracle(self):
         # C = T: no patch rows, so core attention is dense self-attention
         for seed in range(10):
             t = 2 + seed
             heads, batch = 1 + seed % 2, 1 + seed % 2
-            params, x, coords, spec = random_case(100 + seed, t=t, c=t, heads=heads, batch=batch)
-            out = core_attention(params, x, coords, t, spec).data
-            ref = masked_dense_oracle(params, x, coords, t, spec)
+            params, x, coords = random_case(100 + seed, t=t, c=t, heads=heads, batch=batch)
+            out = core_attention(params, x, coords, t).data
+            ref = masked_dense_oracle(params, x, coords, t)
             assert np.abs(out - ref).max() <= 1e-12
 
     def test_head_divisibility_error(self):
         with pytest.raises(ConfigError):
             AttnParams.init(10, 3, RngStream(0, "bad"))
 
-    def test_rope_head_dim_mismatch(self):
-        params, x, coords, _ = random_case(4)
+    def test_head_width_without_rotary_pairs(self):
+        # dim 8 over 4 heads is head width 2: too narrow for 2D rotary pairs
         with pytest.raises(ConfigError):
-            core_attention(params, x, coords, 4, RopeSpec(8))
+            AttnParams.init(8, 4, RngStream(0, "bad"))
 
     def test_coords_shape_error(self):
-        params, x, _, spec = random_case(5)
+        params, x, _ = random_case(5)
         with pytest.raises(ShapeError):
-            core_attention(params, x, Tensor(np.zeros((5, 2))), 4, spec)
+            core_attention(params, x, Tensor(np.zeros((5, 2))), 4)
 
     def test_capture_shapes_and_row_sums(self):
-        params, x, coords, spec = random_case(7, t=14, c=4, dim=16, heads=2, batch=2)
+        params, x, coords = random_case(7, t=14, c=4, dim=16, heads=2, batch=2)
         cap = {}
-        core_attention(params, x, coords, 4, spec, capture=cap)
+        core_attention(params, x, coords, 4, capture=cap)
         assert cap["probs_core"].shape == (2, 2, 4, 14)
         assert cap["probs_patch"].shape == (2, 2, 10, 4)
         assert cap["values"].shape == (2, 2, 14, 8)
@@ -100,9 +99,9 @@ class TestCoreAttention:
 class TestOracle:
     def test_mask_allows_exactly_c_keys_per_patch_row(self):
         # one patch token: its probability row must cover exactly the C cores
-        params, x, coords, spec = random_case(8, t=6, c=5)
+        params, x, coords = random_case(8, t=6, c=5)
         cap = {}
-        core_attention(params, x, coords, 5, spec, capture=cap)
+        core_attention(params, x, coords, 5, capture=cap)
         assert cap["probs_patch"].shape[-1] == 5
         assert cap["probs_core"].shape[-1] == 6
 
@@ -117,9 +116,9 @@ class TestOracle:
     def test_equivalence_random_configs(self, seed, c, heads, dim, batch):
         rng = np.random.default_rng(seed)
         t = int(rng.integers(c + 1, 33))
-        params, x, coords, spec = random_case(seed, t=t, c=c, dim=dim, heads=heads, batch=batch)
-        out = core_attention(params, x, coords, c, spec).data
-        ref = masked_dense_oracle(params, x, coords, c, spec)
+        params, x, coords = random_case(seed, t=t, c=c, dim=dim, heads=heads, batch=batch)
+        out = core_attention(params, x, coords, c).data
+        ref = masked_dense_oracle(params, x, coords, c)
         assert np.abs(out - ref).max() <= 1e-12
 
     def test_per_batch_coords(self):
@@ -127,9 +126,8 @@ class TestOracle:
         params = make_params(8, 2, 9)
         x = Tensor(rng.normal(size=(2, 10, 8)))
         coords = Tensor(rng.uniform(-1, 1, size=(2, 10, 2)))
-        spec = RopeSpec(4)
-        out = core_attention(params, x, coords, 4, spec).data
-        ref = masked_dense_oracle(params, x, coords, 4, spec)
+        out = core_attention(params, x, coords, 4).data
+        ref = masked_dense_oracle(params, x, coords, 4)
         assert np.abs(out - ref).max() <= 1e-12
 
     def test_float32_uses_smaller_mask(self):
@@ -139,8 +137,8 @@ class TestOracle:
             getattr(params, t).data = getattr(params, t).data.astype(np.float32)
         x = Tensor(rng.normal(size=(1, 9, 8)).astype(np.float32))
         coords = Tensor(rng.uniform(-1, 1, size=(9, 2)).astype(np.float32))
-        out = core_attention(params, x, coords, 4, RopeSpec(4)).data
-        ref = masked_dense_oracle(params, x, coords, 4, RopeSpec(4))
+        out = core_attention(params, x, coords, 4).data
+        ref = masked_dense_oracle(params, x, coords, 4)
         assert ref.dtype == np.float32
         assert np.abs(out - ref).max() <= 1e-6
 
@@ -156,9 +154,8 @@ class TestPermutationEquivariance:
         x2, c2 = x.copy(), coords.copy()
         x2[0, c:] = x[0, c + perm]
         c2[c:] = coords[c + perm]
-        spec = RopeSpec(8)
-        out1 = core_attention(params, Tensor(x), Tensor(coords), c, spec).data
-        out2 = core_attention(params, Tensor(x2), Tensor(c2), c, spec).data
+        out1 = core_attention(params, Tensor(x), Tensor(coords), c).data
+        out2 = core_attention(params, Tensor(x2), Tensor(c2), c).data
         assert np.abs(out2[0, c:] - out1[0, c + perm]).max() <= 1e-12
         assert np.abs(out2[0, :c] - out1[0, :c]).max() <= 1e-12
 

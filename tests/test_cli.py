@@ -42,8 +42,9 @@ class TestBenchFlops:
         assert out_file.read_text().startswith("# bench-flops config:")
 
     def test_bad_resolution_exit_code(self, capsys):
-        code, _, err = run(capsys, "bench-flops", "--res", "1000")
-        assert code == 2 and "error" in err
+        for flags in ("--res 1000", "--res 0", "--res -16", "--res abc", "--budget 0"):
+            code, out, err = run(capsys, "bench-flops", *flags.split())
+            assert (code, out) == (2, "") and err.startswith("error:"), flags
 
 
 class TestParamCount:
@@ -242,6 +243,12 @@ def targets(kind: str = "teacher_targets", batches=(2, 2, 2), drop: str = "", pa
     return container(blob, {k.encode(): np.zeros(v) for k, v in shapes.items() if k != drop})
 
 
+def tiny_checkpoint(**config) -> bytes:
+    """A checkpoint container of TINY's real tensors with extra top-level ``config`` entries."""
+    blob = json.dumps({"model": asdict(TINY), **config}).encode()
+    return container(blob, {k.encode(): v for k, v in Encoder(TINY, seed=0).state().items()})
+
+
 def npy_bytes(arr: np.ndarray) -> bytes:
     buf = io.BytesIO()
     np.save(buf, arr)
@@ -254,6 +261,7 @@ class TestExitCodes:
         "config not an object": ("config", b"5", 2),
         "config value of the wrong type": ("config", b'{"steps": "abc"}', 2),
         "batch of zero": ("flags", b"--batch 0", 2),
+        "negative resolution": ("flags", b"--res -16", 2),
         "npy of random bytes": ("npy", bytes(range(256)), 3),
         "npy of the wrong shape": ("npy", npy_bytes(np.zeros((4, 4))), 3),
         "PPM that is not P6": ("ppm", b"P3\n4 4\n255\n" + bytes(48), 3),
@@ -277,6 +285,12 @@ class TestExitCodes:
         "PPM header not integers": ("ppm", b"P6\nfour 4\n255\n" + bytes(48), 3),
         "PPM maxval zero": ("ppm", b"P6\n4 4\n0\n" + bytes(48), 3),
         "PPM 16-bit maxval": ("ppm", b"P6\n4 4\n65535\n" + bytes(96), 3),
+        "eval batch of zero": ("eval flags", b"--eval-batch 0", 2),
+        "eval batch negative": ("eval flags", b"--eval-batch -1", 2),
+        "synthetic image index negative": ("synth image", b"synth:-1", 2),
+        "synthetic image index not an integer": ("synth image", b"synth:abc", 2),
+        "checkpoint train section not an object": ("checkpoint", tiny_checkpoint(train=[1]), 3),
+        "checkpoint train res not an integer": ("checkpoint", tiny_checkpoint(train={"res": "abc"}), 3),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -296,8 +310,12 @@ class TestExitCodes:
         else:
             ckpt = tmp_path / "m.veca"
             save_model(ckpt, Encoder(TINY, seed=0))
-            argv = ["export-maps", "--checkpoint", str(ckpt), "--image", str(bad),
-                    "--budget", "8", "--out", str(tmp_path / "maps")]
+            if kind == "eval flags":
+                argv = ["eval-budgets", "--checkpoint", str(ckpt), *raw.decode().split()]
+            else:
+                image = raw.decode() if kind == "synth image" else str(bad)
+                argv = ["export-maps", "--checkpoint", str(ckpt), "--image", image,
+                        "--budget", "8", "--out", str(tmp_path / "maps")]
         code, _, err = run(capsys, *argv)
         assert code == want and err.startswith(("error:", "i/o error:"))
 
@@ -310,3 +328,9 @@ class TestSeedEnv:
         assert code == 0
         header = (out_dir / "train_log.csv").read_text().splitlines()[0]
         assert json.loads(header.split("config: ", 1)[1])["seed"] == 21
+
+    def test_bad_veca_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("VECA_SEED", "abc")
+        assert run(capsys, "param-count")[0] == 0  # reads no seed
+        code, _, err = run(capsys, "verify", "--suite", "attention")
+        assert code == 2 and err.startswith("error:")

@@ -229,6 +229,11 @@ class TestTrain:
         for name in enc1.params:
             np.testing.assert_array_equal(enc1.params[name].data, enc2.params[name].data)
 
+    def test_constant_patch_grid_keeps_no_gradient(self, tiny_config):
+        # the cached grid is shared across steps; a gradient on it would grow forever
+        enc, _ = self._run(seed=0, steps=5, tiny_config=tiny_config)
+        assert enc._grid_cache and all(t.grad is None for t in enc._grid_cache.values())
+
     def test_loss_decreases(self, tiny_config):
         _, recs = self._run(seed=0, steps=60, tiny_config=tiny_config)
         assert np.mean([r.loss for r in recs[-10:]]) < np.mean([r.loss for r in recs[:10]])

@@ -16,7 +16,6 @@ from veca.model import (
     param_count,
 )
 from veca.rng import RngStream
-from veca.rope import RopeSpec
 from veca.tensor import Tensor, grad_check, mul, silu, tsum
 
 
@@ -182,7 +181,7 @@ class TestBlockForward:
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(1, 6, 8)))
         coords = Tensor(rng.uniform(-1, 1, size=(6, 2)))
-        out = block_forward(x, coords, 2, block, RopeSpec(4))
+        out = block_forward(x, coords, 2, block)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_gradient_wrt_input(self):
@@ -192,7 +191,7 @@ class TestBlockForward:
         probe = Tensor(rng.normal(size=(1, 6, 8)))
 
         def f(t):
-            return tsum(mul(block_forward(t, coords, 2, block, RopeSpec(4)), probe))
+            return tsum(mul(block_forward(t, coords, 2, block), probe))
 
         err = grad_check(f, Tensor(rng.normal(size=(1, 6, 8))), 1e-5)
         assert err <= 1e-5

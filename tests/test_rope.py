@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veca.errors import CapacityError, ConfigError
-from veca.rope import RopeSpec, angles, apply, cos_sin, fps_init, patch_grid
+from veca.rope import angles, apply, cos_sin, fps_init, freqs, patch_grid
 from veca.tensor import Tensor, grad_check, mul, reshape, tsum
 
 
@@ -36,22 +36,22 @@ class TestPatchGrid:
         assert np.all(np.abs(grid) < 1.0)
 
 
-class TestRopeSpec:
+class TestFreqs:
     def test_head_dim_must_be_multiple_of_four(self):
         with pytest.raises(ConfigError):
-            RopeSpec(6)
+            freqs(6)
 
     def test_freqs_strictly_decreasing_from_one(self):
-        f = RopeSpec(16).freqs()
+        f = freqs(16)
         assert f[0] == 1.0
         assert np.all(np.diff(f) < 0)
         np.testing.assert_allclose(f, 100.0 ** (-np.arange(4) / 4))
 
 
-def _tables(spec, coords_arr):
-    ct, st_ = cos_sin(spec, Tensor(coords_arr))
+def _tables(head_dim, coords_arr):
+    ct, st_ = cos_sin(head_dim, Tensor(coords_arr))
     t = coords_arr.shape[-2]
-    half = spec.head_dim // 2
+    half = head_dim // 2
     return (
         reshape(ct, coords_arr.shape[:-2] + (1, t, half)),
         reshape(st_, coords_arr.shape[:-2] + (1, t, half)),
@@ -60,19 +60,19 @@ def _tables(spec, coords_arr):
 
 class TestCosSin:
     def test_zero_coord(self):
-        ct, st_ = cos_sin(RopeSpec(8), Tensor(np.zeros((1, 2))))
+        ct, st_ = cos_sin(8, Tensor(np.zeros((1, 2))))
         np.testing.assert_array_equal(ct.data, np.ones((1, 4)))
         np.testing.assert_array_equal(st_.data, np.zeros((1, 4)))
 
     def test_unit_x_first_pair_angle_is_pi(self):
-        theta = angles(RopeSpec(8), Tensor(np.array([[1.0, 0.0]]))).data
+        theta = angles(8, Tensor(np.array([[1.0, 0.0]]))).data
         # freq_0 = 1 for the x pair; y pairs stay at zero
         assert theta[0, 0] == pytest.approx(np.pi)
         np.testing.assert_array_equal(theta[0, 2:], 0.0)
 
     def test_equal_coords_give_identical_rows(self):
         coords = np.array([[0.3, -0.7], [0.3, -0.7]])
-        ct, st_ = cos_sin(RopeSpec(12), Tensor(coords))
+        ct, st_ = cos_sin(12, Tensor(coords))
         np.testing.assert_array_equal(ct.data[0], ct.data[1])
         np.testing.assert_array_equal(st_.data[0], st_.data[1])
 
@@ -81,7 +81,7 @@ class TestApply:
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(0)
         q = Tensor(rng.normal(size=(1, 1, 3, 8)))
-        ct, st_ = _tables(RopeSpec(8), np.zeros((1, 3, 2)))
+        ct, st_ = _tables(8, np.zeros((1, 3, 2)))
         np.testing.assert_array_equal(apply(q, ct, st_).data, q.data)
 
     def test_isometry(self):
@@ -89,7 +89,7 @@ class TestApply:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             q = rng.normal(size=(1, 2, 5, 8))
-            ct, st_ = _tables(RopeSpec(8), rng.uniform(-1, 1, size=(1, 5, 2)))
+            ct, st_ = _tables(8, rng.uniform(-1, 1, size=(1, 5, 2)))
             out = apply(Tensor(q), ct, st_).data
             worst = max(
                 worst,
@@ -98,7 +98,6 @@ class TestApply:
         assert worst <= 1e-6
 
     def test_translation_invariance_of_dots(self):
-        spec = RopeSpec(8)
         worst = 0.0
         for seed in range(100):
             rng = np.random.default_rng(seed + 1)
@@ -108,7 +107,7 @@ class TestApply:
             shift = rng.uniform(-0.5, 0.5, size=2)
 
             def dots(cc):
-                ct, st_ = _tables(spec, cc)
+                ct, st_ = _tables(8, cc)
                 return np.einsum(
                     "bhtd,bhsd->bhts", apply(q, ct, st_).data, apply(k, ct, st_).data
                 )
@@ -118,14 +117,13 @@ class TestApply:
 
     def test_gradients(self):
         worst = 0.0
-        spec = RopeSpec(8)
         for seed in range(20):
             rng = np.random.default_rng(seed)
             q = Tensor(rng.normal(size=(1, 2, 3, 8)))
             probe = Tensor(rng.normal(size=(1, 2, 3, 8)))
 
             def f_coords(t):
-                ct, st_ = cos_sin(spec, t)
+                ct, st_ = cos_sin(8, t)
                 ct = reshape(ct, (1, 1, 3, 4))
                 st_ = reshape(st_, (1, 1, 3, 4))
                 return tsum(mul(apply(q, ct, st_), probe))
@@ -135,7 +133,7 @@ class TestApply:
             )
 
             coords = Tensor(rng.uniform(-1, 1, size=(1, 3, 2)))
-            ct0, st0 = cos_sin(spec, coords)
+            ct0, st0 = cos_sin(8, coords)
             ct0 = reshape(ct0, (1, 1, 3, 4))
             st0 = reshape(st0, (1, 1, 3, 4))
 

@@ -269,6 +269,13 @@ class TestAutogradMechanics:
         tsum(y).backward()
         np.testing.assert_allclose(x.grad, 2 * x.data + 3.0)
 
+    def test_constant_operand_keeps_no_grad(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        c = Tensor(np.full(3, 2.0))
+        tsum(mul(x, c)).backward()
+        assert c.grad is None
+        np.testing.assert_array_equal(x.grad, c.data)
+
     def test_backward_needs_scalar(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ShapeError):
