@@ -41,6 +41,9 @@ from .tensor import (
 )
 
 
+PROJECTIONS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
 @dataclass
 class AttnParams:
     """Separate q/k/v/out projections (with bias) and the head count."""
@@ -83,10 +86,7 @@ class AttnParams:
         return AttnParams(wq, bq, wk, bk, wv, bv, wo, bo, heads)
 
     def tensors(self) -> dict[str, Tensor]:
-        return {
-            "wq": self.wq, "bq": self.bq, "wk": self.wk, "bk": self.bk,
-            "wv": self.wv, "bv": self.bv, "wo": self.wo, "bo": self.bo,
-        }
+        return {name: getattr(self, name) for name in PROJECTIONS}
 
 
 def _validate(x: Tensor, active_c: int, heads: int) -> tuple[int, int, int]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import sys
 from dataclasses import asdict
@@ -68,17 +69,34 @@ def save_container(path: str | Path, config: dict, tensors: dict[str, np.ndarray
 
 
 class _Reader:
-    def __init__(self, raw: bytes, path: str):
-        self.raw = raw
-        self.pos = 0
+    """Reads a container front to back; every size is checked against the bytes left."""
+
+    def __init__(self, file, path: str):
+        self.file = file
+        self.left = os.fstat(file.fileno()).st_size
         self.path = path
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
+    def _claim(self, n: int) -> None:
+        if n > self.left:
             raise CheckpointError(f"{self.path}: truncated container")
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
+        self.left -= n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        out = self.file.read(n)
+        if len(out) != n:
+            raise CheckpointError(f"{self.path}: truncated container")
         return out
+
+    def array(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """The next payload, read straight into its own native-order array."""
+        self._claim(math.prod(shape) * dtype.itemsize)
+        arr = np.empty(shape, dtype=dtype.newbyteorder("="))
+        if arr.nbytes and self.file.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+            raise CheckpointError(f"{self.path}: truncated container")
+        if sys.byteorder == "big":  # pragma: no cover
+            arr.byteswap(inplace=True)
+        return arr
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -88,38 +106,40 @@ class _Reader:
 
 
 def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container back; inverse of :func:`save_container`."""
-    r = _Reader(Path(path).read_bytes(), str(path))
-    if r.take(4) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic; not a checkpoint container")
-    version = r.u32()
-    if version != VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: container version {version} unsupported (this build reads {VERSION})"
-        )
-    try:
-        config = json.loads(r.take(r.u32()).decode())
-    except ValueError as err:  # covers both JSONDecodeError and UnicodeDecodeError
-        raise CheckpointError(f"{path}: config blob is not UTF-8 JSON: {err}") from err
-    if not isinstance(config, dict):
-        raise CheckpointError(f"{path}: config blob is not a JSON object")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
+    """Read a container back; inverse of :func:`save_container`.
+
+    Each payload is read straight into the array returned for it, so loading
+    holds one copy of the weights, never the whole file as well.
+    """
+    with open(path, "rb") as file:
+        r = _Reader(file, str(path))
+        if r.take(4) != MAGIC:
+            raise CheckpointError(f"{path}: bad magic; not a checkpoint container")
+        version = r.u32()
+        if version != VERSION:
+            raise UnsupportedVersionError(
+                f"{path}: container version {version} unsupported (this build reads {VERSION})"
+            )
         try:
-            name = r.take(r.u32()).decode()
-        except UnicodeDecodeError as err:
-            raise CheckpointError(f"{path}: tensor name is not UTF-8: {err}") from err
-        rank = r.u32()
-        shape = struct.unpack(f"<{rank}Q", r.take(8 * rank))
-        tag = r.u8()
-        if tag not in _DTYPE_TAGS:
-            raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype tag {tag}")
-        dt = _DTYPE_TAGS[tag]
-        count = math.prod(shape)
-        arr = np.frombuffer(r.take(count * dt.itemsize), dtype=dt).reshape(shape)
-        tensors[name] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
-    if r.pos != len(r.raw):
-        raise CheckpointError(f"{path}: {len(r.raw) - r.pos} trailing bytes")
+            config = json.loads(r.take(r.u32()).decode())
+        except ValueError as err:  # covers both JSONDecodeError and UnicodeDecodeError
+            raise CheckpointError(f"{path}: config blob is not UTF-8 JSON: {err}") from err
+        if not isinstance(config, dict):
+            raise CheckpointError(f"{path}: config blob is not a JSON object")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(r.u32()):
+            try:
+                name = r.take(r.u32()).decode()
+            except UnicodeDecodeError as err:
+                raise CheckpointError(f"{path}: tensor name is not UTF-8: {err}") from err
+            rank = r.u32()
+            shape = struct.unpack(f"<{rank}Q", r.take(8 * rank))
+            tag = r.u8()
+            if tag not in _DTYPE_TAGS:
+                raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype tag {tag}")
+            tensors[name] = r.array(shape, _DTYPE_TAGS[tag])
+        if r.left:
+            raise CheckpointError(f"{path}: {r.left} trailing bytes")
     return config, tensors
 
 
@@ -143,6 +163,10 @@ def load_model(path: str | Path):
     dropped; any other value describes a model this build cannot construct and
     is refused, as is a tensor whose dtype is not the config's ``dtype`` (no
     silent cast).
+
+    The encoder wraps the arrays read from the file, with no initial weights
+    drawn and no second copy made, and it is frozen: forwards record no tape
+    until an optimizer turns ``requires_grad`` on.
     """
     from .model import Encoder, ModelConfig
 
@@ -156,18 +180,15 @@ def load_model(path: str | Path):
     try:
         if "budgets" in model_cfg:
             model_cfg["budgets"] = tuple(model_cfg["budgets"])
-        enc = Encoder(
-            ModelConfig(**model_cfg),
-            seed=int(config.get("seed", 0)),
-            dtype=np.dtype(config.get("dtype", "float64")),
-        )
-        cast = [name for name, arr in tensors.items() if arr.dtype != enc.dtype]
+        model = ModelConfig(**model_cfg)
+        dtype = np.dtype(config.get("dtype", "float64"))
+        cast = [name for name, arr in tensors.items() if arr.dtype != dtype]
         if cast:
             raise DTypeError(
                 f"{len(cast)} tensor(s), first {cast[0]!r} ({tensors[cast[0]].dtype}), "
-                f"are not the config's {np.dtype(enc.dtype).name}"
+                f"are not the config's {dtype.name}"
             )
-        enc.load_state(tensors)
+        enc = Encoder(model, seed=int(config.get("seed", 0)), dtype=dtype, state=tensors)
     except (TypeError, ValueError, VecaError) as err:  # an unknown field is a TypeError
         raise CheckpointError(f"{path}: cannot rebuild the encoder it describes: {err}") from err
     return enc, config

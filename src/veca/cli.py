@@ -242,9 +242,11 @@ def cmd_export_maps(args) -> int:
         digits = args.image[len("synth:"):]
         if not digits.isdecimal():
             raise ConfigError(f"--image synth:<index> needs a non-negative integer, got {args.image!r}")
-        index = int(digits)
-        batch = synthetic_images(RngStream(seed, "export-data"), index + 1, args.res)
-        image = batch[index]
+        # image `index` of one batch drawn from the stream, drawn one image at a
+        # time: memory stays at one image, time still grows with the index
+        stream = RngStream(seed, "export-data")
+        for _ in range(int(digits) + 1):
+            image = synthetic_images(stream, 1, args.res)[0]
         image_name = args.image
     else:
         image = normalize(load_raster(args.image))

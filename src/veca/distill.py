@@ -232,12 +232,19 @@ class FileTeacher:
 
 
 class AdamW:
-    """Adaptive-moment optimizer with decoupled weight decay."""
+    """Adaptive-moment optimizer with decoupled weight decay.
+
+    Turns ``requires_grad`` on for every parameter it is given, so a frozen
+    (loaded) encoder trains exactly like a fresh one; :meth:`step` skips a
+    parameter whose ``grad`` is None.
+    """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.0):
         self.params = params
+        for p in params.values():
+            p.requires_grad = True
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}

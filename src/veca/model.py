@@ -13,12 +13,14 @@ core token is the global feature and the patch tokens are the dense features.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rope as rope_mod
-from .attention import AttnParams, core_attention
+from .attention import PROJECTIONS, AttnParams, core_attention
 from .data import CHANNELS
 from .elastic import CHUNK, DEFAULT_BUDGETS, active_prefix
 from .errors import BudgetError, ConfigError, ResolutionError, ShapeError
@@ -172,68 +174,122 @@ def block_forward(
     return add(x, f)
 
 
+_Layout = dict[str, tuple[tuple[int, ...], Callable[[], np.ndarray]]]
+
+
+def _layout(config: ModelConfig, seed: int) -> _Layout:
+    """Every parameter in state order: name -> (shape, draw of its initial value).
+
+    Nothing is drawn until a draw is called. Each random weight comes from its
+    own named stream under ``init``, so values do not depend on draw order.
+    """
+    d, hidden = config.dim, config.hidden
+    root = RngStream(seed, "init")
+    fps_states = functools.cache(lambda: rope_mod.fps_init(config.max_cores))
+    layout: _Layout = {}
+
+    def fill(name: str, size: int, value: float) -> None:
+        layout[name] = ((size,), lambda: np.full(size, value))
+
+    def weight(name: str, shape: tuple[int, int], stream: str) -> None:
+        layout[name] = (shape, lambda: root.spawn(stream).trunc_normal(0.02, size=shape))
+
+    def affine(name: str, din: int, dout: int) -> None:
+        weight(f"{name}.w", (din, dout), f"{name}.w")
+        fill(f"{name}.b", dout, 0.0)
+
+    def norm(name: str) -> None:
+        fill(f"{name}.gamma", d, 1.0)
+        fill(f"{name}.beta", d, 0.0)
+
+    def core(j: int) -> None:
+        layout[f"core.tokens.{j}"] = (
+            (CHUNK, d), lambda: root.spawn(f"core.tokens.{j}").normal(0.02, size=(CHUNK, d))
+        )
+        layout[f"core.coords.{j}"] = ((CHUNK, 2), lambda: fps_states()[j * CHUNK : (j + 1) * CHUNK].copy())
+
+    affine("patch_embed", config.patch_size * config.patch_size * CHANNELS, d)
+    for i in range(config.layers):
+        pre = f"blocks.{i}"
+        norm(f"{pre}.norm_attn")
+        for proj in "qkvo":  # the stream layout of AttnParams.init
+            weight(f"{pre}.attn.w{proj}", (d, d), f"{pre}.attn/w{proj}")
+            fill(f"{pre}.attn.b{proj}", d, 0.0)
+        norm(f"{pre}.norm_ffn")
+        affine(f"{pre}.ffn.fc1", d, 2 * hidden)
+        affine(f"{pre}.ffn.fc2", hidden, d)
+    norm("final_norm")
+    for j in range(config.max_cores // CHUNK):
+        core(j)
+    for i in range(config.layers - 1):
+        affine(f"coord_head.{i}", d, 2)
+        fill(f"coord_head.{i}.alpha", 1, 0.01)
+    return layout
+
+
+def _check_state(state: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
+    missing = set(shapes) - set(state)
+    extra = set(state) - set(shapes)
+    if missing or extra:
+        raise ConfigError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+    for name, shape in shapes.items():
+        if state[name].shape != shape:
+            raise ShapeError(f"parameter {name}: shape {state[name].shape} != {shape}")
+
+
 class Encoder:
     """Elastic core-periphery encoder with named parameters.
 
-    Parameters live in ``self.params`` (name -> Tensor with requires_grad).
-    Initialization draws each parameter from its own named stream, so values
-    do not depend on construction order. Weights are immutable during
-    inference; the trainer mutates ``.data`` in place between steps.
+    Parameters live in ``self.params`` (name -> Tensor). Without a ``state``
+    the weights are drawn fresh, each from its own named stream, and are
+    trainable (``requires_grad``). With a ``state`` (name -> array, as
+    :meth:`state` returns and checkpoints hold) nothing is drawn: the arrays
+    are checked by name and shape, wrapped without a copy when they already
+    have the encoder's dtype, and frozen, so forwards record no tape.
+    :class:`~veca.distill.AdamW` turns ``requires_grad`` on for what it
+    optimizes. Weights are immutable during inference; the trainer replaces
+    ``.data`` between steps.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float64):
+    def __init__(
+        self,
+        config: ModelConfig,
+        seed: int = 0,
+        dtype=np.float64,
+        state: dict[str, np.ndarray] | None = None,
+    ):
         self.config = config
         self.seed = seed
         self.dtype = np.dtype(dtype).type
-        self.params: dict[str, Tensor] = {}
         self._grid_cache: dict[tuple[int, int, int], Tensor] = {}
-        root = RngStream(seed, "init")
-        d = config.dim
-
-        def par(name: str, data: np.ndarray) -> Tensor:
-            t = Tensor(np.ascontiguousarray(data, dtype=self.dtype), requires_grad=True)
-            self.params[name] = t
-            return t
-
-        def affine(name: str, din: int, dout: int) -> tuple[Tensor, Tensor]:
-            w = par(f"{name}.w", root.spawn(f"{name}.w").trunc_normal(0.02, size=(din, dout)))
-            b = par(f"{name}.b", np.zeros(dout))
-            return w, b
-
-        pdim = config.patch_size * config.patch_size * CHANNELS
-        self.patch_w, self.patch_b = affine("patch_embed", pdim, d)
-
+        layout = _layout(config, seed)
+        fresh = state is None
+        if fresh:  # cast as drawn, so only one float64 draw is alive at a time
+            state = {name: np.asarray(draw(), dtype=self.dtype) for name, (_, draw) in layout.items()}
+        _check_state(state, {name: shape for name, (shape, _) in layout.items()})
+        self.params: dict[str, Tensor] = {
+            name: Tensor(np.ascontiguousarray(state[name], dtype=self.dtype), requires_grad=fresh)
+            for name in layout
+        }
+        p = self.params
+        self.patch_w, self.patch_b = p["patch_embed.w"], p["patch_embed.b"]
         self.blocks: list[BlockParams] = []
         for i in range(config.layers):
             pre = f"blocks.{i}"
-            ng = par(f"{pre}.norm_attn.gamma", np.ones(d))
-            nb = par(f"{pre}.norm_attn.beta", np.zeros(d))
-            attn = AttnParams.init(d, config.heads, root.spawn(f"{pre}.attn"), self.dtype)
-            for pname, t in attn.tensors().items():
-                self.params[f"{pre}.attn.{pname}"] = t
-            fg = par(f"{pre}.norm_ffn.gamma", np.ones(d))
-            fb = par(f"{pre}.norm_ffn.beta", np.zeros(d))
-            w1, b1 = affine(f"{pre}.ffn.fc1", d, 2 * config.hidden)
-            w2, b2 = affine(f"{pre}.ffn.fc2", config.hidden, d)
-            self.blocks.append(BlockParams(ng, nb, attn, fg, fb, w1, b1, w2, b2))
-
-        self.final_gamma = par("final_norm.gamma", np.ones(d))
-        self.final_beta = par("final_norm.beta", np.zeros(d))
-
-        fps_states = rope_mod.fps_init(config.max_cores)
-        self.core_tokens: list[Tensor] = []
-        self.core_coords: list[Tensor] = []
-        for j in range(config.max_cores // CHUNK):
-            tok = root.spawn(f"core.tokens.{j}").normal(0.02, size=(CHUNK, d))
-            self.core_tokens.append(par(f"core.tokens.{j}", tok))
-            sl = fps_states[j * CHUNK : (j + 1) * CHUNK].copy()
-            self.core_coords.append(par(f"core.coords.{j}", sl))
-
-        self.coord_heads: list[tuple[Tensor, Tensor, Tensor]] = []
-        for i in range(config.layers - 1):
-            w, b = affine(f"coord_head.{i}", d, 2)
-            alpha = par(f"coord_head.{i}.alpha", np.full(1, 0.01))
-            self.coord_heads.append((w, b, alpha))
+            attn = AttnParams(**{k: p[f"{pre}.attn.{k}"] for k in PROJECTIONS}, heads=config.heads)
+            self.blocks.append(BlockParams(
+                p[f"{pre}.norm_attn.gamma"], p[f"{pre}.norm_attn.beta"], attn,
+                p[f"{pre}.norm_ffn.gamma"], p[f"{pre}.norm_ffn.beta"],
+                p[f"{pre}.ffn.fc1.w"], p[f"{pre}.ffn.fc1.b"], p[f"{pre}.ffn.fc2.w"], p[f"{pre}.ffn.fc2.b"],
+            ))
+        self.final_gamma, self.final_beta = p["final_norm.gamma"], p["final_norm.beta"]
+        chunks = range(config.max_cores // CHUNK)
+        self.core_tokens = [p[f"core.tokens.{j}"] for j in chunks]
+        self.core_coords = [p[f"core.coords.{j}"] for j in chunks]
+        self.coord_heads: list[tuple[Tensor, Tensor, Tensor]] = [
+            (p[f"coord_head.{i}.w"], p[f"coord_head.{i}.b"], p[f"coord_head.{i}.alpha"])
+            for i in range(config.layers - 1)
+        ]
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -245,15 +301,9 @@ class Encoder:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        missing = set(self.params) - set(state)
-        extra = set(state) - set(self.params)
-        if missing or extra:
-            raise ConfigError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        _check_state(state, {name: t.shape for name, t in self.params.items()})
         for name, t in self.params.items():
-            arr = state[name]
-            if arr.shape != t.shape:
-                raise ShapeError(f"parameter {name}: shape {arr.shape} != {t.shape}")
-            t.data = np.ascontiguousarray(arr, dtype=self.dtype)
+            t.data = np.ascontiguousarray(state[name], dtype=self.dtype)
 
     def zero_grad(self) -> None:
         for t in self.params.values():

@@ -31,6 +31,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import DTypeError, NonFiniteError, ShapeError
 
@@ -290,11 +291,10 @@ def cos(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x), with an overflow-free sigmoid."""
+    """x * sigmoid(x), with scipy's overflow-free sigmoid ``expit``."""
     a = as_tensor(a)
     x = a.data
-    e = np.exp(-np.abs(x))
-    sig = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    sig = expit(x)
     data = x * sig
 
     def grad_fn(g: np.ndarray) -> None:

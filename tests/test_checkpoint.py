@@ -1,12 +1,18 @@
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from veca.checkpoint import MAGIC, VERSION, load_container, load_model, save_container, save_model
+from veca.distill import DistillConfig, SyntheticTeacher, train
+from veca.elastic import BudgetDistribution
 from veca.errors import CheckpointError, UnsupportedVersionError
 from veca.model import Encoder, get_preset
+from veca.rng import RngStream
 
 
 class TestContainer:
@@ -62,6 +68,41 @@ class TestContainer:
         with pytest.raises(CheckpointError):
             load_container(path)
 
+    @given(
+        shapes=st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_proper_prefix_is_refused(self, tmp_path, shapes, dtype, data):
+        path = tmp_path / "p.veca"
+        tensors = {f"t{i}": np.ones(shape, dtype) for i, shape in enumerate(shapes)}
+        save_container(path, {"k": [1, 2]}, tensors)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.raises(CheckpointError):
+            load_container(path)
+
+    @given(extent=st.integers(2**40, 2**50), tag=st.sampled_from([0, 1]))
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_huge_declared_extent_is_truncated_before_allocating(self, tmp_path, extent, tag):
+        blob = b"{}"
+        name = b"w"
+        raw = (
+            MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + struct.pack("<II", 1, len(name)) + name
+            + struct.pack("<IQB", 1, extent, tag) + b"\x00" * 64
+        )
+        path = tmp_path / "huge.veca"
+        path.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_container(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_unsupported_dtype_rejected_on_save(self, tmp_path):
         with pytest.raises(CheckpointError):
             save_container(tmp_path / "i.veca", {}, {"x": np.zeros(2, dtype=np.int32)})
@@ -81,6 +122,42 @@ class TestModelCheckpoint:
         g1, d1 = loaded(tiny_images, 8)
         np.testing.assert_array_equal(g0.data, g1.data)
         np.testing.assert_array_equal(d0.data, d1.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_is_frozen_and_bitwise_equal_to_the_saving_encoder(self, tmp_path, tiny_config, tiny_images, dtype):
+        enc = Encoder(tiny_config, seed=9, dtype=dtype)
+        path = tmp_path / "m.veca"
+        save_model(path, enc)
+        loaded, _ = load_model(path)
+        assert all(p.requires_grad for p in enc.params.values())
+        assert not any(p.requires_grad for p in loaded.params.values())
+        for budget in (8, 64):
+            want, got = enc(tiny_images, budget), loaded(tiny_images, budget)
+            for w, g in zip(want, got):
+                assert w.requires_grad
+                assert not g.requires_grad and g._parents == () and g._grad_fn is None
+                assert g.data.dtype == dtype
+                assert g.data.tobytes() == w.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_a_loaded_encoder_matches_training_the_saved_one(self, tmp_path, tiny_config, dtype):
+        # fails if the optimizer leaves a loaded encoder's parameters frozen
+        enc = Encoder(tiny_config, seed=4, dtype=dtype)
+        path = tmp_path / "m.veca"
+        save_model(path, enc)
+        loaded, _ = load_model(path)
+        teacher = SyntheticTeacher(tiny_config, seed=7001, dtype=dtype)
+        cfg = DistillConfig(total_steps=6, warmup_steps=2, batch_size=2)
+        runs = [
+            train(model, teacher, BudgetDistribution(), cfg,
+                  data_stream=RngStream(1, "data"), budget_stream=RngStream(1, "budgets"))
+            for model in (enc, loaded)
+        ]
+        assert runs[0] == runs[1]
+        for name, p in enc.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+        saved = load_container(path)[1]
+        assert any(not np.array_equal(p.data, saved[name]) for name, p in enc.params.items())  # it trained
 
     def test_roundtrip_float32(self, tmp_path, tiny_config):
         enc = Encoder(tiny_config, seed=2, dtype=np.float32)

@@ -188,6 +188,23 @@ class TestExportMaps:
             assert (out_dir / f"layer_{layer:02d}.csv").read_text() == want
 
 
+    def test_synth_index_is_that_image_of_one_batch(self, capsys, tmp_path):
+        cfg = ModelConfig(layers=2, dim=16, heads=2, mlp_ratio=2.0, patch_size=4)
+        ckpt = tmp_path / "m.veca"
+        model = Encoder(cfg, seed=1)
+        save_model(ckpt, model)
+        out_dir = tmp_path / "maps"
+        code, _, _ = run(
+            capsys, "export-maps", "--checkpoint", str(ckpt), "--budget", "8", "--image", "synth:3",
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        image = synthetic_images(RngStream(0, "export-data"), 4, 16)[3]
+        rows = [l for l in (out_dir / "layer_01.csv").read_text().splitlines() if not l.startswith("#")]
+        want = [",".join(f"{v:.17g}" for v in row) for row in export_core_maps(model, image, 8)[1]]
+        assert rows == want
+
+
 class TestVerifyCommand:
     def test_attention_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "attention")

@@ -378,6 +378,14 @@ class TestData:
         b = synthetic_images(RngStream(0, "img"), 3, 16)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("res", [1, 16, 33])
+    def test_one_at_a_time_matches_one_batch(self, res):
+        # export-maps draws synth:<index> this way, keeping only the last image
+        batch = synthetic_images(RngStream(5, "img"), 6, res)
+        stream = RngStream(5, "img")
+        for i in range(6):
+            assert synthetic_images(stream, 1, res)[0].tobytes() == batch[i].tobytes()
+
     def test_normalization_constants(self):
         raw = np.zeros((1, 3, 4, 4))
         out = normalize(raw)

@@ -4,7 +4,7 @@ import pytest
 from veca.attention import AttnParams
 from veca.data import synthetic_images
 from veca.elastic import CHUNK
-from veca.errors import BudgetError, ConfigError, ResolutionError
+from veca.errors import BudgetError, ConfigError, ResolutionError, ShapeError
 from veca.model import (
     PRESETS,
     BlockParams,
@@ -260,3 +260,32 @@ class TestEncoder:
         ga, _ = a(tiny_images, 8)
         gb, _ = b(tiny_images, 8)
         np.testing.assert_array_equal(ga.data, gb.data)
+
+    def test_attention_weights_come_from_the_attn_params_streams(self, tiny_config):
+        enc = Encoder(tiny_config, seed=3, dtype=np.float32)
+        for i, block in enumerate(enc.blocks):
+            want = AttnParams.init(tiny_config.dim, tiny_config.heads, RngStream(3, "init").spawn(f"blocks.{i}.attn"))
+            for name, t in block.attn.tensors().items():
+                assert t is enc.params[f"blocks.{i}.attn.{name}"]
+                assert t.data.tobytes() == getattr(want, name).data.astype(np.float32).tobytes()
+
+    def test_given_state_is_wrapped_frozen_without_a_copy(self, tiny_config, tiny_images):
+        fresh = Encoder(tiny_config, seed=5)
+        state = fresh.state()
+        enc = Encoder(tiny_config, seed=5, state=state)
+        for name, t in enc.params.items():
+            assert t.data is state[name] and not t.requires_grad
+        assert enc(tiny_images, 8)[1].data.tobytes() == fresh(tiny_images, 8)[1].data.tobytes()
+
+    def test_given_state_is_checked_like_load_state(self, tiny_config):
+        state = Encoder(tiny_config, seed=5).state()
+        del state["final_norm.beta"]
+        state["stray"] = np.zeros(2)
+        with pytest.raises(ConfigError, match="missing=\\['final_norm.beta'\\] extra=\\['stray'\\]"):
+            Encoder(tiny_config, state=state)
+        state = Encoder(tiny_config, seed=5).state()
+        state["patch_embed.b"] = np.zeros(3)
+        with pytest.raises(ShapeError, match="patch_embed.b"):
+            Encoder(tiny_config, state=state)
+        with pytest.raises(ShapeError, match="patch_embed.b"):
+            Encoder(tiny_config).load_state(state)

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -184,6 +186,29 @@ class TestGradCheck:
         with pytest.raises(NonFiniteError) as err:
             grad_check(f, Tensor(np.array([1.0, 1e-5, 2.0])), 1e-5)
         assert "coordinate 1" in str(err.value)
+
+
+SILU_INPUTS = np.concatenate(
+    [np.random.default_rng(0).normal(size=10**5), [0.0, 20.0, -20.0, 88.7, -88.7, 1e4, -1e4]]
+)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 2.5e-7), (np.float64, 1e-15)])
+def test_silu_relative_error(dtype, tol):
+    x = SILU_INPUTS.astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = silu(Tensor(x)).data
+    assert out.dtype == dtype and np.all(np.isfinite(out))
+    if dtype == np.float32:
+        x64 = x.astype(np.float64)
+        ref = x64 * np.exp(-np.logaddexp(0.0, -x64))  # float64 x * sigmoid(x)
+    else:
+        with mpmath.workdps(40):
+            ref = np.array([float(v / (1 + mpmath.exp(-v))) for v in map(mpmath.mpf, x)])
+    zero = ref == 0  # 0 and the underflow at -1e4
+    np.testing.assert_array_equal(out[zero], ref[zero])
+    assert np.max(np.abs(out[~zero] - ref[~zero]) / np.abs(ref[~zero])) <= tol
 
 
 UNARY_OPS = [
