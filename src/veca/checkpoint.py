@@ -45,27 +45,39 @@ RETIRED_FIELDS = {"dropout": 0.0, "in_channels": CHANNELS, "chunk": CHUNK, "rope
 
 
 def save_container(path: str | Path, config: dict, tensors: dict[str, np.ndarray]) -> None:
-    """Write config and tensors; tensor dict order is preserved."""
-    chunks: list[bytes] = [MAGIC, struct.pack("<I", VERSION)]
-    blob = json.dumps(config, sort_keys=True).encode()
-    chunks.append(struct.pack("<I", len(blob)))
-    chunks.append(blob)
-    chunks.append(struct.pack("<I", len(tensors)))
-    for name, arr in tensors.items():
-        arr = np.asarray(arr)
-        if arr.dtype not in _TAG_FOR:
-            raise CheckpointError(f"tensor {name!r}: unsupported dtype {arr.dtype}")
-        encoded = name.encode()
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-        chunks.append(struct.pack("<B", _TAG_FOR[arr.dtype]))
-        payload = np.ascontiguousarray(arr)
-        if sys.byteorder == "big":  # pragma: no cover
-            payload = payload.byteswap()
-        chunks.append(payload.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    """Write config and tensors; tensor dict order is preserved.
+
+    The container is written to a temporary file beside ``path`` and renamed
+    over it, so ``path`` holds either its old bytes or the whole new
+    container, never a part. Each payload is written from the array's own
+    buffer (copied only if it is not C-contiguous).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(MAGIC + struct.pack("<I", VERSION))
+            blob = json.dumps(config, sort_keys=True).encode()
+            f.write(struct.pack("<I", len(blob)) + blob)
+            f.write(struct.pack("<I", len(tensors)))
+            for name, arr in tensors.items():
+                arr = np.asarray(arr)
+                if arr.dtype not in _TAG_FOR:
+                    raise CheckpointError(f"tensor {name!r}: unsupported dtype {arr.dtype}")
+                encoded = name.encode()
+                f.write(struct.pack("<I", len(encoded)) + encoded + struct.pack("<I", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape) + struct.pack("<B", _TAG_FOR[arr.dtype]))
+                payload = np.ascontiguousarray(arr)
+                if sys.byteorder == "big":  # pragma: no cover
+                    payload = payload.byteswap()
+                f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:
@@ -152,7 +164,7 @@ def save_model(path: str | Path, encoder, extra_config: dict | None = None) -> N
     }
     if extra_config:
         config.update(extra_config)
-    save_container(path, config, encoder.state())
+    save_container(path, config, {name: t.data for name, t in encoder.params.items()})
 
 
 def load_model(path: str | Path):

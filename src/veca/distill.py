@@ -23,7 +23,15 @@ import numpy as np
 from .attention import AttnParams
 from .data import CHANNELS, synthetic_images
 from .elastic import BudgetDistribution, sample_budget
-from .errors import CheckpointError, ConfigError, NonFiniteError, ResolutionError, ShapeError, TrainingDivergedError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    DTypeError,
+    NonFiniteError,
+    ResolutionError,
+    ShapeError,
+    TrainingDivergedError,
+)
 from .model import BlockParams, Encoder, ModelConfig, block_forward, patchify
 from .rng import RngStream
 from .rope import patch_grid
@@ -61,6 +69,12 @@ class DistillConfig:
     resolutions: tuple[int, ...] = (16,)
 
     def __post_init__(self):
+        named = ("lr", "min_lr", "weight_decay", "lambda_dense")
+        bad = {k: getattr(self, k) for k in named if not math.isfinite(getattr(self, k))}
+        if bad:
+            raise ConfigError(f"optimizer and loss settings must be finite, got {bad}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if self.lambda_dense < 0:
             raise ConfigError(f"lambda_dense must be nonnegative, got {self.lambda_dense}")
         if not 0 < self.min_lr <= self.lr:
@@ -236,33 +250,108 @@ class AdamW:
 
     Turns ``requires_grad`` on for every parameter it is given, so a frozen
     (loaded) encoder trains exactly like a fresh one; :meth:`step` skips a
-    parameter whose ``grad`` is None.
+    parameter whose ``grad`` is None, leaving its weights and moments as they
+    are. All parameters must share one dtype.
+
+    The first and second moments are two flat float64 arrays, ``m`` and ``v``,
+    in parameter order. Parameters are grouped in that order into buckets of
+    consecutive tensors of at most BUCKET elements (a larger tensor is a
+    bucket of its own), and a step updates each bucket with one pass of
+    whole-array numpy calls over its live parameters, so the temporaries of a
+    step are bounded by the largest bucket rather than the whole model.
     """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
+    BUCKET = 2**16
 
     def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.0):
+        dtypes = {p.dtype for p in params.values()}
+        if len(dtypes) > 1:
+            raise DTypeError(f"AdamW needs parameters of one dtype, got {sorted(d.name for d in dtypes)}")
         self.params = params
         for p in params.values():
             p.requires_grad = True
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        total = sum(p.size for p in params.values())
+        self.m = np.zeros(total)
+        self.v = np.zeros(total)
+        self._buckets: list[_Bucket] = []
+        offset = 0
+        for p in params.values():
+            if not self._buckets or self._buckets[-1].size + p.size > self.BUCKET:
+                self._buckets.append(_Bucket(offset))
+            self._buckets[-1].add(p)
+            offset += p.size
 
     def step(self, lr: float) -> None:
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for name, p in self.params.items():
-            if p.grad is None:
+        for bucket in self._buckets:
+            live = bucket.live()
+            if live is None:
                 continue
-            g = p.grad.astype(np.float64)
-            self.m[name] = self.b1 * self.m[name] + (1.0 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1.0 - self.b2) * g * g
-            update = (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
-            new = p.data.astype(np.float64) - lr * update - lr * self.weight_decay * p.data
-            p.data = new.astype(p.data.dtype)
+            region, sub, tensors, bounds = live
+            # in place, so a contiguous pattern updates the moments with no temporary copy of them
+            m, v = self.m[region][sub], self.v[region][sub]
+            g = np.concatenate([p.grad for p in tensors], axis=None, dtype=np.float64)
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            self.m[region][sub], self.v[region][sub] = m, v  # a gathered copy goes back; a view is left alone
+            del g  # freed before the weights are gathered, so the two are never held at once
+            w = np.concatenate([p.data for p in tensors], axis=None)
+            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            new = (w.astype(np.float64) - lr * update - lr * self.weight_decay * w).astype(w.dtype)
+            for p, lo, hi in zip(tensors, bounds, bounds[1:]):
+                p.data = new[lo:hi].reshape(p.shape)
+
+
+class _Bucket:
+    """Consecutive parameters updated together, with one element index per live pattern.
+
+    A pattern is which of its parameters have a gradient. Its index is the
+    region of the flat moments from the first live element to the last, and
+    within it either everything (the live parameters are contiguous, as when
+    all are live) or a boolean mask of the live elements.
+    """
+
+    def __init__(self, offset: int):
+        self.offset = offset
+        self.size = 0
+        self.tensors: list[Tensor] = []
+        self._patterns: dict[tuple[bool, ...], tuple | None] = {}
+
+    def add(self, p: Tensor) -> None:
+        self.tensors.append(p)
+        self.size += p.size
+
+    def live(self) -> tuple[slice, slice | np.ndarray, list[Tensor], list[int]] | None:
+        """(region, mask in it, live parameters, their bounds in the concatenation), or None if none is live."""
+        key = tuple(p.grad is not None for p in self.tensors)
+        if key not in self._patterns:
+            self._patterns[key] = self._index(key)
+        return self._patterns[key]
+
+    def _index(self, key: tuple[bool, ...]):
+        tensors, ranges, lo = [], [], self.offset
+        for p, on in zip(self.tensors, key):
+            if on:
+                tensors.append(p)
+                ranges.append((lo, lo + p.size))
+            lo += p.size
+        if not tensors:
+            return None
+        start, stop = ranges[0][0], ranges[-1][1]
+        sub = slice(None)
+        if any(a[1] != b[0] for a, b in zip(ranges, ranges[1:])):
+            sub = np.zeros(stop - start, dtype=bool)
+            for lo, hi in ranges:
+                sub[lo - start : hi - start] = True
+        bounds = [0] + np.cumsum([p.size for p in tensors]).tolist()
+        return slice(start, stop), sub, tensors, bounds
 
 
 def lr_schedule(step: int, cfg: DistillConfig) -> float:

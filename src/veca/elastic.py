@@ -37,8 +37,11 @@ class BudgetDistribution:
             raise ConfigError(f"budgets must be positive multiples of {CHUNK}: {self.budgets}")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ConfigError(f"budgets must be strictly increasing: {self.budgets}")
-        if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
-            raise ConfigError(f"weights must be nonnegative with positive sum: {self.weights}")
+        w = np.asarray(self.weights, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if not ((w >= 0).all() and 0 < total < np.inf):  # a non-finite weight makes the sum non-finite
+            raise ConfigError(f"weights must be finite and nonnegative with a finite, positive sum: {self.weights}")
 
     @property
     def probs(self) -> np.ndarray:

@@ -1,0 +1,66 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ab_pairs.py"
+spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
+ab_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_pairs)
+
+LOWER = {"name": "latency_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
+HIGHER = {"name": "throughput_ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+
+
+def runs(name, values):
+    return [{name: v} for v in values]
+
+
+def row(metric, a, b):
+    (out,) = ab_pairs.summarize([metric], runs(metric["name"], a), runs(metric["name"], b))
+    return out
+
+
+def test_gain_needs_nine_of_ten_pairs_and_a_gap_beyond_the_parents_quartiles():
+    a = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]
+    r = row(LOWER, a, [v - 2.0 for v in a])
+    assert (r["wins_a"], r["wins_b"], r["gain"]) == (0, 10, True)
+    assert r["a"] == pytest.approx((10.9, 10.45, 11.35))
+    assert r["b"] == pytest.approx((8.9, 8.45, 9.35))
+
+    b = [v - 2.0 for v in a]
+    b[0], b[1] = 10.5, 10.3  # two pairs lost: 8 of 10 is not enough
+    r = row(LOWER, a, b)
+    assert (r["wins_a"], r["wins_b"], r["gain"]) == (2, 8, False)
+
+
+def test_winning_every_pair_by_less_than_the_spread_is_no_gain():
+    a = [10.0, 12.0, 10.0, 12.0, 10.0, 12.0, 10.0, 12.0, 10.0, 12.0]
+    r = row(LOWER, a, [v - 0.5 for v in a])
+    assert r["wins_b"] == 10 and not r["gain"]
+
+
+def test_ties_count_for_neither_side_and_direction_follows_better():
+    a = [100.0] * 10
+    r = row(HIGHER, a, [100.0] * 9 + [130.0])
+    assert (r["wins_a"], r["wins_b"], r["gain"]) == (0, 1, False)
+    r = row(HIGHER, a, [110.0] * 10)
+    assert (r["wins_a"], r["wins_b"], r["gain"]) == (0, 10, True)
+    r = row(LOWER, a, [110.0] * 10)
+    assert (r["wins_a"], r["wins_b"], r["gain"]) == (10, 0, False)
+
+
+def test_worse_beyond_bound_is_relative_to_the_parents_median():
+    a = [10.0] * 10
+    assert not row(LOWER, a, [12.4] * 10)["beyond_bound"]
+    assert row(LOWER, a, [12.6] * 10)["beyond_bound"]
+    assert row(HIGHER, a, [7.4] * 10)["beyond_bound"]
+
+
+def test_report_names_each_metric_and_verdict():
+    a = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]
+    rows = ab_pairs.summarize([LOWER, HIGHER], [{"latency_p50_ms": v, "throughput_ops_per_s": v} for v in a],
+                              [{"latency_p50_ms": v - 2, "throughput_ops_per_s": v - 5} for v in a])
+    text = ab_pairs.report(rows, 10)
+    assert "latency_p50_ms" in text.splitlines()[1] and text.splitlines()[1].endswith("gain")
+    assert text.splitlines()[2].endswith("worse beyond bound")

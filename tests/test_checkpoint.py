@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from veca import checkpoint
 from veca.checkpoint import MAGIC, VERSION, load_container, load_model, save_container, save_model
 from veca.distill import DistillConfig, SyntheticTeacher, train
 from veca.elastic import BudgetDistribution
@@ -106,6 +107,39 @@ class TestContainer:
     def test_unsupported_dtype_rejected_on_save(self, tmp_path):
         with pytest.raises(CheckpointError):
             save_container(tmp_path / "i.veca", {}, {"x": np.zeros(2, dtype=np.int32)})
+
+    @pytest.mark.parametrize("failure", ["third tensor's dtype", "disk full at the last flush"])
+    def test_write_failing_part_way_leaves_the_old_file_and_no_temporary(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "c.veca"
+        save_container(path, {"old": 1}, {"a": np.arange(4.0)})
+        old = path.read_bytes()
+        tensors = {"a": np.ones(1000), "b": np.ones(1000, dtype=np.float32)}
+        if failure == "third tensor's dtype":  # raised after the first two payloads are written
+            tensors["c"] = np.zeros(3, dtype=np.int8)
+            expected = CheckpointError
+        else:
+            def fsync(fd):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(checkpoint.os, "fsync", fsync)
+            expected = OSError
+        with pytest.raises(expected):
+            save_container(path, {"new": 2}, tensors)
+        assert path.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["c.veca"]
+
+    def test_saving_small_holds_no_copy_of_the_weights(self, tmp_path):
+        enc = Encoder(get_preset("small"), dtype=np.float32)
+        weights = sum(p.data.nbytes for p in enc.params.values())
+        tracemalloc.start()
+        try:
+            save_model(tmp_path / "small.veca", enc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * weights
+        _, tensors = load_container(tmp_path / "small.veca")
+        assert all(np.array_equal(tensors[k], p.data) for k, p in enc.params.items())
 
 
 class TestModelCheckpoint:

@@ -279,6 +279,12 @@ class TestExitCodes:
         "config value of the wrong type": ("config", b'{"steps": "abc"}', 2),
         "batch of zero": ("flags", b"--batch 0", 2),
         "negative resolution": ("flags", b"--res -16", 2),
+        "weight decay not a number": ("flags", b"--weight-decay nan", 2),
+        "weight decay negative": ("flags", b"--weight-decay -0.1", 2),
+        "learning rate infinite": ("flags", b"--lr inf --min-lr 1", 2),
+        "budget weight not a number": ("flags", b"--budget-weights nan,1,1,1,1,1,1,1", 2),
+        "budget weight infinite": ("flags", b"--budget-weights inf,1,1,1,1,1,1,1", 2),
+        "budget weights overflowing their sum": ("flags", b"--budget-weights 1e308,1e308,1,1,1,1,1,1", 2),
         "npy of random bytes": ("npy", bytes(range(256)), 3),
         "npy of the wrong shape": ("npy", npy_bytes(np.zeros((4, 4))), 3),
         "PPM that is not P6": ("ppm", b"P3\n4 4\n255\n" + bytes(48), 3),

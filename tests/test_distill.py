@@ -1,9 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from veca import distill
 from veca.data import load_raster, normalize, synthetic_images
 from veca.distill import (
     AdamW,
@@ -18,7 +20,7 @@ from veca.distill import (
     train,
 )
 from veca.elastic import BudgetDistribution
-from veca.errors import ConfigError, NonFiniteError, ResolutionError, TrainingDivergedError
+from veca.errors import ConfigError, DTypeError, NonFiniteError, ResolutionError, TrainingDivergedError
 from veca.model import Encoder, ModelConfig, get_preset
 from veca.rng import RngStream
 from veca.tensor import Tensor
@@ -204,6 +206,16 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             DistillConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field", ["lr", "min_lr", "weight_decay", "lambda_dense"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            DistillConfig(**{field: value})
+
+    def test_negative_weight_decay_rejected(self):
+        with pytest.raises(ConfigError):
+            DistillConfig(weight_decay=-1e-3)
+
 
 class TestTrain:
     def _run(self, seed=0, steps=25, tiny_config=None):
@@ -370,6 +382,105 @@ class TestAdamW:
         opt = AdamW({"p": p}, weight_decay=0.1)
         opt.step(lr=0.5)
         np.testing.assert_array_equal(p.data, np.ones(2))
+
+    @staticmethod
+    def params(dtype, seed=0):
+        """Many small tensors around one larger than a bucket, plus scalars and an empty one."""
+        rng = np.random.default_rng(seed)
+        shapes = [(3, 5), (7,), (), (AdamW.BUCKET + 17,), (0, 4)] + [(40, 41)] * 60 + [(8, 2), (5,)]
+        return {f"p{i}": Tensor(rng.normal(size=s).astype(dtype)) for i, s in enumerate(shapes)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_per_parameter_reference(self, dtype):
+        ours, ref = self.params(dtype), self.params(dtype)
+        opt, ref_opt = AdamW(ours, weight_decay=0.05), ReferenceAdamW(ref, weight_decay=0.05)
+        assert len(opt._buckets) > 2
+        rng = np.random.default_rng(1)
+        names = list(ours)
+        for step in range(12):
+            # a changing subset without gradients, like the core chunks beyond a budget
+            skipped = set(rng.choice(names, size=int(rng.integers(0, len(names))), replace=False))
+            if step % 4 == 3:
+                skipped = {"p3"}  # the tensor larger than a bucket alone
+            for name in names:
+                g = None if name in skipped else rng.normal(size=ours[name].shape).astype(dtype)
+                ours[name].grad, ref[name].grad = g, g
+            lr = 0.1 / (step + 1)
+            opt.step(lr)
+            ref_opt.step(lr)
+            for name in names:
+                assert ours[name].data.dtype == ref[name].data.dtype
+                assert ours[name].data.shape == ref[name].data.shape
+                assert ours[name].data.tobytes() == ref[name].data.tobytes(), (step, name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_is_bitwise_equal_with_the_reference(self, monkeypatch, tiny_config, dtype):
+        # 30 steps of batch 4 that visit every budget
+        schedule = [8, 64, 16, 56, 24, 48, 32, 40] * 4
+        cfg = DistillConfig(total_steps=30, batch_size=4, weight_decay=0.05)
+
+        def run():
+            enc = Encoder(tiny_config, seed=0, dtype=dtype)
+            records = train(enc, SyntheticTeacher(tiny_config, dtype=dtype), BudgetDistribution(), cfg,
+                            data_stream=RngStream(3, "data"), budget_stream=RngStream(3, "budgets"),
+                            budget_schedule=schedule)
+            return [r.loss for r in records], enc.state()
+
+        losses, state = run()
+        monkeypatch.setattr(distill, "AdamW", ReferenceAdamW)
+        ref_losses, ref_state = run()
+        assert losses == ref_losses
+        assert all(state[k].tobytes() == ref_state[k].tobytes() for k in state)
+
+    def test_mixed_dtypes_refused(self):
+        params = {"a": Tensor(np.ones(2)), "b": Tensor(np.ones(2, dtype=np.float32))}
+        with pytest.raises(DTypeError):
+            AdamW(params)
+
+    def test_peak_memory_of_a_step_on_small_is_no_more_than_the_reference(self):
+        # small's initial weights and random gradients; the second step is measured, once both
+        # optimizers hold float64 moments
+        rng = np.random.default_rng(0)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for cls in (ReferenceAdamW, AdamW):
+                params = Encoder(get_preset("small"), dtype=np.float32).params
+                for p in params.values():
+                    p.grad = rng.normal(size=p.shape).astype(np.float32)
+                opt = cls(params, weight_decay=0.01)
+                opt.step(1e-3)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                opt.step(1e-3)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                del params, opt
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
+class ReferenceAdamW:
+    """Per-parameter AdamW, the reference the bucketed optimizer must equal bitwise."""
+
+    def __init__(self, params, weight_decay=0.0):
+        self.params, self.weight_decay, self.t = params, weight_decay, 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        for p in params.values():
+            p.requires_grad = True
+
+    def step(self, lr):
+        self.t += 1
+        c1, c2 = 1.0 - 0.9**self.t, 1.0 - 0.999**self.t
+        for k, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = p.grad.astype(np.float64)
+            self.m[k] = 0.9 * self.m[k] + (1.0 - 0.9) * g
+            self.v[k] = 0.999 * self.v[k] + (1.0 - 0.999) * g * g
+            update = (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + 1e-8)
+            p.data = (p.data.astype(np.float64) - lr * update - lr * self.weight_decay * p.data).astype(p.data.dtype)
 
 
 class TestData:

@@ -37,6 +37,23 @@ class TestBudgetDistribution:
         with pytest.raises(ConfigError):
             BudgetDistribution(budgets=(8, 16), weights=(0, 0))
 
+    @pytest.mark.parametrize("weights", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (1.0, -float("inf")), (1e308, 1e308), (-1.0, 2.0),
+    ])
+    def test_non_finite_weights_or_sum_rejected(self, weights):
+        with pytest.raises(ConfigError):
+            BudgetDistribution(budgets=(8, 16), weights=weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8))
+    def test_accepted_weights_give_finite_probs_summing_to_one(self, weights):
+        try:
+            dist = BudgetDistribution(budgets=DEFAULT_BUDGETS[: len(weights)], weights=tuple(weights))
+        except ConfigError:
+            return
+        assert np.isfinite(dist.probs).all()
+        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
 
 class TestSampler:
     def test_degenerate_weights(self):
