@@ -7,10 +7,12 @@ Pair i runs ``bench/run.py --trace 0`` in both checkouts with seed
 ``first_seed + i``; even pairs run A first and odd pairs B first. Each
 checkout runs its own ``bench/``, which this script only invokes. For every
 end-to-end metric in A's ``BENCHMARK.json`` it prints each side's median
-[q1, q3], the pairs each side won (ties count for neither), and whether B
-gained or is worse than A by more than the metric's bound. B gains only when
-it wins at least nine tenths of all pairs and the medians differ, in B's
-favour, by more than the distance between A's quartiles.
+[q1, q3], the median [q1, q3] of the per-pair ratio B/A (a slow or fast
+phase of the host that spans a pair cancels in its ratio), the pairs each
+side won (ties count for neither), and whether B gained or is worse than A
+by more than the metric's bound. B gains only when it wins at least nine
+tenths of all pairs and the medians differ, in B's favour, by more than the
+distance between A's quartiles; the ratio is shown, not judged.
 """
 
 from __future__ import annotations
@@ -51,11 +53,14 @@ def summarize(spec: list[dict], a_runs: list[dict], b_runs: list[dict]) -> list[
         gap = sign * (qb[0] - qa[0])  # positive when B's median is better
         wins_b = int((sign * (b - a) > 0).sum())
         wins_a = int((sign * (a - b) > 0).sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.percentile(b / a, [50, 25, 75])
         rows.append({
             "name": name,
             "unit": metric["unit"],
             "a": tuple(qa),
             "b": tuple(qb),
+            "ratio": tuple(ratio),
             "wins_a": wins_a,
             "wins_b": wins_b,
             "gain": wins_b >= WIN_SHARE * len(a) and gap > qa[2] - qa[1],
@@ -65,12 +70,15 @@ def summarize(spec: list[dict], a_runs: list[dict], b_runs: list[dict]) -> list[
 
 
 def report(rows: list[dict], pairs: int) -> str:
-    lines = [f"{'metric':<22} {'A median [q1, q3]':>30} {'B median [q1, q3]':>30}  wins A/B  verdict"]
+    lines = [f"{'metric':<22} {'A median [q1, q3]':>30} {'B median [q1, q3]':>30} "
+             f"{'B/A per pair [q1, q3]':>26}  wins A/B  verdict"]
     for r in rows:
         verdict = "gain" if r["gain"] else "worse beyond bound" if r["beyond_bound"] else "no gain"
         a = "{:.4g} [{:.4g}, {:.4g}]".format(*r["a"])
         b = "{:.4g} [{:.4g}, {:.4g}]".format(*r["b"])
-        lines.append(f"{r['name']:<22} {a:>30} {b:>30}  {r['wins_a']:>2}/{r['wins_b']:<2} of {pairs}  {verdict}")
+        ratio = "{:.4f} [{:.4f}, {:.4f}]".format(*r["ratio"])
+        lines.append(f"{r['name']:<22} {a:>30} {b:>30} {ratio:>26}  "
+                     f"{r['wins_a']:>2}/{r['wins_b']:<2} of {pairs}  {verdict}")
     return "\n".join(lines)
 
 

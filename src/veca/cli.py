@@ -76,9 +76,12 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 def _ints(raw: str) -> list[int]:
     try:
-        return [int(v) for v in raw.split(",") if v.strip()]
+        values = [int(v) for v in raw.split(",") if v.strip()]
     except ValueError as err:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from err
+    if not values:
+        raise ConfigError(f"expected at least one integer, got {raw!r}")
+    return values
 
 
 # -- subcommands --------------------------------------------------------------

@@ -81,13 +81,23 @@ def cos_sin(head_dim: int, coords) -> tuple[Tensor, Tensor]:
     return cos(theta), sin(theta)
 
 
+def _pairs(x: np.ndarray) -> np.ndarray:
+    # adjacent (2t, 2t+1) elements as the real and imaginary parts of one
+    # complex number: a view when the last axis is contiguous, else a copy
+    if x.strides[-1] != x.itemsize:
+        x = np.ascontiguousarray(x)
+    return x.view(np.complex64 if x.dtype == np.float32 else np.complex128)
+
+
 def apply(q_or_k: Tensor, cos_t: Tensor, sin_t: Tensor) -> Tensor:
     """Rotate each adjacent element pair (a, b) = (2t, 2t+1) by its angle.
 
-    (a, b) -> (a cos - b sin, a sin + b cos). Tables must be numpy-broadcastable
-    to the input's shape minus its pair axis (the deliberate exception to the
-    substrate's no-broadcast rule: attention shares one table across heads).
-    Per-token vector norms are preserved.
+    (a, b) -> (a cos - b sin, a sin + b cos), computed as one complex multiply
+    (a + ib)(cos + i sin) over the pairs viewed as complex numbers (RoFormer's
+    formulation); the backward multiplies by the conjugates. Tables must be
+    numpy-broadcastable to the input's shape minus its pair axis (the
+    deliberate exception to the substrate's no-broadcast rule: attention
+    shares one table across heads). Per-token vector norms are preserved.
     """
     q_or_k, cos_t, sin_t = as_tensor(q_or_k), as_tensor(cos_t), as_tensor(sin_t)
     hd = q_or_k.shape[-1]
@@ -95,21 +105,18 @@ def apply(q_or_k: Tensor, cos_t: Tensor, sin_t: Tensor) -> Tensor:
         raise ShapeError(
             f"apply: tables {cos_t.shape}/{sin_t.shape} do not pair with input {q_or_k.shape}"
         )
-    a, b = q_or_k.data[..., 0::2], q_or_k.data[..., 1::2]
-    ct, st = cos_t.data, sin_t.data
-    out = np.empty(np.broadcast_shapes(a.shape, ct.shape) + (2,), dtype=q_or_k.data.dtype)
-    out[..., 0] = a * ct - b * st
-    out[..., 1] = a * st + b * ct
-    out = out.reshape(out.shape[:-2] + (hd,))
+    z = _pairs(q_or_k.data)
+    table = np.empty(cos_t.shape, dtype=z.dtype)
+    table.real, table.imag = cos_t.data, sin_t.data
+    out = (z * table).view(q_or_k.dtype)
 
     def grad_fn(g: np.ndarray) -> None:
-        ge, go = g[..., 0::2], g[..., 1::2]
-        dz = np.empty(g.shape[:-1] + (hd // 2, 2), dtype=g.dtype)
-        dz[..., 0] = ge * ct + go * st
-        dz[..., 1] = -ge * st + go * ct
-        _accumulate(q_or_k, _unbroadcast(dz.reshape(g.shape), q_or_k.shape))
-        _accumulate(cos_t, _unbroadcast(ge * a + go * b, cos_t.shape))
-        _accumulate(sin_t, _unbroadcast(go * a - ge * b, sin_t.shape))
+        gz = _pairs(g)
+        _accumulate(q_or_k, _unbroadcast((gz * table.conj()).view(g.dtype), q_or_k.shape))
+        # Re and Im of g * conj(z) are the cos and sin gradients
+        dtable = gz * z.conj()
+        _accumulate(cos_t, _unbroadcast(dtable.real, cos_t.shape))
+        _accumulate(sin_t, _unbroadcast(dtable.imag, sin_t.shape))
 
     return _from_op(out, (q_or_k, cos_t, sin_t), grad_fn, "rope_apply")
 

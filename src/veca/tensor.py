@@ -31,7 +31,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DTypeError, NonFiniteError, ShapeError
 
@@ -291,14 +290,26 @@ def cos(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x), with scipy's overflow-free sigmoid ``expit``."""
+    """x * sigmoid(x), computed as x / (1 + exp(-x)).
+
+    exp(-x) may overflow to inf (x very negative, output -0) or underflow to 0
+    (x very positive, output x); both limits are exact, so those warnings are
+    silenced. The backward is sigmoid(x) * (1 + x * sigmoid(-x)), written as
+    (1 + x / (1 + exp(x))) / (1 + exp(-x)): no 1 - sigmoid(x) cancellation for
+    large x and no subnormal sigmoid for very negative x.
+    """
     a = as_tensor(a)
     x = a.data
-    sig = expit(x)
-    data = x * sig
+    den = np.negative(x)
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(den, out=den)
+    den += 1.0
+    data = x / den
 
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * sig * (1.0 + x * (1.0 - sig)))
+        with np.errstate(over="ignore", under="ignore"):
+            sig_neg = 1.0 / (1.0 + np.exp(x))
+        _accumulate(a, g * (1.0 + x * sig_neg) / den)
 
     return _from_op(data, (a,), grad_fn, "silu")
 
@@ -453,9 +464,10 @@ def softmax_rows(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ShapeError(f"softmax_rows: need a non-empty last axis, got {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    # exp and the normalization run in place on the one fresh array
+    p = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def grad_fn(g: np.ndarray) -> None:
         _accumulate(x, p * (g - np.sum(g * p, axis=-1, keepdims=True)))
@@ -478,14 +490,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
             f"layer_norm: gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
     mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
+    xn = x.data - mu
     with np.errstate(over="ignore"):
-        var = np.mean(centered * centered, axis=-1, keepdims=True)
+        out = xn * xn
+        var = np.mean(out, axis=-1, keepdims=True)
     # an overflowed variance would make inv 0 and the output silently beta
     _check_finite(var, "layer_norm variance")
     inv = 1.0 / np.sqrt(var + eps)
-    xn = centered * inv
-    out = xn * gamma.data + beta.data
+    # both fresh arrays are reused in place: xn scales the centered rows, and
+    # the squared deviations' buffer receives the output
+    xn *= inv
+    np.multiply(xn, gamma.data, out=out)
+    out += beta.data
 
     def grad_fn(g: np.ndarray) -> None:
         lead = tuple(range(g.ndim - 1))
@@ -516,7 +532,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         b = as_tensor(b)
         if b.shape != (w.shape[1],):
             raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[1]},)")
-        out = out + b.data
+        out += b.data
     parents = (x, w) if b is None else (x, w, b)
 
     def grad_fn(g: np.ndarray) -> None:

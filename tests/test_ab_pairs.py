@@ -64,3 +64,20 @@ def test_report_names_each_metric_and_verdict():
     text = ab_pairs.report(rows, 10)
     assert "latency_p50_ms" in text.splitlines()[1] and text.splitlines()[1].endswith("gain")
     assert text.splitlines()[2].endswith("worse beyond bound")
+
+
+def test_per_pair_ratio_cancels_phases_that_span_a_pair():
+    # the host swings between phases 1.5x apart; B is 0.8x A inside every pair
+    a = [10.0, 15.0, 10.0, 15.0, 10.0, 15.0, 10.0, 15.0, 10.0, 15.0]
+    r = row(LOWER, a, [0.8 * v for v in a])
+    assert r["ratio"] == pytest.approx((0.8, 0.8, 0.8))
+    assert r["wins_b"] == 10 and not r["gain"]  # the gain rule is unchanged
+
+
+def test_per_pair_ratio_quartiles():
+    a = [10.0] * 5
+    r = row(HIGHER, a, [9.0, 10.0, 11.0, 12.0, 13.0])
+    assert r["ratio"] == pytest.approx((1.1, 1.0, 1.2))
+    text = ab_pairs.report([r], 5)
+    assert "B/A per pair" in text.splitlines()[0]
+    assert "1.1000 [1.0000, 1.2000]" in text.splitlines()[1]

@@ -310,6 +310,9 @@ class TestExitCodes:
         "PPM 16-bit maxval": ("ppm", b"P6\n4 4\n65535\n" + bytes(96), 3),
         "eval batch of zero": ("eval flags", b"--eval-batch 0", 2),
         "eval batch negative": ("eval flags", b"--eval-batch -1", 2),
+        "eval budgets an empty list": ("eval flags", b"--budgets ,", 2),
+        "map layers an empty list": ("maps flags", b"--layers ,", 2),
+        "flops resolutions an empty list": ("flops flags", b"--res ,", 2),
         "synthetic image index negative": ("synth image", b"synth:-1", 2),
         "synthetic image index not an integer": ("synth image", b"synth:abc", 2),
         "checkpoint train section not an object": ("checkpoint", tiny_checkpoint(train=[1]), 3),
@@ -327,6 +330,8 @@ class TestExitCodes:
             argv = ["train-toy", *raw.decode().split(), "--out", str(tmp_path / "run")]
         elif kind == "checkpoint":
             argv = ["eval-budgets", "--checkpoint", str(bad)]
+        elif kind == "flops flags":
+            argv = ["bench-flops", *raw.decode().split()]
         elif kind == "targets":
             argv = ["train-toy", "--preset", "tiny-test", "--targets-file", str(bad),
                     "--steps", "2", "--batch", "2", "--out", str(tmp_path / "run")]
@@ -335,6 +340,9 @@ class TestExitCodes:
             save_model(ckpt, Encoder(TINY, seed=0))
             if kind == "eval flags":
                 argv = ["eval-budgets", "--checkpoint", str(ckpt), *raw.decode().split()]
+            elif kind == "maps flags":
+                argv = ["export-maps", "--checkpoint", str(ckpt), "--image", "synth:0",
+                        "--budget", "8", *raw.decode().split(), "--out", str(tmp_path / "maps")]
             else:
                 image = raw.decode() if kind == "synth image" else str(bad)
                 argv = ["export-maps", "--checkpoint", str(ckpt), "--image", image,

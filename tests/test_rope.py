@@ -144,6 +144,70 @@ class TestApply:
         assert worst <= 1e-6
 
 
+def pair_rotation(x, ct, st_):
+    """(a, b) -> (a cos - b sin, a sin + b cos) over the (2t, 2t+1) pairs, written out."""
+    a, b = x[..., 0::2], x[..., 1::2]
+    out = np.empty(np.broadcast_shapes(a.shape, ct.shape) + (2,), dtype=x.dtype)
+    out[..., 0] = a * ct - b * st_
+    out[..., 1] = a * st_ + b * ct
+    return out.reshape(out.shape[:-2] + (x.shape[-1],))
+
+
+def pair_rotation_grads(x, ct, st_, g):
+    """Gradients of sum(g * pair_rotation(x, ct, st_)) for tables [B, 1, T, hd/2]."""
+    a, b = x[..., 0::2], x[..., 1::2]
+    ge, go = g[..., 0::2], g[..., 1::2]
+    dx = np.empty(x.shape[:-1] + (x.shape[-1] // 2, 2), dtype=x.dtype)
+    dx[..., 0] = ge * ct + go * st_
+    dx[..., 1] = go * ct - ge * st_
+    dcos = (ge * a + go * b).sum(axis=1, keepdims=True)
+    dsin = (go * a - ge * b).sum(axis=1, keepdims=True)
+    return dx.reshape(x.shape), dcos, dsin
+
+
+def split_heads_view(rng, b, h, t, hd, dtype):
+    # the [B, T, H, hd] -> [B, H, T, hd] view attention rotates its keys in
+    return rng.normal(size=(b, t, h, hd)).astype(dtype).transpose(0, 2, 1, 3)
+
+
+class TestApplyAgainstPairRotation:
+    """Forward and backward against the pair formula, sharing no code with rope.py."""
+
+    @staticmethod
+    def within_bound(got, want):
+        scale = np.abs(want).max()
+        if want.dtype == np.float64:
+            return np.abs(got - want).max() <= 1e-15 * scale
+        return np.abs(got - want).max() <= 4 * np.spacing(scale)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "split-heads view"])
+    def test_forward_and_backward(self, dtype, layout):
+        b, h, t, hd = 2, 6, 13, 16
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            if layout == "contiguous":
+                x = rng.normal(size=(b, h, t, hd)).astype(dtype)
+            else:
+                x = split_heads_view(rng, b, h, t, hd, dtype)
+                assert not x.flags.c_contiguous
+            theta = rng.uniform(-np.pi, np.pi, size=(b, 1, t, hd // 2))
+            ct, st_ = np.cos(theta).astype(dtype), np.sin(theta).astype(dtype)
+            g = rng.normal(size=(b, h, t, hd)).astype(dtype)
+
+            q = Tensor(x, requires_grad=True)
+            cos_t, sin_t = Tensor(ct, requires_grad=True), Tensor(st_, requires_grad=True)
+            out = apply(q, cos_t, sin_t)
+            tsum(mul(out, Tensor(g))).backward()
+
+            want = pair_rotation(x, ct, st_)
+            assert out.data.dtype == dtype and out.shape == want.shape
+            assert self.within_bound(out.data, want), seed
+            for got, ref in zip((q.grad, cos_t.grad, sin_t.grad), pair_rotation_grads(x, ct, st_, g)):
+                assert got.shape == ref.shape and got.dtype == dtype
+                assert self.within_bound(got, ref), seed
+
+
 class TestFpsInit:
     def test_single_point_is_nearest_origin(self):
         states = fps_init(1, 4)

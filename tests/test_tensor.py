@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veca.errors import DTypeError, NonFiniteError, ShapeError
+from veca.rope import apply as rope_apply
 from veca.tensor import (
     Tensor,
     add,
@@ -188,9 +189,8 @@ class TestGradCheck:
         assert "coordinate 1" in str(err.value)
 
 
-SILU_INPUTS = np.concatenate(
-    [np.random.default_rng(0).normal(size=10**5), [0.0, 20.0, -20.0, 88.7, -88.7, 1e4, -1e4]]
-)
+SILU_EXTREMES = [0.0, 20.0, -20.0, 88.7, -88.7, 1e4, -1e4]
+SILU_INPUTS = np.concatenate([np.random.default_rng(0).normal(size=10**5), SILU_EXTREMES])
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 2.5e-7), (np.float64, 1e-15)])
@@ -209,6 +209,26 @@ def test_silu_relative_error(dtype, tol):
     zero = ref == 0  # 0 and the underflow at -1e4
     np.testing.assert_array_equal(out[zero], ref[zero])
     assert np.max(np.abs(out[~zero] - ref[~zero]) / np.abs(ref[~zero])) <= tol
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_backward_at_extreme_inputs(dtype):
+    x = Tensor(np.array(SILU_EXTREMES, dtype=dtype), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tsum(silu(x)).backward()
+    grad = x.grad
+    assert grad.dtype == dtype and np.all(np.isfinite(grad))
+    with mpmath.workdps(40):
+        ref = []
+        for v in map(mpmath.mpf, x.data.astype(np.float64)):
+            sig = 1 / (1 + mpmath.exp(-v))
+            ref.append(float(sig * (1 + v * (1 - sig))))
+    ref = np.array(ref)
+    zero = ref == 0  # the underflow at -1e4
+    np.testing.assert_array_equal(grad[zero], 0.0)
+    rel = np.abs(grad[~zero] - ref[~zero]) / np.abs(ref[~zero])
+    assert rel.max() <= 4 * np.finfo(dtype).eps
 
 
 UNARY_OPS = [
@@ -285,6 +305,56 @@ def test_layer_norm_and_linear_gradients_20_seeds():
 
         worst = max(worst, grad_check(f, Tensor(rng.normal(size=(3, 4))), 1e-5))
     assert worst <= 1e-6
+
+
+def _fused_op_cases(dtype, sliced):
+    """(name, op, operand arrays) for each fused primitive and rotary.
+
+    With ``sliced`` every operand is the first half of a larger array's last
+    axis, as ``ffn_swiglu``'s getitem halves are.
+    """
+    rng = np.random.default_rng(5)
+
+    def operand(*shape):
+        if sliced:
+            return rng.normal(size=shape[:-1] + (2 * shape[-1],)).astype(dtype)[..., : shape[-1]]
+        return rng.normal(size=shape).astype(dtype)
+
+    return [
+        ("linear", linear, [operand(3, 5, 4), operand(4, 6), operand(6)]),
+        ("layer_norm", layer_norm, [operand(3, 5, 8), operand(8), operand(8)]),
+        ("softmax_rows", softmax_rows, [operand(2, 3, 7)]),
+        ("silu", silu, [operand(3, 5, 8)]),
+        ("rope.apply", rope_apply, [operand(2, 3, 5, 8), operand(2, 1, 5, 4), operand(2, 1, 5, 4)]),
+    ]
+
+
+def written_operands(op, arrays) -> list[int]:
+    """Indices of the operands whose bytes (or whose base array's) a forward plus backward changed."""
+    owners = [a if a.base is None else a.base for a in arrays]
+    before = [o.tobytes() for o in owners]
+    operands = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*operands)
+    tsum(mul(out, Tensor(np.ones_like(out.data)))).backward()
+    assert all(t.data is a for t, a in zip(operands, arrays))
+    return [i for i, (o, b) in enumerate(zip(owners, before)) if o.tobytes() != b]
+
+
+@pytest.mark.parametrize("sliced", [False, True], ids=["own", "sliced"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_primitive_writes_into_its_operands(dtype, sliced):
+    for name, op, arrays in _fused_op_cases(dtype, sliced):
+        assert written_operands(op, arrays) == [], name
+
+
+def test_an_op_writing_into_its_operand_is_caught():
+    def layer_norm_centering_in_place(x, gamma, beta):
+        x.data -= x.data.mean(axis=-1, keepdims=True)
+        return layer_norm(x, gamma, beta)
+
+    for sliced in (False, True):
+        _, _, arrays = _fused_op_cases(np.float32, sliced)[1]
+        assert written_operands(layer_norm_centering_in_place, arrays) == [0]
 
 
 class TestAutogradMechanics:
