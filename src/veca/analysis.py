@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .elastic import BUDGETS
 from .errors import BudgetError, ConfigError, ResolutionError
 from .model import Encoder, ModelConfig, get_preset
 
@@ -33,12 +34,6 @@ class CostReport:
     macs: int
     flops: int
     ratio: float  # dense-baseline FLOPs / this mode's FLOPs
-
-
-def _resolve(preset: str | ModelConfig) -> tuple[str, ModelConfig]:
-    if isinstance(preset, ModelConfig):
-        return "custom", preset
-    return preset, get_preset(preset)
 
 
 def _patch_count(config: ModelConfig, resolution: int) -> int:
@@ -73,22 +68,18 @@ def attention_macs(config: ModelConfig, resolution: int, mode: str, budget: int 
     raise ConfigError(f"mode must be 'dense' or 'core', got {mode!r}")
 
 
-def attention_path_flops(
-    preset: str | ModelConfig, resolution: int, mode: str, budget: int = 64
-) -> CostReport:
-    """Cost report for one attention path; ratio is against the dense baseline."""
-    name, config = _resolve(preset)
+def attention_path_flops(preset: str, resolution: int, mode: str, budget: int = 64) -> CostReport:
+    """Cost report for one attention path of a named preset; ratio is against the dense baseline."""
+    config = get_preset(preset)
     tokens, macs = attention_macs(config, resolution, mode, budget)
     flops = FLOPS_PER_MAC * macs
     _, dense_macs = attention_macs(config, resolution, "dense")
     ratio = (FLOPS_PER_MAC * dense_macs) / flops
     label = "dense_baseline" if mode == "dense" else f"core({budget})"
-    return CostReport(name, resolution, label, tokens, macs, flops, ratio)
+    return CostReport(preset, resolution, label, tokens, macs, flops, ratio)
 
 
-def flop_sweep(
-    preset: str | ModelConfig, resolutions: list[int], budget: int = 64
-) -> list[CostReport]:
+def flop_sweep(preset: str, resolutions: list[int], budget: int = 64) -> list[CostReport]:
     """Dense and core reports for each resolution, dense first."""
     reports = []
     for res in resolutions:
@@ -177,20 +168,16 @@ def write_core_map_csv(
 # -- structural probe: two-hop patch mixing ---------------------------------------
 
 
-def influence_probe(
-    model: Encoder,
-    image: np.ndarray,
-    layer_count_used: int,
-    budget: int = 8,
-    h: float = 1e-4,
-) -> np.ndarray:
+def influence_probe(model: Encoder, image: np.ndarray, layer_count_used: int) -> np.ndarray:
     """Patch-to-patch Jacobian Frobenius norms after a truncated block stack.
 
     Entry (i, j) is || d(patch j output) / d(patch i input tokens) ||_F,
-    measured by central forward perturbation of each input coordinate. With
-    one block, cross-patch entries are structurally zero (patch queries see
-    only cores); two blocks route influence through the cores.
+    measured at the smallest budget by central differences of step 1e-4 in
+    each input coordinate. With one block, cross-patch entries are
+    structurally zero (patch queries see only cores); two blocks route
+    influence through the cores.
     """
+    budget, h = BUDGETS[0], 1e-4
     if image.ndim == 3:
         image = image[None]
     tokens, (hp, wp) = model.patch_embed(image)

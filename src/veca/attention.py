@@ -73,10 +73,12 @@ class AttnParams:
         return self.dim // self.heads
 
     @staticmethod
-    def init(dim: int, heads: int, stream: RngStream, dtype=np.float64) -> "AttnParams":
+    def init(dim: int, heads: int, stream: RngStream) -> "AttnParams":
+        """Float64 projections: weights truncated-normal (std 0.02) from ``stream``'s children, zero biases."""
+
         def affine(name: str) -> tuple[Tensor, Tensor]:
-            w = stream.spawn(name).trunc_normal(0.02, size=(dim, dim)).astype(dtype)
-            b = np.zeros(dim, dtype=dtype)
+            w = stream.spawn(name).trunc_normal(0.02, size=(dim, dim))
+            b = np.zeros(dim)
             return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
 
         wq, bq = affine("wq")

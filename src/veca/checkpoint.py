@@ -32,16 +32,20 @@ from pathlib import Path
 import numpy as np
 
 from .data import CHANNELS
-from .elastic import CHUNK
+from .elastic import BUDGETS, CHUNK, MAX_CORES
 from .errors import CheckpointError, DTypeError, UnsupportedVersionError, VecaError
 from .rope import BASE
+from .tensor import LAYER_NORM_EPS
 
 MAGIC = b"VECA"
 VERSION = 1
 _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _TAG_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-# model fields older checkpoints carry, each with the one value this build implements
-RETIRED_FIELDS = {"dropout": 0.0, "in_channels": CHANNELS, "chunk": CHUNK, "rope_base": BASE, "norm_eps": 1e-6}
+# model fields older checkpoints carry, each with the one value this build implements, as JSON holds it
+RETIRED_FIELDS = {
+    "dropout": 0.0, "in_channels": CHANNELS, "chunk": CHUNK, "rope_base": BASE, "norm_eps": LAYER_NORM_EPS,
+    "max_cores": MAX_CORES, "budgets": list(BUDGETS),
+}
 
 
 def save_container(path: str | Path, config: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -134,7 +138,8 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             )
         try:
             config = json.loads(r.take(r.u32()).decode())
-        except ValueError as err:  # covers both JSONDecodeError and UnicodeDecodeError
+        # ValueError covers JSONDecodeError and UnicodeDecodeError; RecursionError is nesting too deep to parse
+        except (ValueError, RecursionError) as err:
             raise CheckpointError(f"{path}: config blob is not UTF-8 JSON: {err}") from err
         if not isinstance(config, dict):
             raise CheckpointError(f"{path}: config blob is not a JSON object")
@@ -190,8 +195,6 @@ def load_model(path: str | Path):
         if name in model_cfg and model_cfg.pop(name) != value:
             raise CheckpointError(f"{path}: model {name} other than {value} is no longer supported")
     try:
-        if "budgets" in model_cfg:
-            model_cfg["budgets"] = tuple(model_cfg["budgets"])
         model = ModelConfig(**model_cfg)
         dtype = np.dtype(config.get("dtype", "float64"))
         cast = [name for name, arr in tensors.items() if arr.dtype != dtype]

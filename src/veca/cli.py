@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, checkpoint, verify
 from .data import load_raster, normalize, synthetic_images
 from .distill import TEACHER_SEED, DistillConfig, FileTeacher, SyntheticTeacher, total_loss, train
-from .elastic import DEFAULT_WEIGHTS, BudgetDistribution, save_schedule
+from .elastic import BUDGETS, DEFAULT_WEIGHTS, BudgetDistribution, save_schedule
 from .errors import (
     BudgetError,
     CheckpointError,
@@ -50,7 +50,7 @@ def _resolve_config(defaults: dict, config_path: str | None, overrides: dict) ->
             file_values = json.loads(Path(config_path).read_text())
         except OSError as err:
             raise CheckpointError(f"cannot read config file: {err}") from err
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:  # RecursionError: nesting too deep to parse
             raise ConfigError(f"config file {config_path} is not valid JSON: {err}") from err
         if not isinstance(file_values, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
@@ -123,7 +123,7 @@ _TRAIN_DEFAULTS = {
     "preset": "tiny-test",
     "steps": _DISTILL.total_steps,
     "batch": _DISTILL.batch_size,
-    "res": _DISTILL.resolutions[0],
+    "res": _DISTILL.resolution,
     "lr": _DISTILL.lr,
     "min_lr": _DISTILL.min_lr,
     "warmup": _DISTILL.warmup_steps,
@@ -154,13 +154,13 @@ def cmd_train_toy(args) -> int:
             total_steps=int(resolved["steps"]),
             weight_decay=float(resolved["weight_decay"]),
             batch_size=int(resolved["batch"]),
-            resolutions=(int(resolved["res"]),),
+            resolution=int(resolved["res"]),
         )
         dtype = np.dtype(resolved["dtype"])
         teacher_seed = int(resolved["teacher_seed"])
     except (TypeError, ValueError) as err:
         raise ConfigError(f"train-toy config value has the wrong type: {err}") from err
-    dist = BudgetDistribution(budgets=config.budgets, weights=weights)
+    dist = BudgetDistribution(weights=weights)
     student = Encoder(config, seed=seed, dtype=dtype)
     file_teacher = FileTeacher(resolved["targets_file"], config) if resolved["targets_file"] else None
     teacher = None
@@ -214,7 +214,7 @@ def cmd_eval_budgets(args) -> int:
         teacher_seed = int(train_cfg.get("teacher_seed", TEACHER_SEED))
     except (TypeError, ValueError) as err:
         raise CheckpointError(f"{args.checkpoint}: 'train' section value is not an integer: {err}") from err
-    budgets = _ints(args.budgets) if args.budgets else list(student.config.budgets)
+    budgets = _ints(args.budgets) if args.budgets else list(BUDGETS)
     resolved = {
         "checkpoint": str(args.checkpoint),
         "budgets": budgets,
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-budgets", help="per-budget distillation loss of a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--budgets", default=None, help="comma-separated; default: model budget set")
+    p.add_argument("--budgets", default=None, help="comma-separated; default: the budget set")
     p.add_argument("--eval-batch", dest="eval_batch", type=int, default=16)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)

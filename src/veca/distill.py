@@ -1,8 +1,8 @@
 """Distillation objective, synthetic teacher, and the training loop.
 
 The student is trained to match a frozen teacher's global feature (cosine
-distance) and dense patch features (cosine distance plus MSE), with the dense
-term scaled by lambda. One active-core budget is
+distance) and dense patch features (cosine distance plus MSE); the objective
+is the unweighted sum of the two terms. One active-core budget is
 sampled per optimizer step and shared by the whole batch. The optimizer is
 a decoupled-weight-decay adaptive-moment method with a linear-warmup cosine
 learning-rate schedule.
@@ -40,6 +40,7 @@ from .tensor import (
     add,
     clip_min,
     div,
+    float_type,
     layer_norm,
     linear,
     mul,
@@ -57,7 +58,10 @@ TEACHER_SEED = 7001  # default synthetic teacher
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Objective weights plus the optimizer schedule for one training stage."""
+    """The optimizer schedule, batch size and image resolution of one training stage.
+
+    The objective has no settings: it is global + dense (:func:`total_loss`).
+    """
 
     lr: float = 3e-3
     min_lr: float = 3e-4
@@ -65,18 +69,15 @@ class DistillConfig:
     total_steps: int = 500
     weight_decay: float = 0.01
     batch_size: int = 8
-    lambda_dense: float = 1.0
-    resolutions: tuple[int, ...] = (16,)
+    resolution: int = 16
 
     def __post_init__(self):
-        named = ("lr", "min_lr", "weight_decay", "lambda_dense")
+        named = ("lr", "min_lr", "weight_decay")
         bad = {k: getattr(self, k) for k in named if not math.isfinite(getattr(self, k))}
         if bad:
-            raise ConfigError(f"optimizer and loss settings must be finite, got {bad}")
+            raise ConfigError(f"optimizer settings must be finite, got {bad}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if self.lambda_dense < 0:
-            raise ConfigError(f"lambda_dense must be nonnegative, got {self.lambda_dense}")
         if not 0 < self.min_lr <= self.lr:
             raise ConfigError(f"need 0 < min_lr <= lr, got {self.min_lr} and {self.lr}")
         if self.warmup_steps < 0 or self.total_steps < 1:
@@ -101,15 +102,15 @@ def loss_global(y: Tensor, y_star: Tensor) -> Tensor:
     return tmean(add(neg(cosine), 1.0))
 
 
-def loss_dense(z: Tensor, z_star: Tensor, beta_mse: float = 1.0) -> Tensor:
-    """Patch-mean cosine distance plus beta * elementwise-mean squared error."""
+def loss_dense(z: Tensor, z_star: Tensor) -> Tensor:
+    """Patch-mean cosine distance plus elementwise-mean squared error."""
     if z.shape != z_star.shape:
         raise ShapeError(f"loss_dense: shapes differ: {z.shape} vs {z_star.shape}")
     dot = tsum(mul(z, z_star), axis=-1)
     cosine = div(dot, mul(_safe_norm(z), _safe_norm(z_star)))
     cos_term = tmean(add(neg(cosine), 1.0))
     diff = sub(z, z_star)
-    return add(cos_term, mul(tmean(mul(diff, diff)), float(beta_mse)))
+    return add(cos_term, tmean(mul(diff, diff)))
 
 
 def total_loss(
@@ -121,9 +122,10 @@ def total_loss(
     *,
     targets: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Tensor, dict[str, float]]:
-    """Global + lambda * dense loss of the student at the given budget.
+    """Global + dense loss of the student at the given budget.
 
     ``targets`` overrides the teacher (used for precomputed target files).
+    ``cfg`` sets nothing in the objective; callers pass their stage's config.
     """
     if targets is None:
         targets = teacher.targets(images)
@@ -132,7 +134,7 @@ def total_loss(
     y, z = student(images, active_c)
     lg = loss_global(y, y_star)
     ld = loss_dense(z, z_star)
-    loss = add(lg, mul(ld, float(cfg.lambda_dense)))
+    loss = add(lg, ld)
     return loss, {"global": float(lg.data), "dense": float(ld.data)}
 
 
@@ -148,7 +150,7 @@ class SyntheticTeacher:
 
     def __init__(self, config: ModelConfig, seed: int = TEACHER_SEED, dtype=np.float64):
         self.config = config
-        self.dtype = np.dtype(dtype).type
+        self.dtype = float_type(dtype)
         root = RngStream(seed, "teacher")
         d, hidden = config.dim, config.hidden
 
@@ -393,7 +395,6 @@ def train(
             f"budget schedule has {len(budget_schedule)} entries for {cfg.total_steps} steps"
         )
     opt = AdamW(student.params, weight_decay=cfg.weight_decay)
-    res_stream = data_stream.spawn("resolutions") if len(cfg.resolutions) > 1 else None
     records: list[TrainRecord] = []
     for step in range(1, cfg.total_steps + 1):
         if budget_schedule is not None:
@@ -403,12 +404,7 @@ def train(
         if file_teacher is not None:
             images, targets = file_teacher.batch(step, cfg.batch_size)
         else:
-            res = (
-                cfg.resolutions[0]
-                if res_stream is None
-                else cfg.resolutions[int(res_stream.integers(0, len(cfg.resolutions)))]
-            )
-            images = synthetic_images(data_stream, cfg.batch_size, res)
+            images = synthetic_images(data_stream, cfg.batch_size, cfg.resolution)
             targets = None
         try:
             loss, _ = total_loss(images, budget, student, teacher, cfg, targets=targets)

@@ -1,10 +1,12 @@
 """Nested core budgets: prefix retrieval from the chunked bank, and sampling.
 
-Core tokens and coordinate states are stored in chunks of CHUNK = 8 rows. A
-budget C activates the first C/CHUNK chunks as an ordered prefix, so prefixes
-nest exactly: the C1 rows of a C1 budget are the leading rows of any larger
-budget. Budget sampling uses one uniform draw from an explicit stream against
-the cumulative distribution, so a schedule can be replayed exactly.
+The budget set is part of the design, not a setting: ``BUDGETS`` = (8, 16,
+..., 64) over a bank of ``MAX_CORES`` = 64 learned cores, stored in chunks of
+CHUNK = 8 rows. A budget C activates the first C/CHUNK chunks as an ordered
+prefix, so prefixes nest exactly: the C1 rows of a C1 budget are the leading
+rows of any larger budget. :func:`active_prefix` is where a budget is
+checked. Budget sampling uses one uniform draw from an explicit stream
+against the cumulative distribution, so a schedule can be replayed exactly.
 """
 
 from __future__ import annotations
@@ -19,24 +21,20 @@ from .rng import RngStream
 from .tensor import Tensor, concat
 
 CHUNK = 8
-DEFAULT_BUDGETS = (8, 16, 24, 32, 40, 48, 56, 64)
+BUDGETS = (8, 16, 24, 32, 40, 48, 56, 64)
+MAX_CORES = BUDGETS[-1]
 DEFAULT_WEIGHTS = (1, 1, 2, 2, 3, 3, 4, 4)
 
 
 @dataclass(frozen=True)
 class BudgetDistribution:
-    """Discrete distribution over active-core budgets."""
+    """Discrete distribution over :data:`BUDGETS`: one weight per budget."""
 
-    budgets: tuple[int, ...] = DEFAULT_BUDGETS
     weights: tuple[float, ...] = DEFAULT_WEIGHTS
 
     def __post_init__(self):
-        if len(self.budgets) != len(self.weights) or not self.budgets:
-            raise ConfigError("budgets and weights must be non-empty and equal-length")
-        if any(b <= 0 or b % CHUNK for b in self.budgets):
-            raise ConfigError(f"budgets must be positive multiples of {CHUNK}: {self.budgets}")
-        if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
-            raise ConfigError(f"budgets must be strictly increasing: {self.budgets}")
+        if len(self.weights) != len(BUDGETS):
+            raise ConfigError(f"need one weight per budget {BUDGETS}, got {len(self.weights)}: {self.weights}")
         w = np.asarray(self.weights, dtype=np.float64)
         with np.errstate(over="ignore"):
             total = w.sum()
@@ -54,7 +52,7 @@ def sample_budget(dist: BudgetDistribution, stream: RngStream) -> int:
     u = float(stream.uniform())
     cum = np.cumsum(dist.probs)
     idx = int(np.searchsorted(cum, u, side="right"))
-    return dist.budgets[min(idx, len(dist.budgets) - 1)]
+    return BUDGETS[min(idx, len(BUDGETS) - 1)]
 
 
 def save_schedule(path: str | Path, budgets: list[int]) -> None:
@@ -71,12 +69,12 @@ def active_prefix(token_chunks: list[Tensor], coord_chunks: list[Tensor], c: int
 
     Only the first C/CHUNK chunk tensors enter the returned graph; chunks
     beyond the budget are never touched, which is what makes inactive-core
-    invariance exact.
+    invariance exact. This is the one check of a budget: it must be in
+    :data:`BUDGETS` and fit the given bank.
     """
-    capacity = CHUNK * len(token_chunks)
-    if c < CHUNK or c > capacity or c % CHUNK:
-        raise BudgetError(
-            f"budget {c} invalid: must be a multiple of {CHUNK} in [{CHUNK}, {capacity}]"
-        )
+    if c not in BUDGETS:
+        raise BudgetError(f"budget {c} not in valid budget set {BUDGETS}")
+    if c > CHUNK * len(token_chunks):
+        raise BudgetError(f"budget {c} exceeds the bank's {CHUNK * len(token_chunks)} cores")
     n = c // CHUNK
     return concat(token_chunks[:n], axis=0), concat(coord_chunks[:n], axis=0)

@@ -16,20 +16,22 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import rope as rope_mod
 from .attention import PROJECTIONS, AttnParams, core_attention
 from .data import CHANNELS
-from .elastic import CHUNK, DEFAULT_BUDGETS, active_prefix
-from .errors import BudgetError, ConfigError, ResolutionError, ShapeError
+from .elastic import BUDGETS, CHUNK, MAX_CORES, active_prefix
+from .errors import ConfigError, ResolutionError, ShapeError
 from .rng import RngStream
 from .tensor import (
     Tensor,
     add,
     broadcast_to,
     concat,
+    float_type,
     getitem,
     layer_norm,
     linear,
@@ -43,29 +45,22 @@ from .tensor import (
 @dataclass(frozen=True)
 class ModelConfig:
     """Encoder shape. Design constants are not fields: ``data.CHANNELS`` = 3 input
-    channels, core chunks of ``elastic.CHUNK`` = 8, rotary base ``rope.BASE`` =
-    100, and ``tensor.layer_norm``'s epsilon 1e-6."""
+    channels, a bank of ``elastic.MAX_CORES`` = 64 cores in chunks of
+    ``elastic.CHUNK`` = 8, the budget set ``elastic.BUDGETS``, rotary base
+    ``rope.BASE`` = 100, and ``tensor.LAYER_NORM_EPS`` = 1e-6. ``budgets`` is
+    ``elastic.BUDGETS``, readable here as a class attribute."""
 
     layers: int
     dim: int
     heads: int
     mlp_ratio: float
     patch_size: int = 16
-    max_cores: int = 64
-    budgets: tuple[int, ...] = DEFAULT_BUDGETS
+    budgets: ClassVar[tuple[int, ...]] = BUDGETS
 
     def __post_init__(self):
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         rope_mod.freqs(self.head_dim)  # the head width must form 2D rotary pairs
-        if self.max_cores % CHUNK:
-            raise ConfigError(f"max_cores {self.max_cores} not divisible by chunk {CHUNK}")
-        bad = [b for b in self.budgets if b % CHUNK or not 0 < b <= self.max_cores]
-        if bad or list(self.budgets) != sorted(set(self.budgets)):
-            raise ConfigError(
-                f"budgets must be increasing multiples of {CHUNK} within "
-                f"[{CHUNK}, {self.max_cores}], got {self.budgets}"
-            )
 
     @property
     def hidden(self) -> int:
@@ -102,7 +97,7 @@ def param_count(config: ModelConfig) -> int:
     norms = 2 * 2 * d
     ffn = d * 2 * hidden + 2 * hidden + hidden * d + d
     per_block = norms + attn + ffn
-    cores = config.max_cores * d + config.max_cores * 2
+    cores = MAX_CORES * d + MAX_CORES * 2
     coord_heads = (config.layers - 1) * (d * 2 + 2) + (config.layers - 1)
     return patch + config.layers * per_block + 2 * d + cores + coord_heads
 
@@ -185,7 +180,7 @@ def _layout(config: ModelConfig, seed: int) -> _Layout:
     """
     d, hidden = config.dim, config.hidden
     root = RngStream(seed, "init")
-    fps_states = functools.cache(lambda: rope_mod.fps_init(config.max_cores))
+    fps_states = functools.cache(lambda: rope_mod.fps_init(MAX_CORES))
     layout: _Layout = {}
 
     def fill(name: str, size: int, value: float) -> None:
@@ -219,7 +214,7 @@ def _layout(config: ModelConfig, seed: int) -> _Layout:
         affine(f"{pre}.ffn.fc1", d, 2 * hidden)
         affine(f"{pre}.ffn.fc2", hidden, d)
     norm("final_norm")
-    for j in range(config.max_cores // CHUNK):
+    for j in range(MAX_CORES // CHUNK):
         core(j)
     for i in range(config.layers - 1):
         affine(f"coord_head.{i}", d, 2)
@@ -260,7 +255,7 @@ class Encoder:
     ):
         self.config = config
         self.seed = seed
-        self.dtype = np.dtype(dtype).type
+        self.dtype = float_type(dtype)
         self._grid_cache: dict[tuple[int, int, int], Tensor] = {}
         layout = _layout(config, seed)
         fresh = state is None
@@ -283,7 +278,7 @@ class Encoder:
                 p[f"{pre}.ffn.fc1.w"], p[f"{pre}.ffn.fc1.b"], p[f"{pre}.ffn.fc2.w"], p[f"{pre}.ffn.fc2.b"],
             ))
         self.final_gamma, self.final_beta = p["final_norm.gamma"], p["final_norm.beta"]
-        chunks = range(config.max_cores // CHUNK)
+        chunks = range(MAX_CORES // CHUNK)
         self.core_tokens = [p[f"core.tokens.{j}"] for j in chunks]
         self.core_coords = [p[f"core.coords.{j}"] for j in chunks]
         self.coord_heads: list[tuple[Tensor, Tensor, Tensor]] = [
@@ -316,13 +311,6 @@ class Encoder:
         flat, grid = patchify(images, self.config, self.dtype)
         return linear(flat, self.patch_w, self.patch_b), grid
 
-    def _check_budget(self, active_c: int) -> int:
-        if active_c not in self.config.budgets:
-            raise BudgetError(
-                f"budget {active_c} not in valid budget set {self.config.budgets}"
-            )
-        return active_c
-
     def encode_tokens(
         self,
         patch_tokens: Tensor,
@@ -341,7 +329,7 @@ class Encoder:
         attention internals for analysis.
         """
         cfg = self.config
-        c = self._check_budget(active_c)
+        c = active_c
         b, n, d = patch_tokens.shape
         if n != hp * wp:
             raise ShapeError(f"got {n} patch tokens for an {hp}x{wp} grid")
@@ -384,17 +372,17 @@ class Encoder:
     def forward(
         self,
         images,
-        active_c: int | None = None,
+        active_c: int,
         *,
         capture: list | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """Encode images into (global [B, D], dense [B, N, D]) features."""
-        c = self.config.max_cores if active_c is None else int(active_c)
+        """Encode images into (global [B, D], dense [B, N, D]) features at budget ``active_c``."""
+        c = int(active_c)
         tokens, (hp, wp) = self.patch_embed(images)
         x = self.encode_tokens(tokens, hp, wp, c, capture=capture)
         global_feat = getitem(x, (slice(None), 0))
         dense = getitem(x, (slice(None), slice(c, None)))
         return global_feat, dense
 
-    def __call__(self, images, active_c: int | None = None, **kw):
+    def __call__(self, images, active_c: int, **kw):
         return self.forward(images, active_c, **kw)

@@ -35,12 +35,13 @@ class RngStream:
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size=size)
 
-    def normal(self, std: float = 1.0, size=None, mean: float = 0.0) -> np.ndarray:
-        return self._gen.normal(mean, std, size=size)
+    def normal(self, std: float = 1.0, size=None) -> np.ndarray:
+        """Normal(0, std)."""
+        return self._gen.normal(0.0, std, size=size)
 
-    def trunc_normal(self, std: float, size=None, clip: float = 2.0) -> np.ndarray:
-        """Normal(0, std) truncated to +-clip standard deviations (inverse CDF)."""
-        lo, hi = sp_special.ndtr(-clip), sp_special.ndtr(clip)
+    def trunc_normal(self, std: float, size=None) -> np.ndarray:
+        """Normal(0, std) truncated to +-2 standard deviations (inverse CDF)."""
+        lo, hi = sp_special.ndtr(-2.0), sp_special.ndtr(2.0)
         u = self._gen.uniform(lo, hi, size=size)
         return sp_special.ndtri(u) * std
 

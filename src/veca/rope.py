@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ConfigError, ShapeError
-from .tensor import Tensor, _accumulate, _from_op, _unbroadcast, as_tensor, cos, sin
+from .tensor import Tensor, _accumulate, _from_op, _same_dtype, _unbroadcast, as_tensor, cos, sin
 
 
 BASE = 100.0
@@ -97,9 +97,11 @@ def apply(q_or_k: Tensor, cos_t: Tensor, sin_t: Tensor) -> Tensor:
     formulation); the backward multiplies by the conjugates. Tables must be
     numpy-broadcastable to the input's shape minus its pair axis (the
     deliberate exception to the substrate's no-broadcast rule: attention
-    shares one table across heads). Per-token vector norms are preserved.
+    shares one table across heads) and have the input's dtype. Per-token
+    vector norms are preserved.
     """
     q_or_k, cos_t, sin_t = as_tensor(q_or_k), as_tensor(cos_t), as_tensor(sin_t)
+    _same_dtype("rope.apply", q_or_k, cos_t, sin_t)
     hd = q_or_k.shape[-1]
     if hd % 2 or cos_t.shape[-1] != hd // 2 or cos_t.shape != sin_t.shape:
         raise ShapeError(

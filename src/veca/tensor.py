@@ -35,6 +35,7 @@ import numpy as np
 from .errors import DTypeError, NonFiniteError, ShapeError
 
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+LAYER_NORM_EPS = 1e-6
 
 _counter = itertools.count()
 
@@ -113,6 +114,14 @@ class Tensor:
                 node._grad_fn(node.grad)
 
 
+def float_type(dtype) -> type:
+    """The numpy scalar type of ``dtype``, which must be float32 or float64."""
+    dt = np.dtype(dtype)
+    if dt not in SUPPORTED_DTYPES:
+        raise DTypeError(f"unsupported dtype {dt}; use float32 or float64")
+    return dt.type
+
+
 def as_tensor(value, dtype=None) -> Tensor:
     if isinstance(value, Tensor):
         return value
@@ -158,9 +167,14 @@ def _from_op(
     return out
 
 
+def _same_dtype(op: str, x: Tensor, *others: Tensor) -> None:
+    for t in others:
+        if t.dtype != x.dtype:
+            raise DTypeError(f"{op}: dtypes differ: {x.dtype} vs {t.dtype}")
+
+
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.dtype != b.dtype:
-        raise DTypeError(f"{op}: dtypes differ: {a.dtype} vs {b.dtype}")
+    _same_dtype(op, a, b)
     if a.shape != b.shape and a.size != 1 and b.size != 1:
         raise ShapeError(f"{op}: shapes differ: {a.shape} vs {b.shape}")
 
@@ -369,8 +383,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     if not ts:
         raise ShapeError("concat of zero tensors")
-    if any(t.dtype != ts[0].dtype for t in ts):
-        raise DTypeError("concat: dtypes differ")
+    _same_dtype("concat", *ts)
     data = np.concatenate([t.data for t in ts], axis=axis)
     offsets = [0]
     for t in ts:
@@ -397,28 +410,23 @@ def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _from_op(data, (a,), grad_fn, "broadcast_to", check=False)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+    """Sum over one axis, or over everything when ``axis`` is None."""
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum(axis=axis)
 
     def grad_fn(g: np.ndarray) -> None:
-        if axis is not None and not keepdims:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            for ax in sorted(ax % a.ndim for ax in axes):
-                g = np.expand_dims(g, ax)
+        if axis is not None:
+            g = np.expand_dims(g, axis % a.ndim)
         _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
     return _from_op(data, (a,), grad_fn, "sum")
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor) -> Tensor:
+    """Mean over every element."""
     a = as_tensor(a)
-    if axis is None:
-        n = a.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        n = int(np.prod([a.shape[ax] for ax in axes]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tsum(a), 1.0 / a.size)
 
 
 # -- matmul ----------------------------------------------------------------------
@@ -431,8 +439,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     matrix product itself. Backward: dA = dC @ B^T, dB = A^T @ dC.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.dtype != b.dtype:
-        raise DTypeError(f"matmul: dtypes differ: {a.dtype} vs {b.dtype}")
+    _same_dtype("matmul", a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must have rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
@@ -475,15 +482,15 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _from_op(p, (x,), grad_fn, "softmax_rows")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Per-row standardization over the last axis, then affine by gamma/beta.
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-row standardization over the last axis (epsilon ``LAYER_NORM_EPS``),
+    then affine by gamma/beta, which must have x's dtype.
 
     The gamma/beta broadcast over leading axes is the one sanctioned
     trailing-dimension affine.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if eps <= 0:
-        raise ShapeError(f"layer_norm: eps must be positive, got {eps}")
+    _same_dtype("layer_norm", x, gamma, beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
@@ -496,7 +503,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         var = np.mean(out, axis=-1, keepdims=True)
     # an overflowed variance would make inv 0 and the output silently beta
     _check_finite(var, "layer_norm variance")
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     # both fresh arrays are reused in place: xn scales the centered rows, and
     # the squared deviations' buffer receives the output
     xn *= inv
@@ -519,8 +526,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b over the trailing axis). x: [..., in], w: [in, out], b: [out]."""
+    """x @ w (+ b over the trailing axis). x: [..., in], w: [in, out], b: [out], all of one dtype."""
     x, w = as_tensor(x), as_tensor(w)
+    _same_dtype("linear", x, w)
     if x.shape[-1] != w.shape[0] or w.ndim != 2:
         raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
     lead = x.shape[:-1]
@@ -530,6 +538,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         out = flat @ w.data
     if b is not None:
         b = as_tensor(b)
+        _same_dtype("linear", x, b)
         if b.shape != (w.shape[1],):
             raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[1]},)")
         out += b.data

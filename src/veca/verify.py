@@ -16,7 +16,7 @@ from .analysis import influence_probe, score_macs_core
 from .attention import AttnParams, core_attention, dense_count, interaction_count, masked_dense_oracle
 from .data import synthetic_images
 from .distill import DistillConfig, SyntheticTeacher, total_loss
-from .elastic import CHUNK, BudgetDistribution, active_prefix, sample_budget
+from .elastic import BUDGETS, CHUNK, MAX_CORES, BudgetDistribution, active_prefix, sample_budget
 from .errors import VecaError
 from .model import Encoder, ModelConfig, get_preset
 from .rng import RngStream
@@ -65,15 +65,15 @@ def budget_sampler_fit(streams: list[RngStream], draws: int = 100_000) -> list[C
     below its critical value at significance 1e-3, on every stream.
     """
     dist = BudgetDistribution()
-    crit = float(sp_stats.chi2.isf(1e-3, df=len(dist.budgets) - 1))
+    crit = float(sp_stats.chi2.isf(1e-3, df=len(BUDGETS) - 1))
     expected = dist.probs * draws
     max_dev = 0.0
     max_stat = 0.0
     for stream in streams:
-        counts = dict.fromkeys(dist.budgets, 0)
+        counts = dict.fromkeys(BUDGETS, 0)
         for _ in range(draws):
             counts[sample_budget(dist, stream)] += 1
-        observed = np.array([counts[b] for b in dist.budgets])
+        observed = np.array([counts[b] for b in BUDGETS])
         max_dev = max(max_dev, float(np.abs(observed / draws - dist.probs).max()))
         max_stat = max(max_stat, float(((observed - expected) ** 2 / expected).sum()))
     n = len(streams)
@@ -121,35 +121,34 @@ def rope_properties(rngs, enc: Encoder, images: np.ndarray, budget: int, corrupt
 
 def prefix_invariance(enc: Encoder, images: np.ndarray, corrupt: bool = False) -> list[Check]:
     """Exact core-bank prefix nesting, and bit-identical outputs under
-    perturbation of every inactive chunk at each budget below ``max_cores``.
+    perturbation of every inactive chunk at each budget below ``MAX_CORES``.
 
     Two perturbations are applied in turn: tokens +123.4 with coordinate
     states -7, and tokens +1e6 with coordinate states set to -42. ``corrupt``
     also perturbs the first active chunk at the smallest budget, a negative
     control. Parameters are restored afterwards.
     """
-    cfg = enc.config
     bank = (enc.core_tokens, enc.core_coords)
     nested = all(
         np.array_equal(small.data, large.data[:c1])
-        for c1, c2 in combinations(cfg.budgets, 2)
+        for c1, c2 in combinations(BUDGETS, 2)
         for small, large in zip(active_prefix(*bank, c1), active_prefix(*bank, c2))
     )
     perturbations = ((123.4, lambda r: r - 7.0), (1e6, lambda r: np.full_like(r, -42.0)))
     saved = enc.state()
     invariant = True
-    for c in cfg.budgets[:-1]:
+    for c in BUDGETS[:-1]:
         g0, d0 = enc(images, c)
         for shift, move in perturbations:
-            for j in range(c // CHUNK, cfg.max_cores // CHUNK):
+            for j in range(c // CHUNK, MAX_CORES // CHUNK):
                 tokens, coords = enc.params[f"core.tokens.{j}"], enc.params[f"core.coords.{j}"]
                 tokens.data, coords.data = tokens.data + shift, move(coords.data)
-            if corrupt and c == cfg.budgets[0]:
+            if corrupt and c == BUDGETS[0]:
                 enc.params["core.tokens.0"].data = enc.params["core.tokens.0"].data + 1e-4
             g1, d1 = enc(images, c)
             enc.load_state(saved)
             invariant &= np.array_equal(g0.data, g1.data) and np.array_equal(d0.data, d1.data)
-    budgets = f"budgets {cfg.budgets[0]}..{cfg.budgets[-2]}"
+    budgets = f"budgets {BUDGETS[0]}..{BUDGETS[-2]}"
     return [
         ("prefix nesting exact", nested, "all budget pairs"),
         ("inactive-core perturbation leaves outputs bit-identical", invariant, f"{budgets}, 2 perturbations"),

@@ -124,7 +124,7 @@ def test_c09_toy_elastic_distillation():
     teacher = SyntheticTeacher(cfg, seed=7001, dtype=np.float32)
     dcfg = DistillConfig(
         lr=3e-3, min_lr=3e-4, warmup_steps=20, total_steps=500,
-        weight_decay=0.01, batch_size=8, resolutions=(16,),
+        weight_decay=0.01, batch_size=8, resolution=16,
     )
     records = train(
         student, teacher, BudgetDistribution(), dcfg,

@@ -220,7 +220,14 @@ class TestModelCheckpoint:
             load_model(path)
 
     # the other model fields older checkpoints carry: name -> (the value they all hold, a value this build refuses)
-    RETIRED = {"in_channels": (3, 1), "chunk": (8, 16), "rope_base": (100.0, 1e4), "norm_eps": (1e-6, 1e-5)}
+    RETIRED = {
+        "in_channels": (3, 1),
+        "chunk": (8, 16),
+        "rope_base": (100.0, 1e4),
+        "norm_eps": (1e-6, 1e-5),
+        "max_cores": (64, 32),
+        "budgets": ([8, 16, 24, 32, 40, 48, 56, 64], [8, 16, 32, 64]),
+    }
 
     @pytest.mark.parametrize("field", sorted(RETIRED))
     def test_retired_field_with_old_value_loads(self, tmp_path, tiny_config, tiny_images, field):
@@ -254,9 +261,6 @@ class TestModelCheckpoint:
             path = tmp_path / f"{name}.veca"
             save_container(path, {"model": asdict(cfg)}, enc.state())
             got_cfg, got_tensors = load_container(path)
-            assert got_cfg["model"] == {
-                **asdict(cfg),
-                "budgets": list(cfg.budgets),
-            }
+            assert got_cfg["model"] == asdict(cfg)
             for pname, arr in enc.state().items():
                 assert got_tensors[pname].tobytes() == arr.tobytes()

@@ -1,15 +1,17 @@
 import io
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from veca.analysis import export_core_maps
 from veca.checkpoint import save_model
-from veca.cli import main
+from veca.cli import _TRAIN_DEFAULTS, main
 from veca.data import synthetic_images
+from veca.distill import DistillConfig
+from veca.elastic import BudgetDistribution
 from veca.model import Encoder, ModelConfig
 from veca.rng import RngStream
 
@@ -317,6 +319,10 @@ class TestExitCodes:
         "synthetic image index not an integer": ("synth image", b"synth:abc", 2),
         "checkpoint train section not an object": ("checkpoint", tiny_checkpoint(train=[1]), 3),
         "checkpoint train res not an integer": ("checkpoint", tiny_checkpoint(train={"res": "abc"}), 3),
+        "config nested too deeply to parse": ("config", b"[" * 200_000, 2),
+        "checkpoint config nested too deeply to parse": ("checkpoint", container(b"[" * 200_000), 3),
+        "targets config nested too deeply to parse": ("targets", container(b"[" * 200_000), 3),
+        "config dtype not a float": ("config", b'{"dtype": "int8"}', 2),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -365,3 +371,16 @@ class TestSeedEnv:
         assert run(capsys, "param-count")[0] == 0  # reads no seed
         code, _, err = run(capsys, "verify", "--suite", "attention")
         assert code == 2 and err.startswith("error:")
+
+
+def test_settable_surface_is_pinned():
+    # every value a caller can set; a new option has to be added here on purpose
+    assert [f.name for f in fields(ModelConfig)] == ["layers", "dim", "heads", "mlp_ratio", "patch_size"]
+    assert [f.name for f in fields(DistillConfig)] == [
+        "lr", "min_lr", "warmup_steps", "total_steps", "weight_decay", "batch_size", "resolution",
+    ]
+    assert [f.name for f in fields(BudgetDistribution)] == ["weights"]
+    assert sorted(_TRAIN_DEFAULTS) == [
+        "batch", "budget_weights", "dtype", "lr", "min_lr", "preset", "res",
+        "seed", "steps", "targets_file", "teacher_seed", "warmup", "weight_decay",
+    ]

@@ -19,7 +19,7 @@ from veca.distill import (
     total_loss,
     train,
 )
-from veca.elastic import BudgetDistribution
+from veca.elastic import BUDGETS, BudgetDistribution
 from veca.errors import ConfigError, DTypeError, NonFiniteError, ResolutionError, TrainingDivergedError
 from veca.model import Encoder, ModelConfig, get_preset
 from veca.rng import RngStream
@@ -56,7 +56,7 @@ class TestLossGlobal:
         assert math.isfinite(float(loss_global(y, ys).data))
 
 
-def dense_loss_scalar_oracle(z, z_star, beta, eps=1e-6):
+def dense_loss_scalar_oracle(z, z_star, eps=1e-6):
     b, n, d = z.shape
     cos_total = 0.0
     mse_total = 0.0
@@ -66,7 +66,7 @@ def dense_loss_scalar_oracle(z, z_star, beta, eps=1e-6):
             cos = zi @ si / (max(np.linalg.norm(zi), eps) * max(np.linalg.norm(si), eps))
             cos_total += 1.0 - cos
             mse_total += ((zi - si) ** 2).sum()
-    return cos_total / (b * n) + beta * mse_total / (b * n * d)
+    return cos_total / (b * n) + mse_total / (b * n * d)
 
 
 class TestLossDense:
@@ -78,15 +78,15 @@ class TestLossDense:
         z_arr = np.random.default_rng(3).normal(size=(1, 4, 6))
         z = Tensor(z_arr)
         z_star = Tensor(2.0 * z_arr)
-        got = float(loss_dense(z, z_star, beta_mse=1.0).data)
+        got = float(loss_dense(z, z_star).data)
         assert got == pytest.approx(np.mean(z_arr**2), rel=1e-12)
 
     def test_vs_scalar_oracle(self):
         rng = np.random.default_rng(4)
         z = rng.normal(size=(2, 3, 4))
         zs = rng.normal(size=(2, 3, 4))
-        got = float(loss_dense(Tensor(z), Tensor(zs), beta_mse=0.7).data)
-        assert got == pytest.approx(dense_loss_scalar_oracle(z, zs, 0.7), abs=1e-12)
+        got = float(loss_dense(Tensor(z), Tensor(zs)).data)
+        assert got == pytest.approx(dense_loss_scalar_oracle(z, zs), abs=1e-12)
 
 
 class TestTotalLoss:
@@ -99,31 +99,31 @@ class TestTotalLoss:
         assert float(loss.data) == pytest.approx(0.0, abs=1e-9)
 
     def test_finite_for_every_budget(self, tiny_encoder, tiny_teacher, tiny_images):
-        for budget in tiny_encoder.config.budgets:
+        for budget in BUDGETS:
             loss, _ = total_loss(tiny_images, budget, tiny_encoder, tiny_teacher, DistillConfig())
             assert math.isfinite(float(loss.data))
 
-    def test_lambda_zero_kills_dense_gradient(self, tiny_config, tiny_images):
+    def test_total_is_global_plus_dense(self, tiny_config, tiny_images):
+        # the objective the `total` column of `veca eval-budgets` reports, in value and in gradient
         enc = Encoder(tiny_config, seed=1)
         teacher = SyntheticTeacher(tiny_config, seed=9)
-        cfg0 = DistillConfig(lambda_dense=0.0)
         enc.zero_grad()
-        loss, _ = total_loss(tiny_images, 8, enc, teacher, cfg0)
+        loss, parts = total_loss(tiny_images, 8, enc, teacher, DistillConfig())
         loss.backward()
-        grads_zero_lambda = {k: p.grad.copy() for k, p in enc.params.items() if p.grad is not None}
+        assert float(loss.data) == parts["global"] + parts["dense"]
+        total_grads = {k: p.grad.copy() for k, p in enc.params.items() if p.grad is not None}
 
-        targets = teacher.targets(tiny_images)
-        enc.zero_grad()
-        y, _ = enc(tiny_images, 8)
-        from veca.distill import loss_global as lg
-
-        lg(y, Tensor(np.asarray(targets[0], dtype=enc.dtype))).backward()
-        for name, got in grads_zero_lambda.items():
-            want = enc.params[name].grad
-            if want is None:
-                assert np.abs(got).max() == 0.0
-            else:
-                np.testing.assert_allclose(got, want, atol=1e-15)
+        y_star, z_star = (Tensor(np.asarray(t, dtype=enc.dtype)) for t in teacher.targets(tiny_images))
+        want: dict[str, np.ndarray] = {}
+        for term in (lambda y, z: loss_global(y, y_star), lambda y, z: loss_dense(z, z_star)):
+            enc.zero_grad()
+            term(*enc(tiny_images, 8)).backward()
+            for k, p in enc.params.items():
+                if p.grad is not None:
+                    want[k] = want[k] + p.grad if k in want else p.grad
+        assert total_grads.keys() == want.keys()
+        for name, got in total_grads.items():
+            np.testing.assert_allclose(got, want[name], rtol=1e-12, atol=1e-15)
 
 
 class TestSyntheticTeacher:
@@ -202,11 +202,9 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             DistillConfig(lr=1e-3, min_lr=1e-2)
         with pytest.raises(ConfigError):
-            DistillConfig(lambda_dense=-0.1)
-        with pytest.raises(ConfigError):
             DistillConfig(batch_size=0)
 
-    @pytest.mark.parametrize("field", ["lr", "min_lr", "weight_decay", "lambda_dense"])
+    @pytest.mark.parametrize("field", ["lr", "min_lr", "weight_decay"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_settings_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -263,16 +261,16 @@ class TestTrain:
                 data_stream=RngStream(0, "data"),
                 budget_stream=RngStream(0, "budgets"),
             )
-        assert err.value.step == 1 and err.value.budget in BudgetDistribution().budgets
+        assert err.value.step == 1 and err.value.budget in BUDGETS
 
     def test_two_stage_multi_resolution(self, tiny_config):
-        # stage 1 fixed-resolution, stage 2 continues with sampled resolutions
+        # stage 1 at 16 px, stage 2 continues the same weights at 32 px
         enc = Encoder(tiny_config, seed=2, dtype=np.float32)
         teacher = SyntheticTeacher(tiny_config, seed=7001, dtype=np.float32)
-        stage1 = DistillConfig(total_steps=6, warmup_steps=2, batch_size=2, resolutions=(16,))
+        stage1 = DistillConfig(total_steps=6, warmup_steps=2, batch_size=2, resolution=16)
         stage2 = DistillConfig(
             total_steps=6, warmup_steps=1, batch_size=2, lr=1e-3, min_lr=1e-4,
-            resolutions=(16, 32),
+            resolution=32,
         )
         recs1 = train(
             enc, teacher, BudgetDistribution(), stage1,
@@ -346,7 +344,7 @@ class TestTrain:
 
 
 class TestModelGradCheck:
-    CONFIG = ModelConfig(layers=1, dim=8, heads=2, mlp_ratio=1.0, patch_size=2, max_cores=8, budgets=(8,))
+    CONFIG = ModelConfig(layers=1, dim=8, heads=2, mlp_ratio=1.0, patch_size=2)
 
     def case(self):
         enc = Encoder(self.CONFIG, seed=0)

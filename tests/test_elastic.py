@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veca.elastic import (
+    BUDGETS,
     CHUNK,
-    DEFAULT_BUDGETS,
     DEFAULT_WEIGHTS,
+    MAX_CORES,
     BudgetDistribution,
     active_prefix,
     load_schedule,
@@ -21,34 +22,30 @@ from veca.tensor import Tensor
 class TestBudgetDistribution:
     def test_default_distribution(self):
         dist = BudgetDistribution()
-        assert dist.budgets == DEFAULT_BUDGETS == (8, 16, 24, 32, 40, 48, 56, 64)
+        assert BUDGETS == (8, 16, 24, 32, 40, 48, 56, 64) and MAX_CORES == 64
         assert dist.weights == DEFAULT_WEIGHTS == (1, 1, 2, 2, 3, 3, 4, 4)
         np.testing.assert_allclose(dist.probs.sum(), 1.0)
         assert dist.probs[0] == pytest.approx(0.05)
         assert dist.probs[-1] == pytest.approx(0.20)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            BudgetDistribution(budgets=(8, 16), weights=(1,))
-        with pytest.raises(ConfigError):
-            BudgetDistribution(budgets=(8, 12), weights=(1, 1))  # 12 not multiple of 8
-        with pytest.raises(ConfigError):
-            BudgetDistribution(budgets=(16, 8), weights=(1, 1))
-        with pytest.raises(ConfigError):
-            BudgetDistribution(budgets=(8, 16), weights=(0, 0))
+        # one weight per budget, with a positive sum
+        for weights in ((), (1,), (1,) * 7, (1,) * 9, (0,) * 8):
+            with pytest.raises(ConfigError):
+                BudgetDistribution(weights=weights)
 
     @pytest.mark.parametrize("weights", [
         (float("nan"), 1.0), (float("inf"), 1.0), (1.0, -float("inf")), (1e308, 1e308), (-1.0, 2.0),
     ])
     def test_non_finite_weights_or_sum_rejected(self, weights):
         with pytest.raises(ConfigError):
-            BudgetDistribution(budgets=(8, 16), weights=weights)
+            BudgetDistribution(weights=weights + (1.0,) * (len(BUDGETS) - len(weights)))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8))
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=8, max_size=8))
     def test_accepted_weights_give_finite_probs_summing_to_one(self, weights):
         try:
-            dist = BudgetDistribution(budgets=DEFAULT_BUDGETS[: len(weights)], weights=tuple(weights))
+            dist = BudgetDistribution(weights=tuple(weights))
         except ConfigError:
             return
         assert np.isfinite(dist.probs).all()
@@ -64,7 +61,7 @@ class TestSampler:
     def test_empirical_frequencies_100k(self):
         dist = BudgetDistribution()
         stream = RngStream(0, "freq")
-        counts = dict.fromkeys(dist.budgets, 0)
+        counts = dict.fromkeys(BUDGETS, 0)
         n = 100_000
         for _ in range(n):
             counts[sample_budget(dist, stream)] += 1
