@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""SHA-256 over the encoder's outputs, to tell whether a change moved any number.
+
+    PYTHONPATH=src python3 scripts/output_digest.py [--npz PATH]
+
+Covers ``tiny-test`` in float32 and float64 (seed-0 weights, two 16 px
+images): the forward at every budget, the loss and every gradient at C = 8
+against the synthetic teacher, and 30 steps of ``distill.train`` (each
+step's budget, loss and learning rate, then the final weights); and
+``small`` float32 forwards of two 64 px images at C = 8 and C = 64. Every
+array is hashed with its name, dtype and shape, in a fixed order. The digest
+holds only at a fixed BLAS thread count: OpenBLAS splits some products
+differently across threads, so pin it (``OPENBLAS_NUM_THREADS=1``) when
+comparing two checkouts. ``--npz PATH`` also saves the arrays, so two
+checkouts whose digests differ can be compared by max |difference|.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+
+import numpy as np
+
+from veca.data import synthetic_images
+from veca.distill import TEACHER_SEED, DistillConfig, SyntheticTeacher, total_loss, train
+from veca.elastic import BUDGETS, DEFAULT_WEIGHTS, BudgetDistribution
+from veca.model import Encoder, get_preset
+from veca.rng import RngStream
+
+TRAIN_STEPS = 30
+
+
+def outputs() -> dict[str, np.ndarray]:
+    """Every covered array by name, in the order they are hashed."""
+    arrays: dict[str, np.ndarray] = {}
+    tiny = get_preset("tiny-test")
+    images = synthetic_images(RngStream(0, "digest-images"), 2, 16)
+    for dtype in (np.float32, np.float64):
+        tag = f"tiny/{np.dtype(dtype).name}"
+        student = Encoder(tiny, seed=0, dtype=dtype)
+        teacher = SyntheticTeacher(tiny, seed=TEACHER_SEED, dtype=dtype)
+        for c in BUDGETS:
+            y, z = student(images, c)
+            arrays[f"{tag}/forward/C{c}/global"] = y.data
+            arrays[f"{tag}/forward/C{c}/dense"] = z.data
+        loss, _ = total_loss(images, BUDGETS[0], student, teacher, DistillConfig())
+        loss.backward()
+        arrays[f"{tag}/loss/C{BUDGETS[0]}"] = loss.data
+        for name, p in student.params.items():
+            if p.grad is not None:
+                arrays[f"{tag}/grad/C{BUDGETS[0]}/{name}"] = p.grad
+
+        student = Encoder(tiny, seed=0, dtype=dtype)
+        records = train(
+            student,
+            teacher,
+            BudgetDistribution(weights=DEFAULT_WEIGHTS),
+            DistillConfig(total_steps=TRAIN_STEPS),
+            data_stream=RngStream(0, "data"),
+            budget_stream=RngStream(0, "budgets"),
+        )
+        arrays[f"{tag}/train/records"] = np.array([(r.step, r.budget, r.loss, r.lr) for r in records])
+        for name, value in student.state().items():
+            arrays[f"{tag}/train/weights/{name}"] = value
+
+    small = Encoder(get_preset("small"), seed=0, dtype=np.float32)
+    images = synthetic_images(RngStream(0, "digest-images"), 2, 64)
+    for c in (BUDGETS[0], BUDGETS[-1]):
+        y, z = small(images, c)
+        arrays[f"small/float32/forward/C{c}/global"] = y.data
+        arrays[f"small/float32/forward/C{c}/dense"] = z.data
+    return arrays
+
+
+def digest(arrays: dict[str, np.ndarray]) -> str:
+    h = hashlib.sha256()
+    for name, value in arrays.items():
+        value = np.ascontiguousarray(value)
+        h.update(f"{name} {value.dtype.str} {value.shape}\n".encode())
+        h.update(value.tobytes())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--npz", help="also save every covered array to this .npz file")
+    args = parser.parse_args(argv)
+    arrays = outputs()
+    if args.npz:
+        np.savez(args.npz, **arrays)
+    print(f"{digest(arrays)}  {len(arrays)} arrays")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

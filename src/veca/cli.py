@@ -136,6 +136,14 @@ _TRAIN_DEFAULTS = {
 }
 
 
+def _integer(resolved: dict, key: str) -> int:
+    # int() would turn 2.7 into 2 and true into 1 while the header and checkpoint record 2.7 or true
+    value = resolved[key]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"train-toy config value {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def cmd_train_toy(args) -> int:
     # teacher_seed has no flag: getattr gives None, which _resolve_config skips
     overrides = {k: getattr(args, k, None) for k in _TRAIN_DEFAULTS}
@@ -145,19 +153,19 @@ def cmd_train_toy(args) -> int:
 
     config = get_preset(str(resolved["preset"]))
     try:
-        seed = int(resolved["seed"])
+        seed = _integer(resolved, "seed")
         weights = tuple(float(w) for w in str(resolved["budget_weights"]).split(","))
         dcfg = DistillConfig(
             lr=float(resolved["lr"]),
             min_lr=float(resolved["min_lr"]),
-            warmup_steps=int(resolved["warmup"]),
-            total_steps=int(resolved["steps"]),
+            warmup_steps=_integer(resolved, "warmup"),
+            total_steps=_integer(resolved, "steps"),
             weight_decay=float(resolved["weight_decay"]),
-            batch_size=int(resolved["batch"]),
-            resolution=int(resolved["res"]),
+            batch_size=_integer(resolved, "batch"),
+            resolution=_integer(resolved, "res"),
         )
         dtype = np.dtype(resolved["dtype"])
-        teacher_seed = int(resolved["teacher_seed"])
+        teacher_seed = _integer(resolved, "teacher_seed")
     except (TypeError, ValueError) as err:
         raise ConfigError(f"train-toy config value has the wrong type: {err}") from err
     dist = BudgetDistribution(weights=weights)

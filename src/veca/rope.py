@@ -64,10 +64,7 @@ def angles(head_dim: int, coords) -> Tensor:
     )
 
     def grad_fn(g: np.ndarray) -> None:
-        dc = np.stack(
-            [(g[..., :nf] * f).sum(axis=-1), (g[..., nf:] * f).sum(axis=-1)], axis=-1
-        )
-        _accumulate(coords, dc)
+        _accumulate(coords, np.stack([g[..., :nf] @ f, g[..., nf:] @ f], axis=-1))
 
     return _from_op(data, (coords,), grad_fn, "rope_angles")
 

@@ -10,8 +10,12 @@ backwards; everything else composes. :func:`central_difference_error` (and
 :func:`grad_check` on top of it) compares recorded gradients with central
 finite differences. Design constraints, all deliberate:
 
-* every op validates that its output is finite and raises
-  :class:`~veca.errors.NonFiniteError` otherwise;
+* every op validates that its output is finite, with one ``isfinite`` pass
+  over it, and raises :class:`~veca.errors.NonFiniteError` otherwise;
+* sums over the last axis (softmax's normaliser, layer norm's moments,
+  ``tsum(axis=-1)``) and over the leading axes (bias and affine gradients)
+  are BLAS matrix-vector products with a vector of ones, not numpy
+  reductions, which cost several times more on these short axes;
 * binary elementwise ops require exactly matching shapes, a python scalar, or
   an explicit :func:`broadcast_to` beforehand (no silent broadcasting);
 * the backward pass visits nodes in reverse creation order, which is a
@@ -41,12 +45,26 @@ _counter = itertools.count()
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    # fast path: a single reduction; only a suspicious sum pays for the full scan
-    with np.errstate(invalid="ignore", over="ignore"):
-        if np.isfinite(data.sum()):
-            return
     if not np.isfinite(data).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, keeping it with length 1."""
+    return (a @ np.ones(a.shape[-1], a.dtype))[..., None]
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, keeping it with length 1."""
+    s = _row_sum(a)
+    s /= a.shape[-1]
+    return s
+
+
+def _col_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the last."""
+    m = math.prod(a.shape[:-1])
+    return np.ones(m, a.dtype) @ a.reshape(m, a.shape[-1])
 
 
 class Tensor:
@@ -413,7 +431,7 @@ def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum over one axis, or over everything when ``axis`` is None."""
     a = as_tensor(a)
-    data = a.data.sum(axis=axis)
+    data = _row_sum(a.data)[..., 0] if axis == -1 else a.data.sum(axis=axis)
 
     def grad_fn(g: np.ndarray) -> None:
         if axis is not None:
@@ -474,10 +492,10 @@ def softmax_rows(x: Tensor) -> Tensor:
     # exp and the normalization run in place on the one fresh array
     p = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= _row_sum(p)
 
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(x, p * (g - np.sum(g * p, axis=-1, keepdims=True)))
+        _accumulate(x, p * (g - _row_sum(g * p)))
 
     return _from_op(p, (x,), grad_fn, "softmax_rows")
 
@@ -496,11 +514,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm: gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xn = x.data - mu
+    xn = x.data - _row_mean(x.data)
     with np.errstate(over="ignore"):
         out = xn * xn
-        var = np.mean(out, axis=-1, keepdims=True)
+        var = _row_mean(out)
     # an overflowed variance would make inv 0 and the output silently beta
     _check_finite(var, "layer_norm variance")
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
@@ -511,15 +528,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     out += beta.data
 
     def grad_fn(g: np.ndarray) -> None:
-        lead = tuple(range(g.ndim - 1))
-        _accumulate(gamma, np.sum(g * xn, axis=lead))
-        _accumulate(beta, np.sum(g, axis=lead))
+        _accumulate(gamma, _col_sum(g * xn))
+        _accumulate(beta, _col_sum(g))
         gxn = g * gamma.data
-        dx = inv * (
-            gxn
-            - gxn.mean(axis=-1, keepdims=True)
-            - xn * np.mean(gxn * xn, axis=-1, keepdims=True)
-        )
+        dx = inv * (gxn - _row_mean(gxn) - xn * _row_mean(gxn * xn))
         _accumulate(x, dx)
 
     return _from_op(out, (x, gamma, beta), grad_fn, "layer_norm")
@@ -549,7 +561,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         _accumulate(x, (gf @ w.data.T).reshape(x.shape))
         _accumulate(w, flat.T @ gf)
         if b is not None:
-            _accumulate(b, gf.sum(axis=0))
+            _accumulate(b, _col_sum(gf))
 
     return _from_op(out.reshape(lead + (w.shape[1],)), parents, grad_fn, "linear")
 

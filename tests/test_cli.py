@@ -323,6 +323,10 @@ class TestExitCodes:
         "checkpoint config nested too deeply to parse": ("checkpoint", container(b"[" * 200_000), 3),
         "targets config nested too deeply to parse": ("targets", container(b"[" * 200_000), 3),
         "config dtype not a float": ("config", b'{"dtype": "int8"}', 2),
+        "config steps fractional": ("config", b'{"steps": 2.7, "batch": 2}', 2),
+        "config resolution fractional": ("config", b'{"res": 16.5, "steps": 2, "batch": 2}', 2),
+        "config steps infinite": ("config", b'{"steps": Infinity}', 2),
+        "config steps a boolean": ("config", b'{"steps": true, "batch": 2}', 2),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

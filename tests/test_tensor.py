@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -10,6 +11,10 @@ from veca.errors import DTypeError, NonFiniteError, ShapeError
 from veca.rope import apply as rope_apply
 from veca.tensor import (
     Tensor,
+    _check_finite,
+    _col_sum,
+    _row_mean,
+    _row_sum,
     add,
     broadcast_to,
     clip_min,
@@ -393,9 +398,11 @@ class TestInvariants:
             power(Tensor(np.array([1e200])), 2.0)
 
     def test_layer_norm_variance_overflow_surfaces(self):
-        # the squared deviations overflow, so the variance is inf and the output would be just beta
+        # the squared deviations overflow, so the variance is inf and the output would be just beta;
+        # the overflow inside the variance's sum is not a warning either
         for dtype, row in ((np.float64, [1e200, -1e200, 0.0, 3e199]), (np.float32, [1e20, -1e20, 0.0, 3e19])):
-            with pytest.raises(NonFiniteError, match="layer_norm"):
+            with warnings.catch_warnings(), pytest.raises(NonFiniteError, match="layer_norm"):
+                warnings.simplefilter("error")
                 layer_norm(Tensor(np.array([row], dtype=dtype)), Tensor(np.ones(4, dtype)), Tensor(np.zeros(4, dtype)))
 
     def test_div_by_zero_surfaces(self):
@@ -412,6 +419,113 @@ class TestInvariants:
 
     def test_int_input_promotes(self):
         assert Tensor([1, 2, 3]).dtype == np.float64
+
+
+FLOATS = [np.float32, np.float64]
+
+
+class TestFiniteCheck:
+    # under warnings-as-errors, so a check that warns fails as loudly as one that misses
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_finite_values_whose_sum_overflows_pass(self, dtype):
+        big = np.full(2, 3e38 if dtype == np.float32 else 1.7e308, dtype)  # each over half the max
+        _check_finite(big, "probe")
+        Tensor(big)
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_empty_array_passes(self, dtype):
+        _check_finite(np.empty(0, dtype), "probe")
+        assert Tensor(np.empty((2, 0), dtype)).size == 0
+
+    @given(
+        size=st.integers(1, 1000),
+        data=st.data(),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        dtype=st.sampled_from(FLOATS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_non_finite_value_anywhere_raises(self, size, data, bad, dtype):
+        values = np.random.default_rng(size).normal(size=size).astype(dtype)
+        values[data.draw(st.integers(0, size - 1))] = bad
+        with pytest.raises(NonFiniteError, match="probe"):
+            _check_finite(values, "probe")
+
+
+def _sum_bound(a: np.ndarray, axis) -> np.ndarray:
+    """n * eps * sum |x| over ``axis``: a bound on any order of n - 1 rounded additions."""
+    n = a.shape[axis] if isinstance(axis, int) else math.prod(a.shape[i] for i in axis)
+    return n * np.finfo(a.dtype).eps * np.abs(a.astype(np.float64)).sum(axis=axis)
+
+
+def _fsum(a: np.ndarray, axis) -> np.ndarray:
+    """Correctly rounded float64 sums over ``axis`` (the last axis, or every other one)."""
+    a = np.asarray(a, np.float64)
+    if axis != -1:
+        a = a.reshape(-1, a.shape[-1]).T
+    rows = a.reshape(-1, a.shape[-1])
+    return np.array([math.fsum(r) for r in rows]).reshape(a.shape[:-1])
+
+
+def _layouts(values: np.ndarray) -> dict[str, np.ndarray]:
+    """The same values stored contiguously, as a transposed view (as a gradient
+    that went through ``transpose`` arrives) and as the first half of a wider
+    array (as ``ffn_swiglu``'s getitem halves are)."""
+    wide = np.zeros(values.shape[:-1] + (2 * values.shape[-1],), values.dtype)
+    wide[..., : values.shape[-1]] = values
+    out = {"contiguous": np.ascontiguousarray(values), "sliced": wide[..., : values.shape[-1]]}
+    if values.ndim > 1:
+        out["transposed"] = np.ascontiguousarray(np.swapaxes(values, -1, -2)).swapaxes(-1, -2)
+    return out
+
+
+class TestAxisSums:
+    SHAPES = [(3, 5, 7), (2, 2, 16, 20), (6, 1), (4, 3, 1), (1, 9), (9,)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_within_n_eps_of_an_exact_sum(self, dtype, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        # magnitudes over six decades, so cancellation and absorption both happen
+        values = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)).astype(dtype)
+        lead = tuple(range(values.ndim - 1))
+        for name, a in _layouts(values).items():
+            rows, cols, means = _row_sum(a), _col_sum(a), _row_mean(a)
+            assert rows.shape == a.shape[:-1] + (1,) and rows.dtype == dtype, name
+            assert cols.shape == a.shape[-1:] and cols.dtype == dtype, name
+            exact_rows, exact_cols = _fsum(a, -1), _fsum(a, lead)
+            row_bound, col_bound = _sum_bound(a, -1), _sum_bound(a, lead)
+            assert np.all(np.abs(rows[..., 0] - exact_rows) <= row_bound), name
+            assert np.all(np.abs(cols - exact_cols) <= col_bound), name
+            d = a.shape[-1]
+            assert np.all(np.abs(means[..., 0] - exact_rows / d) <= row_bound / d * (1 + 1 / d)), name
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_same_values_at_any_offset_give_the_same_bits(self, dtype):
+        rng = np.random.default_rng(4)
+        for shape in [(8, 2, 64, 80), (8, 80, 16), (260, 384), (5, 1)]:
+            values = rng.normal(size=shape).astype(dtype)
+            results = set()
+            for offset in range(9):
+                buf = np.empty(values.size + 9, dtype)
+                a = buf[offset : offset + values.size].reshape(shape)
+                a[...] = values
+                results.add(b"".join(f(a).tobytes() for f in (_row_sum, _row_mean, _col_sum)))
+            assert len(results) == 1, shape
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_softmax_over_zero_rows(self, dtype):
+        # the teacher runs attention at C = T, where the patch-row block is (B, H, 0, T)
+        x = Tensor(np.zeros((2, 3, 0, 5), dtype), requires_grad=True)
+        out = softmax_rows(x)
+        assert out.shape == x.shape and out.dtype == dtype
+        tsum(out).backward()
+        assert x.grad.shape == x.shape
 
 
 def _operands(dtype_of: dict[str, type]) -> dict[str, Tensor]:
