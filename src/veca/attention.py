@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rope as rope_mod
-from .errors import BudgetError, ConfigError, ShapeError
+from .errors import BudgetError, ConfigError, DTypeError, ShapeError
 from .rng import RngStream
 from .tensor import (
     Tensor,
@@ -128,8 +128,8 @@ def _coords_3d(coords, batch: int, t: int, dtype) -> Tensor:
         coords = broadcast_to(reshape(coords, (1,) + coords.shape), (batch,) + coords.shape)
     if coords.shape != (batch, t, 2):
         raise ShapeError(f"coords must be [T,2] or [B,T,2] matching x, got {coords.shape}")
-    if coords.data.dtype != dtype:
-        coords = Tensor(coords.data.astype(dtype)) if not coords.requires_grad else coords
+    if coords.dtype != dtype:
+        raise DTypeError(f"attention: dtypes differ: x {np.dtype(dtype)} vs coords {coords.dtype}")
     return coords
 
 

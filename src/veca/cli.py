@@ -136,11 +136,10 @@ _TRAIN_DEFAULTS = {
 }
 
 
-def _integer(resolved: dict, key: str) -> int:
+def _integer(value, key: str) -> int:
     # int() would turn 2.7 into 2 and true into 1 while the header and checkpoint record 2.7 or true
-    value = resolved[key]
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"train-toy config value {key!r} must be an integer, got {value!r}")
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -153,19 +152,19 @@ def cmd_train_toy(args) -> int:
 
     config = get_preset(str(resolved["preset"]))
     try:
-        seed = _integer(resolved, "seed")
+        seed = _integer(resolved["seed"], "seed")
         weights = tuple(float(w) for w in str(resolved["budget_weights"]).split(","))
         dcfg = DistillConfig(
             lr=float(resolved["lr"]),
             min_lr=float(resolved["min_lr"]),
-            warmup_steps=_integer(resolved, "warmup"),
-            total_steps=_integer(resolved, "steps"),
+            warmup_steps=_integer(resolved["warmup"], "warmup"),
+            total_steps=_integer(resolved["steps"], "steps"),
             weight_decay=float(resolved["weight_decay"]),
-            batch_size=_integer(resolved, "batch"),
-            resolution=_integer(resolved, "res"),
+            batch_size=_integer(resolved["batch"], "batch"),
+            resolution=_integer(resolved["res"], "res"),
         )
         dtype = np.dtype(resolved["dtype"])
-        teacher_seed = _integer(resolved, "teacher_seed")
+        teacher_seed = _integer(resolved["teacher_seed"], "teacher_seed")
     except (TypeError, ValueError) as err:
         raise ConfigError(f"train-toy config value has the wrong type: {err}") from err
     dist = BudgetDistribution(weights=weights)
@@ -217,9 +216,9 @@ def cmd_eval_budgets(args) -> int:
     if not isinstance(train_cfg, dict):
         raise CheckpointError(f"{args.checkpoint}: 'train' section is not a JSON object")
     try:
-        seed = args.seed if args.seed is not None else int(train_cfg.get("seed", _default_seed()))
-        res = int(train_cfg.get("res", 16))
-        teacher_seed = int(train_cfg.get("teacher_seed", TEACHER_SEED))
+        seed = args.seed if args.seed is not None else _integer(train_cfg.get("seed", _default_seed()), "seed")
+        res = _integer(train_cfg.get("res", _DISTILL.resolution), "res")
+        teacher_seed = _integer(train_cfg.get("teacher_seed", TEACHER_SEED), "teacher_seed")
     except (TypeError, ValueError) as err:
         raise CheckpointError(f"{args.checkpoint}: 'train' section value is not an integer: {err}") from err
     budgets = _ints(args.budgets) if args.budgets else list(BUDGETS)

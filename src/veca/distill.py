@@ -37,18 +37,16 @@ from .rng import RngStream
 from .rope import patch_grid
 from .tensor import (
     Tensor,
+    _accumulate,
+    _check_finite,
+    _from_op,
+    _row_sum,
+    _same_dtype,
     add,
-    clip_min,
-    div,
+    as_tensor,
     float_type,
     layer_norm,
     linear,
-    mul,
-    neg,
-    power,
-    sub,
-    tmean,
-    tsum,
 )
 
 
@@ -86,31 +84,86 @@ class DistillConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def _safe_norm(t: Tensor) -> Tensor:
-    # max(||t||, NORM_FLOOR) over the last axis, computed as
-    # sqrt(max(sum t^2, NORM_FLOOR^2)) so the gradient stays finite at the floor
-    sumsq = tsum(mul(t, t), axis=-1)
-    return power(clip_min(sumsq, NORM_FLOOR * NORM_FLOOR), 0.5)
+def _operands(op: str, a, b) -> tuple[Tensor, Tensor]:
+    a, b = as_tensor(a), as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes differ: {a.shape} vs {b.shape}")
+    _same_dtype(op, a, b)
+    return a, b
+
+
+def _cosine(a: np.ndarray, b: np.ndarray, op: str):
+    """Per-row cosine <a, b> / (|a| |b|) over the last axis (kept, length 1).
+
+    Each norm is floored as |x| = sqrt(max(sum x^2, NORM_FLOOR^2)), so it passes
+    gradient only where sum x^2 > NORM_FLOOR^2. The dot products and sums of
+    squares are checked finite: an overflowed norm would give a silent cosine
+    of 0. Their norm product cannot overflow then, because sqrt(max)^2 rounds
+    to a finite value in both dtypes. Returns the cosines and their
+    vector-Jacobian product ``vjp(gc, first)``: the gradient of sum(gc * cos)
+    w.r.t. ``a`` (or ``b``).
+    """
+    floor2 = NORM_FLOOR * NORM_FLOOR
+    with np.errstate(over="ignore", invalid="ignore"):
+        dot, ssa, ssb = _row_sum(a * b), _row_sum(a * a), _row_sum(b * b)
+    _check_finite(dot, f"{op} dot product")
+    _check_finite(ssa, f"{op} sum of squares")
+    _check_finite(ssb, f"{op} sum of squares")
+    qa, qb = np.maximum(ssa, floor2), np.maximum(ssb, floor2)
+    den = np.sqrt(qa) * np.sqrt(qb)
+    cos = dot / den
+
+    def vjp(gc: np.ndarray, first: bool) -> np.ndarray:
+        # d cos / dx = other / den - cos x / |x|^2, the second term only above the floor
+        x, other, ss, q = (a, b, ssa, qa) if first else (b, a, ssb, qb)
+        return (gc / den) * other - (gc * cos * (ss > floor2) / q) * x
+
+    return cos, vjp
+
+
+def _mean(a: np.ndarray):
+    return a.sum() * (1.0 / a.size)
 
 
 def loss_global(y: Tensor, y_star: Tensor) -> Tensor:
-    """Mean cosine distance 1 - <y, y*> / (||y|| ||y*||), norms floored at NORM_FLOOR."""
-    if y.shape != y_star.shape:
-        raise ShapeError(f"loss_global: shapes differ: {y.shape} vs {y_star.shape}")
-    dot = tsum(mul(y, y_star), axis=-1)
-    cosine = div(dot, mul(_safe_norm(y), _safe_norm(y_star)))
-    return tmean(add(neg(cosine), 1.0))
+    """Mean cosine distance 1 - <y, y*> / (||y|| ||y*||), norms floored at NORM_FLOOR.
+
+    One tape node; a target that requires grad gets its gradient too.
+    """
+    y, y_star = _operands("loss_global", y, y_star)
+    cos, vjp = _cosine(y.data, y_star.data, "loss_global")
+    data = np.asarray(_mean(1.0 - cos))
+
+    def grad_fn(g: np.ndarray) -> None:
+        gc = g * (-1.0 / cos.size)
+        if y.requires_grad:
+            _accumulate(y, vjp(gc, True))
+        if y_star.requires_grad:
+            _accumulate(y_star, vjp(gc, False))
+
+    return _from_op(data, (y, y_star), grad_fn, "loss_global")
 
 
 def loss_dense(z: Tensor, z_star: Tensor) -> Tensor:
-    """Patch-mean cosine distance plus elementwise-mean squared error."""
-    if z.shape != z_star.shape:
-        raise ShapeError(f"loss_dense: shapes differ: {z.shape} vs {z_star.shape}")
-    dot = tsum(mul(z, z_star), axis=-1)
-    cosine = div(dot, mul(_safe_norm(z), _safe_norm(z_star)))
-    cos_term = tmean(add(neg(cosine), 1.0))
-    diff = sub(z, z_star)
-    return add(cos_term, tmean(mul(diff, diff)))
+    """Patch-mean cosine distance plus elementwise-mean squared error; one tape node."""
+    z, z_star = _operands("loss_dense", z, z_star)
+    cos, vjp = _cosine(z.data, z_star.data, "loss_dense")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = z.data - z_star.data
+        sq = diff * diff
+        mse = _mean(sq)  # an overflowed sum fails the node's own check
+    _check_finite(sq, "loss_dense squared difference")
+    data = np.asarray(_mean(1.0 - cos) + mse)
+
+    def grad_fn(g: np.ndarray) -> None:
+        gc = g * (-1.0 / cos.size)
+        gd = g * (2.0 / diff.size) * diff
+        if z.requires_grad:
+            _accumulate(z, vjp(gc, True) + gd)
+        if z_star.requires_grad:
+            _accumulate(z_star, vjp(gc, False) - gd)
+
+    return _from_op(data, (z, z_star), grad_fn, "loss_dense")
 
 
 def total_loss(

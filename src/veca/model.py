@@ -14,6 +14,7 @@ core token is the global feature and the patch tokens are the dense features.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import ClassVar
@@ -90,16 +91,8 @@ def get_preset(name: str) -> ModelConfig:
 
 
 def param_count(config: ModelConfig) -> int:
-    """Exact number of learnable scalars for a configuration."""
-    d, hidden = config.dim, config.hidden
-    patch = config.patch_size * config.patch_size * CHANNELS * d + d
-    attn = 4 * (d * d + d)
-    norms = 2 * 2 * d
-    ffn = d * 2 * hidden + 2 * hidden + hidden * d + d
-    per_block = norms + attn + ffn
-    cores = MAX_CORES * d + MAX_CORES * 2
-    coord_heads = (config.layers - 1) * (d * 2 + 2) + (config.layers - 1)
-    return patch + config.layers * per_block + 2 * d + cores + coord_heads
+    """Exact number of learnable scalars for a configuration (nothing is drawn)."""
+    return sum(math.prod(shape) for shape, _ in _layout(config, 0).values())
 
 
 def patchify(images, config: ModelConfig, dtype) -> tuple[Tensor, tuple[int, int]]:

@@ -1,21 +1,22 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The substrate for everything else in the package: a row-major float32/float64
-array type and the primitive ops the model and its losses use, each recording
-a tape node: add, sub, mul, div, neg, power, tanh, sin, cos, silu, clip_min,
-reshape, transpose, getitem, concat, broadcast_to, tsum, tmean, matmul,
-softmax_rows, layer_norm and linear. The last three sit inside every
-transformer block, so they are single tape nodes with hand-written
-backwards; everything else composes. :func:`central_difference_error` (and
-:func:`grad_check` on top of it) compares recorded gradients with central
-finite differences. Design constraints, all deliberate:
+array type and the primitive ops the model uses, each recording a tape node:
+add, mul, tanh, sin, cos, silu, reshape, transpose, getitem, concat,
+broadcast_to, tsum (over every element), matmul, softmax_rows, layer_norm
+and linear. The last three sit inside every transformer block, so they are
+single tape nodes with hand-written backwards; everything else composes
+(rotary's ops and the distillation losses are nodes of the same kind, built
+on :func:`_from_op` in their own modules). :func:`central_difference_error`
+(and :func:`grad_check` on top of it) compares recorded gradients with
+central finite differences. Design constraints, all deliberate:
 
 * every op validates that its output is finite, with one ``isfinite`` pass
   over it, and raises :class:`~veca.errors.NonFiniteError` otherwise;
-* sums over the last axis (softmax's normaliser, layer norm's moments,
-  ``tsum(axis=-1)``) and over the leading axes (bias and affine gradients)
-  are BLAS matrix-vector products with a vector of ones, not numpy
-  reductions, which cost several times more on these short axes;
+* sums over the last axis (softmax's normaliser, layer norm's moments, the
+  losses' dot products) and over the leading axes (bias and affine
+  gradients) are BLAS matrix-vector products with a vector of ones, not
+  numpy reductions, which cost several times more on these short axes;
 * binary elementwise ops require exactly matching shapes, a python scalar, or
   an explicit :func:`broadcast_to` beforehand (no silent broadcasting);
 * the backward pass visits nodes in reverse creation order, which is a
@@ -229,19 +230,6 @@ def add(a, b) -> Tensor:
     return _from_op(data, (a, b), grad_fn, "add")
 
 
-def sub(a, b) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b, a.dtype)
-    _binary_shapes(a, b, "sub")
-    data = a.data - b.data
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast_scalar(a, g))
-        _accumulate(b, _unbroadcast_scalar(b, -g))
-
-    return _from_op(data, (a, b), grad_fn, "sub")
-
-
 def mul(a, b) -> Tensor:
     a = as_tensor(a)
     b = as_tensor(b, a.dtype)
@@ -253,42 +241,6 @@ def mul(a, b) -> Tensor:
         _accumulate(b, _unbroadcast_scalar(b, g * a.data))
 
     return _from_op(data, (a, b), grad_fn, "mul")
-
-
-def div(a, b) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b, a.dtype)
-    _binary_shapes(a, b, "div")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = a.data / b.data
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast_scalar(a, g / b.data))
-        _accumulate(b, _unbroadcast_scalar(b, -g * a.data / (b.data * b.data)))
-
-    return _from_op(data, (a, b), grad_fn, "div")
-
-
-def neg(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    data = -a.data
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, -g)
-
-    return _from_op(data, (a,), grad_fn, "neg", check=False)
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = a.data**p
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * p * a.data ** (p - 1.0))
-
-    return _from_op(data, (a,), grad_fn, f"power({p})")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -344,18 +296,6 @@ def silu(a: Tensor) -> Tensor:
         _accumulate(a, g * (1.0 + x * sig_neg) / den)
 
     return _from_op(data, (a,), grad_fn, "silu")
-
-
-def clip_min(a: Tensor, floor: float) -> Tensor:
-    """Elementwise max(a, floor); gradient passes only where a > floor."""
-    a = as_tensor(a)
-    floor = float(floor)
-    data = np.maximum(a.data, floor)
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * (a.data > floor))
-
-    return _from_op(data, (a,), grad_fn, "clip_min")
 
 
 # -- shape ops -----------------------------------------------------------------
@@ -428,23 +368,15 @@ def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _from_op(data, (a,), grad_fn, "broadcast_to", check=False)
 
 
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    """Sum over one axis, or over everything when ``axis`` is None."""
+def tsum(a: Tensor) -> Tensor:
+    """Sum over every element."""
     a = as_tensor(a)
-    data = _row_sum(a.data)[..., 0] if axis == -1 else a.data.sum(axis=axis)
+    data = a.data.sum()
 
     def grad_fn(g: np.ndarray) -> None:
-        if axis is not None:
-            g = np.expand_dims(g, axis % a.ndim)
         _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
     return _from_op(data, (a,), grad_fn, "sum")
-
-
-def tmean(a: Tensor) -> Tensor:
-    """Mean over every element."""
-    a = as_tensor(a)
-    return mul(tsum(a), 1.0 / a.size)
 
 
 # -- matmul ----------------------------------------------------------------------

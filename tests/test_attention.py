@@ -10,7 +10,7 @@ from veca.attention import (
     interaction_count,
     masked_dense_oracle,
 )
-from veca.errors import BudgetError, ConfigError, ShapeError
+from veca.errors import BudgetError, ConfigError, DTypeError, ShapeError
 from veca.rng import RngStream
 from veca.tensor import Tensor
 
@@ -84,6 +84,17 @@ class TestCoreAttention:
         params, x, _ = random_case(5)
         with pytest.raises(ShapeError):
             core_attention(params, x, Tensor(np.zeros((5, 2))), 4)
+
+    @pytest.mark.parametrize("fn", [core_attention, masked_dense_oracle], ids=["core", "oracle"])
+    def test_coords_of_another_dtype_refused(self, fn):
+        # float32 x and weights: float32 coordinates run, float64 ones are refused, not cast
+        p64, x, coords = random_case(5)
+        params = AttnParams(*(Tensor(t.data.astype(np.float32)) for t in p64.tensors().values()), p64.heads)
+        x32 = Tensor(x.data.astype(np.float32))
+        assert fn(params, x32, Tensor(coords.data.astype(np.float32)), 4).dtype == np.float32
+        for requires_grad in (False, True):
+            with pytest.raises(DTypeError, match="dtypes differ"):
+                fn(params, x32, Tensor(coords.data, requires_grad=requires_grad), 4)
 
     def test_capture_shapes_and_row_sums(self):
         params, x, coords = random_case(7, t=14, c=4, dim=16, heads=2, batch=2)

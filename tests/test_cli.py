@@ -319,6 +319,8 @@ class TestExitCodes:
         "synthetic image index not an integer": ("synth image", b"synth:abc", 2),
         "checkpoint train section not an object": ("checkpoint", tiny_checkpoint(train=[1]), 3),
         "checkpoint train res not an integer": ("checkpoint", tiny_checkpoint(train={"res": "abc"}), 3),
+        "checkpoint train res fractional": ("checkpoint", tiny_checkpoint(train={"res": 16.5, "seed": 0.5}), 3),
+        "checkpoint train teacher seed a boolean": ("checkpoint", tiny_checkpoint(train={"teacher_seed": True}), 3),
         "config nested too deeply to parse": ("config", b"[" * 200_000, 2),
         "checkpoint config nested too deeply to parse": ("checkpoint", container(b"[" * 200_000), 3),
         "targets config nested too deeply to parse": ("targets", container(b"[" * 200_000), 3),

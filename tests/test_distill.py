@@ -1,11 +1,12 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from veca import distill
+from veca import distill, tensor
 from veca.data import load_raster, normalize, synthetic_images
 from veca.distill import (
     AdamW,
@@ -20,10 +21,10 @@ from veca.distill import (
     train,
 )
 from veca.elastic import BUDGETS, BudgetDistribution
-from veca.errors import ConfigError, DTypeError, NonFiniteError, ResolutionError, TrainingDivergedError
+from veca.errors import ConfigError, DTypeError, NonFiniteError, ResolutionError, ShapeError, TrainingDivergedError
 from veca.model import Encoder, ModelConfig, get_preset
 from veca.rng import RngStream
-from veca.tensor import Tensor
+from veca.tensor import Tensor, central_difference_error
 from veca.verify import model_grad_check
 
 
@@ -87,6 +88,158 @@ class TestLossDense:
         zs = rng.normal(size=(2, 3, 4))
         got = float(loss_dense(Tensor(z), Tensor(zs)).data)
         assert got == pytest.approx(dense_loss_scalar_oracle(z, zs), abs=1e-12)
+
+
+# each loss with a feature shape: global [B, D], dense [B, N, D]
+LOSSES = {"loss_global": (loss_global, (4, 5)), "loss_dense": (loss_dense, (2, 4, 5))}
+FLOOR = distill.NORM_FLOOR
+
+
+def loss_error(loss, y: np.ndarray, ys: np.ndarray, h: float) -> float:
+    """Central-difference error w.r.t. the features and a target that requires grad."""
+    params = {"features": Tensor(y), "target": Tensor(ys)}
+    return central_difference_error(params, lambda: loss(params["features"], params["target"]), h)
+
+
+def rows_with_norms(rng, shape, norms) -> np.ndarray:
+    v = rng.normal(size=shape)
+    want = rng.permutation(np.resize(norms, shape[:-1]).reshape(-1)).reshape(shape[:-1] + (1,))
+    return v * (want / np.linalg.norm(v, axis=-1, keepdims=True))
+
+
+# float32 rows [features, target] whose named intermediate overflows while every earlier one is finite
+OVERFLOWS = {
+    "dot product": ("dot product", [1e20, 0, 0, 0], [1e20, 0, 0, 0]),
+    "features' square": ("sum of squares", [3e19, 0, 0, 0], [0, 1, 0, 0]),
+    "target's square": ("sum of squares", [0, 1, 0, 0], [3e19, 0, 0, 0]),
+    "features' row sum of finite squares": ("sum of squares", [1.5e19] * 4, [1, 0, 0, 0]),
+}
+DENSE_OVERFLOWS = {
+    "squared difference": ("squared difference", [1e19, 0, 0, 0], [-1e19, 0, 0, 0]),
+    "sum of finite squared differences": ("loss_dense", [1.3e19, 0, 1.3e19, 0], [0, -1.3e19, 0, -1.3e19]),
+}
+
+
+class TestLossNodes:
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_one_tape_node(self, name):
+        loss, shape = LOSSES[name]
+        rng = np.random.default_rng(0)
+        y, ys = Tensor(rng.normal(size=shape), requires_grad=True), Tensor(rng.normal(size=shape))
+        out = loss(y, ys)
+        assert out._parents == (y, ys) and out.size == 1
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_gradients_20_seeds(self, name):
+        loss, shape = LOSSES[name]
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed + 500)
+            worst = max(worst, loss_error(loss, rng.normal(size=shape), rng.normal(size=shape), 1e-5))
+        assert worst <= 1e-6, f"{name}: {worst}"
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_gradients_around_the_norm_floor_20_seeds(self, name):
+        # rows below, just below, just above and above the floor, on both sides; the
+        # step is small enough that no probe crosses it, and the error is relative
+        loss, shape = LOSSES[name]
+        norms = FLOOR * np.array([0.5, 0.99, 1.01, 2.0])
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed + 600)
+            y, ys = rows_with_norms(rng, shape, norms), rows_with_norms(rng, shape, norms)
+            worst = max(worst, loss_error(loss, y, ys, 3e-5 * FLOOR))
+        assert worst <= 1e-6, f"{name}: {worst}"
+
+    @pytest.mark.parametrize("first", [True, False], ids=["features", "target"])
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_gradient_at_the_floor_is_the_floored_side(self, name, first):
+        # a row with sum x^2 == NORM_FLOOR^2 passes no gradient through its norm: the
+        # gradient is the one-sided difference into the floor, not out of it
+        loss, shape = LOSSES[name]
+        rng = np.random.default_rng(7)
+        at = np.zeros(shape)
+        at[..., 0] = FLOOR
+        assert np.all((at * at).sum(axis=-1) == FLOOR * FLOOR)
+        other = rng.normal(size=shape)
+        other[..., 0] = np.abs(other[..., 0]) + 1.0  # a cosine well away from 0
+
+        def value(x: np.ndarray) -> float:
+            pair = (Tensor(x), Tensor(other)) if first else (Tensor(other), Tensor(x))
+            return float(loss(*pair).data)
+
+        t = Tensor(at, requires_grad=True)
+        loss(*((t, Tensor(other)) if first else (Tensor(other), t))).backward()
+        h = 1e-4 * FLOOR
+        step = np.zeros(shape)
+        step[(0,) * (len(shape) - 1) + (0,)] = h
+        inward = (value(at) - value(at - step)) / h
+        outward = (value(at + step) - value(at)) / h
+        analytic = t.grad[(0,) * len(shape)]
+        assert abs(analytic - inward) <= 1e-6 * abs(analytic)
+        assert abs(analytic - outward) >= 0.1 * abs(analytic)
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_float32_within_4_eps_of_float64(self, name):
+        # the same float32 inputs in both dtypes: loss within 4 eps32 * max(1, |loss|) and each
+        # gradient within 4 eps32 of its largest magnitude (measured: 1.7 and 2.4 eps32)
+        loss, _ = LOSSES[name]
+        shape = (8, 16) if name == "loss_global" else (8, 16, 16)  # tiny-test's outputs at batch 8
+        eps = float(np.finfo(np.float32).eps)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            y = rng.normal(size=shape).astype(np.float32)
+            ys = (y + rng.normal(size=shape)).astype(np.float32)
+            got = {}
+            for dtype in (np.float32, np.float64):
+                a, b = Tensor(y.astype(dtype), requires_grad=True), Tensor(ys.astype(dtype), requires_grad=True)
+                out = loss(a, b)
+                out.backward()
+                assert out.dtype == a.grad.dtype == b.grad.dtype == dtype
+                got[dtype] = [np.asarray(v, np.float64) for v in (out.data, a.grad, b.grad)]
+            (l32, *g32), (l64, *g64) = got[np.float32], got[np.float64]
+            assert abs(l32 - l64) <= 4 * eps * max(1.0, abs(l64))
+            for lo, hi in zip(g32, g64):
+                assert np.abs(lo - hi).max() <= 4 * eps * np.abs(hi).max()
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_constant_target_gets_no_gradient(self, name):
+        loss, shape = LOSSES[name]
+        rng = np.random.default_rng(1)
+        y, ys = Tensor(rng.normal(size=shape), requires_grad=True), Tensor(rng.normal(size=shape))
+        loss(y, ys).backward()
+        assert ys.grad is None and y.grad.shape == shape
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_mismatches_refused(self, name):
+        loss, shape = LOSSES[name]
+        with pytest.raises(ShapeError, match=name):
+            loss(Tensor(np.ones(shape)), Tensor(np.ones(shape[:-1] + (shape[-1] + 1,))))
+        with pytest.raises(DTypeError, match=name):
+            loss(Tensor(np.ones(shape)), Tensor(np.ones(shape, np.float32)))
+
+    @pytest.mark.parametrize(
+        "name,case",
+        [(n, c) for n in sorted(LOSSES) for c in sorted(OVERFLOWS)] + [("loss_dense", c) for c in sorted(DENSE_OVERFLOWS)],
+    )
+    def test_intermediate_overflow_raises(self, name, case):
+        what, y, ys = {**OVERFLOWS, **DENSE_OVERFLOWS}[case]
+        loss, _ = LOSSES[name]
+        lead = (1,) if name == "loss_global" else (1, 1)
+        y, ys = (Tensor(np.array(v, np.float32).reshape(lead + (4,))) for v in (y, ys))
+        with warnings.catch_warnings(), pytest.raises(NonFiniteError, match=what):
+            warnings.simplefilter("error")
+            loss(y, ys)
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_largest_finite_norms_give_the_exact_cosine(self, name):
+        # sqrt(max)^2 rounds to a finite value, so finite sums of squares keep the norm product finite
+        loss, _ = LOSSES[name]
+        top = np.sqrt(np.finfo(np.float32).max)
+        y = Tensor(np.array([top, 0, 0, 0], np.float32).reshape((1,) * (name == "loss_dense") + (1, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert float(loss(y, y).data) == 0.0
 
 
 class TestTotalLoss:
@@ -238,6 +391,17 @@ class TestTrain:
         ]
         for name in enc1.params:
             np.testing.assert_array_equal(enc1.params[name].data, enc2.params[name].data)
+
+    @pytest.mark.parametrize("budget", [BUDGETS[0], BUDGETS[-1]])
+    def test_tape_nodes_per_step_are_pinned(self, tiny_config, budget):
+        # tensors created by one float32 train step (batch 8): teacher, student, objective,
+        # backward and update; a change that adds nodes has to edit this number on purpose
+        enc = Encoder(tiny_config, seed=0, dtype=np.float32)
+        teacher = SyntheticTeacher(tiny_config, seed=7001, dtype=np.float32)
+        before = next(tensor._counter)
+        train(enc, teacher, BudgetDistribution(), DistillConfig(total_steps=1),
+              data_stream=RngStream(0, "data"), budget_stream=RngStream(0, "budgets"), budget_schedule=[budget])
+        assert next(tensor._counter) - before - 1 == 188
 
     def test_constant_patch_grid_keeps_no_gradient(self, tiny_config):
         # the cached grid is shared across steps; a gradient on it would grow forever

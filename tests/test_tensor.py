@@ -17,25 +17,19 @@ from veca.tensor import (
     _row_sum,
     add,
     broadcast_to,
-    clip_min,
     concat,
     cos,
-    div,
     getitem,
     grad_check,
     layer_norm,
     linear,
     matmul,
     mul,
-    neg,
-    power,
     reshape,
     silu,
     sin,
     softmax_rows,
-    sub,
     tanh,
-    tmean,
     transpose,
     tsum,
 )
@@ -181,12 +175,14 @@ class TestGradCheck:
         with pytest.raises(DTypeError):
             grad_check(lambda t: tsum(t), Tensor(np.zeros(2, dtype=np.float32)), 1e-5)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
     def test_non_finite_names_coordinate(self):
         def f(t):
-            return tsum(div(Tensor(np.ones(3)), t))
+            return tsum(mul(mul(t, t), t))
 
+        # t^3 is finite at 5e102 (1.25e308) and overflows only at the +h probe of coordinate 1
         with pytest.raises(NonFiniteError) as err:
-            grad_check(f, Tensor(np.array([1.0, 1e-5, 2.0])), 1e-5)
+            grad_check(f, Tensor(np.array([1.0, 5e102, 2.0])), 1e102)
         assert "coordinate 1" in str(err.value)
 
 
@@ -237,15 +233,11 @@ UNARY_OPS = [
     ("sin", sin, 3.0),
     ("cos", cos, 3.0),
     ("silu", silu, 3.0),
-    ("neg", neg, 3.0),
-    ("power", lambda t: power(add(mul(t, t), 0.5), 1.7), 1.0),
-    ("clip_min", lambda t: clip_min(t, 0.1), 3.0),
     ("reshape", lambda t: reshape(t, (6,)), 3.0),
     ("transpose", lambda t: transpose(t, (1, 0)), 3.0),
     ("getitem", lambda t: getitem(t, (slice(0, 2), slice(0, None, 2))), 3.0),
     ("broadcast", lambda t: broadcast_to(reshape(t, (2, 3, 1)), (2, 3, 4)), 3.0),
-    ("sum_axis", lambda t: tsum(t, axis=0), 3.0),
-    ("mean", lambda t: tmean(t), 3.0),
+    ("sum", tsum, 3.0),
 ]
 
 
@@ -266,9 +258,7 @@ def test_unary_op_gradients_20_seeds(name, op, scale):
 
 BINARY_OPS = [
     ("add", add),
-    ("sub", sub),
     ("mul", mul),
-    ("div", lambda a, b: div(a, add(mul(b, b), 0.5))),
     ("matmul", lambda a, b: matmul(a, transpose(b, (1, 0)))),
     ("concat", lambda a, b: concat([a, b], axis=0)),
     ("linear-w", lambda a, b: linear(transpose(b, (1, 0)), a)),
@@ -393,10 +383,6 @@ class TestInvariants:
         with pytest.raises(NonFiniteError):
             Tensor(np.array([1.0, np.inf]))
 
-    def test_power_overflow_surfaces(self):
-        with pytest.raises(NonFiniteError):
-            power(Tensor(np.array([1e200])), 2.0)
-
     def test_layer_norm_variance_overflow_surfaces(self):
         # the squared deviations overflow, so the variance is inf and the output would be just beta;
         # the overflow inside the variance's sum is not a warning either
@@ -404,10 +390,6 @@ class TestInvariants:
             with warnings.catch_warnings(), pytest.raises(NonFiniteError, match="layer_norm"):
                 warnings.simplefilter("error")
                 layer_norm(Tensor(np.array([row], dtype=dtype)), Tensor(np.ones(4, dtype)), Tensor(np.zeros(4, dtype)))
-
-    def test_div_by_zero_surfaces(self):
-        with pytest.raises((NonFiniteError, FloatingPointError)):
-            div(Tensor(np.ones(2)), Tensor(np.array([1.0, 0.0])))
 
     def test_size_matches_shape_product(self):
         t = Tensor(np.zeros((3, 4, 2)))
