@@ -159,12 +159,10 @@ def core_attention(
     k = _split_heads(linear(x, params.wk, params.bk), h)
     v = _split_heads(linear(x, params.wv, params.bv), h)
 
-    cos_t, sin_t = rope_mod.cos_sin(hd, coords)
-    cos_h = reshape(cos_t, (b, 1, t, hd // 2))
-    sin_h = reshape(sin_t, (b, 1, t, hd // 2))
+    table = reshape(rope_mod.cos_sin(hd, coords), (b, 1, t, hd))
     # rotation commutes with scalar scaling, so 1/sqrt(d_k) is folded into q
-    q = rope_mod.apply(mul(q, 1.0 / float(np.sqrt(hd))), cos_h, sin_h)
-    k = rope_mod.apply(k, cos_h, sin_h)
+    q = rope_mod.apply(mul(q, 1.0 / float(np.sqrt(hd))), table)
+    k = rope_mod.apply(k, table)
 
     k_t = transpose(k, (0, 1, 3, 2))
 
@@ -194,7 +192,9 @@ def masked_dense_oracle(params: AttnParams, x, coords, active_c: int) -> np.ndar
 
     Entries (i, j) with i >= C and j >= C (including the diagonal) get a large
     negative additive mask, so patch rows attend to exactly the C cores.
-    Rotary tables come from ``params.head_dim``, as in :func:`core_attention`.
+    Rotary angles are written out from :func:`rope.freqs` of ``params.head_dim``
+    and the coordinates, not taken from :func:`rope.cos_sin`, so the
+    comparison also checks that table's layout.
     Returns the same values as :func:`core_attention`; used as the
     independent equivalence reference.
     """
@@ -211,12 +211,13 @@ def masked_dense_oracle(params: AttnParams, x, coords, active_c: int) -> np.ndar
 
     q, k, v = project(params.wq, params.bq), project(params.wk, params.bk), project(params.wv, params.bv)
 
-    cos_tab, sin_tab = rope_mod.cos_sin(hd, coords)
-    cos_np, sin_np = cos_tab.data, sin_tab.data
+    # angles from the frequencies alone; flattening [B, T, (x, y), freq] puts the x pairs first
+    f = (rope_mod.freqs(hd) * np.pi).astype(xv.dtype)
+    theta = (coords.data[..., None] * f).reshape(b, 1, t, hd // 2)
+    ct, st = np.cos(theta), np.sin(theta)
 
     def rotate(z: np.ndarray) -> np.ndarray:
         a, bb = z[..., 0::2], z[..., 1::2]
-        ct, st = cos_np[:, None, :, :], sin_np[:, None, :, :]
         out = np.empty_like(z)
         out[..., 0::2] = a * ct - bb * st
         out[..., 1::2] = a * st + bb * ct

@@ -281,10 +281,6 @@ class Encoder:
 
     # -- parameter plumbing ---------------------------------------------------
 
-    @property
-    def num_params(self) -> int:
-        return sum(t.size for t in self.params.values())
-
     def state(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
 
@@ -349,8 +345,7 @@ class Encoder:
                 w, bias, alpha = self.coord_heads[li - 1]
                 feats = getitem(x, (slice(None), slice(0, c)))
                 delta = linear(feats, w, bias)
-                alpha_b = broadcast_to(reshape(alpha, (1, 1, 1)), delta.shape)
-                rho_b = add(rho_b, mul(alpha_b, delta))
+                rho_b = add(rho_b, mul(alpha, delta))
                 core_u = tanh(rho_b)
             coords = concat([core_u, patch_coords], axis=1)
             layer_capture: dict | None = None

@@ -8,7 +8,9 @@ with per-pair frequencies freq_j = BASE**(-j / (head_dim / 4)), strictly
 decreasing from 1; the base is the constant ``BASE`` = 100. The layout depends
 only on the head width, which must be a positive multiple of 4 (:func:`freqs`).
 This ordering (x pairs first, adjacent-element pairing) is part of the
-checkpoint contract.
+checkpoint contract. :func:`cos_sin` stores each pair's rotation as the
+unit complex number e^{i theta} = (cos theta, sin theta) in that pair's two
+slots, one table for all heads, and :func:`apply` multiplies by it.
 
 Also provides the fixed patch coordinate grid and the deterministic
 farthest-point initialization of core coordinate states.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ConfigError, ShapeError
-from .tensor import Tensor, _accumulate, _from_op, _same_dtype, _unbroadcast, as_tensor, cos, sin
+from .tensor import Tensor, _accumulate, _from_op, _same_dtype, _unbroadcast, as_tensor
 
 
 BASE = 100.0
@@ -48,34 +50,28 @@ def patch_grid(hp: int, wp: int) -> np.ndarray:
     return np.stack([gx, gy], axis=-1).reshape(-1, 2)
 
 
-def angles(head_dim: int, coords) -> Tensor:
-    """Rotation angles [..., T, head_dim/2] from coordinates [..., T, 2].
+def cos_sin(head_dim: int, coords) -> Tensor:
+    """Rotation table [..., T, head_dim] from coordinates [..., T, 2]; one tape node.
 
-    Columns 0..num_freqs-1 are x * freq_j * pi, the rest are y * freq_j * pi.
-    Differentiable in the coordinates; one tape node.
+    Pair t = (2t, 2t+1) holds (cos theta_t, sin theta_t): the unit complex
+    number e^{i theta_t} that :func:`apply` multiplies it by. Angles
+    0..num_freqs-1 are x * freq_j * pi, the rest y * freq_j * pi.
     """
     coords = as_tensor(coords)
     if coords.shape[-1] != 2:
-        raise ShapeError(f"angles: coords must end in axis of size 2, got {coords.shape}")
+        raise ShapeError(f"cos_sin: coords must end in axis of size 2, got {coords.shape}")
     f = (freqs(head_dim) * np.pi).astype(coords.data.dtype)
     nf = f.size
-    data = np.concatenate(
-        [coords.data[..., 0:1] * f, coords.data[..., 1:2] * f], axis=-1
-    )
+    theta = np.concatenate([coords.data[..., 0:1] * f, coords.data[..., 1:2] * f], axis=-1)
+    data = np.empty(theta.shape[:-1] + (head_dim,), dtype=theta.dtype)
+    data[..., 0::2], data[..., 1::2] = np.cos(theta), np.sin(theta)
 
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(coords, np.stack([g[..., :nf] @ f, g[..., nf:] @ f], axis=-1))
+        # d(cos)/dtheta = -sin and d(sin)/dtheta = cos, then each axis's angles back to its coordinate
+        dtheta = g[..., 1::2] * data[..., 0::2] - g[..., 0::2] * data[..., 1::2]
+        _accumulate(coords, np.stack([dtheta[..., :nf] @ f, dtheta[..., nf:] @ f], axis=-1))
 
-    return _from_op(data, (coords,), grad_fn, "rope_angles")
-
-
-def cos_sin(head_dim: int, coords) -> tuple[Tensor, Tensor]:
-    """Per-token rotation tables (cos, sin), each [..., T, head_dim/2].
-
-    One angle per rotation pair: x-driven pairs first, then y-driven pairs.
-    """
-    theta = angles(head_dim, coords)
-    return cos(theta), sin(theta)
+    return _from_op(data, (coords,), grad_fn, "rope_cos_sin")
 
 
 def _pairs(x: np.ndarray) -> np.ndarray:
@@ -86,38 +82,32 @@ def _pairs(x: np.ndarray) -> np.ndarray:
     return x.view(np.complex64 if x.dtype == np.float32 else np.complex128)
 
 
-def apply(q_or_k: Tensor, cos_t: Tensor, sin_t: Tensor) -> Tensor:
+def apply(q_or_k: Tensor, table: Tensor) -> Tensor:
     """Rotate each adjacent element pair (a, b) = (2t, 2t+1) by its angle.
 
     (a, b) -> (a cos - b sin, a sin + b cos), computed as one complex multiply
-    (a + ib)(cos + i sin) over the pairs viewed as complex numbers (RoFormer's
-    formulation); the backward multiplies by the conjugates. Tables must be
-    numpy-broadcastable to the input's shape minus its pair axis (the
+    (a + ib)(cos + i sin) with the pairs of the input and of the
+    :func:`cos_sin` table viewed as complex numbers (RoFormer's formulation);
+    the backward multiplies by the conjugates. The table must have the
+    input's last axis and dtype and be numpy-broadcastable to its shape (the
     deliberate exception to the substrate's no-broadcast rule: attention
-    shares one table across heads) and have the input's dtype. Per-token
-    vector norms are preserved.
+    shares one table across heads). Per-token vector norms are preserved.
     """
-    q_or_k, cos_t, sin_t = as_tensor(q_or_k), as_tensor(cos_t), as_tensor(sin_t)
-    _same_dtype("rope.apply", q_or_k, cos_t, sin_t)
+    q_or_k, table = as_tensor(q_or_k), as_tensor(table)
+    _same_dtype("rope.apply", q_or_k, table)
     hd = q_or_k.shape[-1]
-    if hd % 2 or cos_t.shape[-1] != hd // 2 or cos_t.shape != sin_t.shape:
-        raise ShapeError(
-            f"apply: tables {cos_t.shape}/{sin_t.shape} do not pair with input {q_or_k.shape}"
-        )
-    z = _pairs(q_or_k.data)
-    table = np.empty(cos_t.shape, dtype=z.dtype)
-    table.real, table.imag = cos_t.data, sin_t.data
-    out = (z * table).view(q_or_k.dtype)
+    if hd % 2 or table.shape[-1] != hd:
+        raise ShapeError(f"apply: table {table.shape} does not pair with input {q_or_k.shape}")
+    z, e = _pairs(q_or_k.data), _pairs(table.data)
+    out = (z * e).view(q_or_k.dtype)
 
     def grad_fn(g: np.ndarray) -> None:
         gz = _pairs(g)
-        _accumulate(q_or_k, _unbroadcast((gz * table.conj()).view(g.dtype), q_or_k.shape))
+        _accumulate(q_or_k, _unbroadcast((gz * e.conj()).view(g.dtype), q_or_k.shape))
         # Re and Im of g * conj(z) are the cos and sin gradients
-        dtable = gz * z.conj()
-        _accumulate(cos_t, _unbroadcast(dtable.real, cos_t.shape))
-        _accumulate(sin_t, _unbroadcast(dtable.imag, sin_t.shape))
+        _accumulate(table, _unbroadcast(gz * z.conj(), e.shape).view(g.dtype))
 
-    return _from_op(out, (q_or_k, cos_t, sin_t), grad_fn, "rope_apply")
+    return _from_op(out, (q_or_k, table), grad_fn, "rope_apply")
 
 
 def fps_init(m: int, grid_side: int = 64) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 The substrate for everything else in the package: a row-major float32/float64
 array type and the primitive ops the model uses, each recording a tape node:
-add, mul, tanh, sin, cos, silu, reshape, transpose, getitem, concat,
-broadcast_to, tsum (over every element), matmul, softmax_rows, layer_norm
-and linear. The last three sit inside every transformer block, so they are
-single tape nodes with hand-written backwards; everything else composes
-(rotary's ops and the distillation losses are nodes of the same kind, built
-on :func:`_from_op` in their own modules). :func:`central_difference_error`
+add, mul, tanh, silu, reshape, transpose, getitem, concat, broadcast_to,
+tsum (over every element), matmul, softmax_rows, layer_norm and linear. The
+last three sit inside every transformer block, so they are single tape nodes
+with hand-written backwards; everything else composes. Rotary's table and
+rotation (``rope.cos_sin`` and ``rope.apply``) and the two distillation
+losses are nodes of the same kind, built on :func:`_from_op` in their own
+modules. :func:`central_difference_error`
 (and :func:`grad_check` on top of it) compares recorded gradients with
 central finite differences. Design constraints, all deliberate:
 
@@ -251,26 +252,6 @@ def tanh(a: Tensor) -> Tensor:
         _accumulate(a, g * (1.0 - data * data))
 
     return _from_op(data, (a,), grad_fn, "tanh")
-
-
-def sin(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    data = np.sin(a.data)
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * np.cos(a.data))
-
-    return _from_op(data, (a,), grad_fn, "sin")
-
-
-def cos(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    data = np.cos(a.data)
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, -g * np.sin(a.data))
-
-    return _from_op(data, (a,), grad_fn, "cos")
 
 
 def silu(a: Tensor) -> Tensor:

@@ -92,8 +92,7 @@ def rope_properties(rngs, enc: Encoder, images: np.ndarray, budget: int, corrupt
     at every layer. ``corrupt`` scales the first rotated q, a negative control.
     """
     def rotate(z: Tensor, cc: np.ndarray) -> np.ndarray:
-        ct, st = cos_sin(8, Tensor(cc))
-        return rope_apply(z, reshape(ct, (1, 1, 4, 4)), reshape(st, (1, 1, 4, 4))).data
+        return rope_apply(z, reshape(cos_sin(8, Tensor(cc)), (1, 1, 4, 8))).data
 
     worst_iso = 0.0
     worst_shift = 0.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from veca import tensor
 from veca.attention import AttnParams
 from veca.data import synthetic_images
 from veca.distill import SyntheticTeacher
@@ -53,11 +54,11 @@ class TestConfig:
 
 class TestParamCount:
     def test_matches_constructed_tiny(self, tiny_encoder):
-        assert tiny_encoder.num_params == param_count(tiny_encoder.config)
+        assert sum(t.size for t in tiny_encoder.params.values()) == param_count(tiny_encoder.config)
 
     def test_matches_constructed_one_block(self):
         cfg = ModelConfig(layers=1, dim=16, heads=2, mlp_ratio=2.67, patch_size=4)
-        assert Encoder(cfg, seed=1).num_params == param_count(cfg)
+        assert sum(t.size for t in Encoder(cfg, seed=1).params.values()) == param_count(cfg)
 
     @pytest.mark.parametrize(
         "preset,reference_millions",
@@ -231,6 +232,19 @@ class TestEncoder:
         gb, db = b(tiny_images, 16)
         np.testing.assert_array_equal(ga.data, gb.data)
         np.testing.assert_array_equal(da.data, db.data)
+
+    @pytest.mark.parametrize("budget", [BUDGETS[0], BUDGETS[-1]])
+    def test_tape_nodes_per_frozen_forward_are_pinned(self, tiny_config, tiny_images, budget):
+        # tensors created by one float32 forward with no parameter requiring grad, after a
+        # warm-up call has cached the patch grid; a change that adds nodes has to edit this number
+        enc = Encoder(tiny_config, seed=0, dtype=np.float32)
+        for t in enc.params.values():
+            t.requires_grad = False
+        images = tiny_images.astype(np.float32)
+        enc(images, budget)
+        before = next(tensor._counter)
+        enc(images, budget)
+        assert next(tensor._counter) - before - 1 == 92
 
     def test_core_coordinates_stay_bounded(self, tiny_encoder, tiny_images):
         capture = []

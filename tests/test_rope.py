@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veca.errors import CapacityError, ConfigError
-from veca.rope import angles, apply, cos_sin, fps_init, freqs, patch_grid
+from veca.errors import CapacityError, ConfigError, ShapeError
+from veca.rope import apply, cos_sin, fps_init, freqs, patch_grid
 from veca.tensor import Tensor, grad_check, mul, reshape, tsum
 
 
@@ -48,49 +48,97 @@ class TestFreqs:
         np.testing.assert_allclose(f, 100.0 ** (-np.arange(4) / 4))
 
 
-def _tables(head_dim, coords_arr):
-    ct, st_ = cos_sin(head_dim, Tensor(coords_arr))
+def _table(head_dim, coords_arr):
+    # one table shared across the heads axis, as attention uses it
     t = coords_arr.shape[-2]
-    half = head_dim // 2
-    return (
-        reshape(ct, coords_arr.shape[:-2] + (1, t, half)),
-        reshape(st_, coords_arr.shape[:-2] + (1, t, half)),
-    )
+    return reshape(cos_sin(head_dim, Tensor(coords_arr)), coords_arr.shape[:-2] + (1, t, head_dim))
+
+
+def table_formula(head_dim, coords):
+    """(cos, sin) of x * freq_j * pi for the first head_dim/4 pairs, then of y, written out."""
+    nf = head_dim // 4
+    out = np.empty(coords.shape[:-1] + (head_dim,))
+    for axis in range(2):
+        for j in range(nf):
+            angle = coords[..., axis] * 100.0 ** (-j / nf) * np.pi
+            pair = axis * nf + j
+            out[..., 2 * pair] = np.cos(angle)
+            out[..., 2 * pair + 1] = np.sin(angle)
+    return out
 
 
 class TestCosSin:
     def test_zero_coord(self):
-        ct, st_ = cos_sin(8, Tensor(np.zeros((1, 2))))
-        np.testing.assert_array_equal(ct.data, np.ones((1, 4)))
-        np.testing.assert_array_equal(st_.data, np.zeros((1, 4)))
+        table = cos_sin(8, Tensor(np.zeros((1, 2)))).data
+        np.testing.assert_array_equal(table, [[1.0, 0.0] * 4])
 
     def test_unit_x_first_pair_angle_is_pi(self):
-        theta = angles(8, Tensor(np.array([[1.0, 0.0]]))).data
-        # freq_0 = 1 for the x pair; y pairs stay at zero
-        assert theta[0, 0] == pytest.approx(np.pi)
-        np.testing.assert_array_equal(theta[0, 2:], 0.0)
+        table = cos_sin(8, Tensor(np.array([[1.0, 0.0]]))).data
+        # freq_0 = 1, so the first x pair turns by pi: (cos, sin) = (-1, 0); y pairs stay at (1, 0)
+        np.testing.assert_allclose(table[0, :2], [-1.0, 0.0], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(table[0, 4:], [1.0, 0.0, 1.0, 0.0])
 
     def test_equal_coords_give_identical_rows(self):
         coords = np.array([[0.3, -0.7], [0.3, -0.7]])
-        ct, st_ = cos_sin(12, Tensor(coords))
-        np.testing.assert_array_equal(ct.data[0], ct.data[1])
-        np.testing.assert_array_equal(st_.data[0], st_.data[1])
+        table = cos_sin(12, Tensor(coords)).data
+        np.testing.assert_array_equal(table[0], table[1])
+
+    @pytest.mark.parametrize("head_dim", [4, 8, 16])
+    def test_values_match_the_formula(self, head_dim):
+        coords = np.random.default_rng(head_dim).uniform(-1, 1, size=(2, 5, 2))
+        table = cos_sin(head_dim, Tensor(coords))
+        assert table.shape == (2, 5, head_dim)
+        np.testing.assert_allclose(table.data, table_formula(head_dim, coords), rtol=0, atol=1e-15)
+
+    def test_gradients_20_seeds(self):
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            probe = Tensor(rng.normal(size=(2, 3, 8)))
+            coords = Tensor(rng.uniform(-1, 1, size=(2, 3, 2)))
+            worst = max(worst, grad_check(lambda t: tsum(mul(cos_sin(8, t), probe)), coords, 1e-5))
+        assert worst <= 1e-6
+
+    def test_float32_within_4_eps32_of_float64(self):
+        # angles reach pi, so one rounding of a float32 angle moves an entry by up to ~pi * eps32 / 2;
+        # measured worst: table 1.7 eps32, coordinate gradient 2.0 eps32 of its largest magnitude
+        eps = np.finfo(np.float32).eps
+        worst_table, worst_grad = 0.0, 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            coords32 = rng.uniform(-1, 1, size=(2, 5, 2)).astype(np.float32)
+            g32 = rng.normal(size=(2, 5, 16)).astype(np.float32)
+            results = []
+            for dtype in (np.float32, np.float64):
+                coords = Tensor(coords32.astype(dtype), requires_grad=True)
+                table = cos_sin(16, coords)
+                tsum(mul(table, Tensor(g32.astype(dtype)))).backward()
+                results.append((table.data, coords.grad))
+            (t32, d32), (t64, d64) = results
+            assert t32.dtype == d32.dtype == np.float32
+            worst_table = max(worst_table, float(np.abs(t32 - t64).max()) / eps)
+            worst_grad = max(worst_grad, float(np.abs(d32 - d64).max() / np.abs(d64).max()) / eps)
+        assert worst_table <= 4 and worst_grad <= 4, (worst_table, worst_grad)
 
 
 class TestApply:
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(0)
         q = Tensor(rng.normal(size=(1, 1, 3, 8)))
-        ct, st_ = _tables(8, np.zeros((1, 3, 2)))
-        np.testing.assert_array_equal(apply(q, ct, st_).data, q.data)
+        np.testing.assert_array_equal(apply(q, _table(8, np.zeros((1, 3, 2)))).data, q.data)
+
+    def test_table_without_a_pair_per_element_refused(self):
+        # a table of one angle per pair (head_dim/2 wide) does not pair with the input
+        q = Tensor(np.zeros((1, 1, 3, 8)))
+        with pytest.raises(ShapeError, match="does not pair"):
+            apply(q, Tensor(np.ones((1, 1, 3, 4))))
 
     def test_isometry(self):
         worst = 0.0
         for seed in range(100):
             rng = np.random.default_rng(seed)
             q = rng.normal(size=(1, 2, 5, 8))
-            ct, st_ = _tables(8, rng.uniform(-1, 1, size=(1, 5, 2)))
-            out = apply(Tensor(q), ct, st_).data
+            out = apply(Tensor(q), _table(8, rng.uniform(-1, 1, size=(1, 5, 2)))).data
             worst = max(
                 worst,
                 float(np.abs(np.linalg.norm(out, axis=-1) - np.linalg.norm(q, axis=-1)).max()),
@@ -107,10 +155,8 @@ class TestApply:
             shift = rng.uniform(-0.5, 0.5, size=2)
 
             def dots(cc):
-                ct, st_ = _tables(8, cc)
-                return np.einsum(
-                    "bhtd,bhsd->bhts", apply(q, ct, st_).data, apply(k, ct, st_).data
-                )
+                table = _table(8, cc)
+                return np.einsum("bhtd,bhsd->bhts", apply(q, table).data, apply(k, table).data)
 
             worst = max(worst, float(np.abs(dots(coords) - dots(coords - shift)).max()))
         assert worst <= 1e-6
@@ -123,22 +169,16 @@ class TestApply:
             probe = Tensor(rng.normal(size=(1, 2, 3, 8)))
 
             def f_coords(t):
-                ct, st_ = cos_sin(8, t)
-                ct = reshape(ct, (1, 1, 3, 4))
-                st_ = reshape(st_, (1, 1, 3, 4))
-                return tsum(mul(apply(q, ct, st_), probe))
+                return tsum(mul(apply(q, reshape(cos_sin(8, t), (1, 1, 3, 8))), probe))
 
             worst = max(
                 worst, grad_check(f_coords, Tensor(rng.uniform(-1, 1, size=(1, 3, 2))), 1e-5)
             )
 
-            coords = Tensor(rng.uniform(-1, 1, size=(1, 3, 2)))
-            ct0, st0 = cos_sin(8, coords)
-            ct0 = reshape(ct0, (1, 1, 3, 4))
-            st0 = reshape(st0, (1, 1, 3, 4))
+            table = _table(8, rng.uniform(-1, 1, size=(1, 3, 2)))
 
             def f_q(t):
-                return tsum(mul(apply(t, ct0, st0), probe))
+                return tsum(mul(apply(t, table), probe))
 
             worst = max(worst, grad_check(f_q, Tensor(rng.normal(size=(1, 2, 3, 8))), 1e-5))
         assert worst <= 1e-6
@@ -154,7 +194,7 @@ def pair_rotation(x, ct, st_):
 
 
 def pair_rotation_grads(x, ct, st_, g):
-    """Gradients of sum(g * pair_rotation(x, ct, st_)) for tables [B, 1, T, hd/2]."""
+    """Gradients of sum(g * pair_rotation(x, ct, st_)) for cos and sin tables [B, 1, T, hd/2]."""
     a, b = x[..., 0::2], x[..., 1::2]
     ge, go = g[..., 0::2], g[..., 1::2]
     dx = np.empty(x.shape[:-1] + (x.shape[-1] // 2, 2), dtype=x.dtype)
@@ -196,14 +236,16 @@ class TestApplyAgainstPairRotation:
             g = rng.normal(size=(b, h, t, hd)).astype(dtype)
 
             q = Tensor(x, requires_grad=True)
-            cos_t, sin_t = Tensor(ct, requires_grad=True), Tensor(st_, requires_grad=True)
-            out = apply(q, cos_t, sin_t)
+            table = Tensor(np.stack([ct, st_], axis=-1).reshape(b, 1, t, hd), requires_grad=True)
+            out = apply(q, table)
             tsum(mul(out, Tensor(g))).backward()
 
             want = pair_rotation(x, ct, st_)
             assert out.data.dtype == dtype and out.shape == want.shape
             assert self.within_bound(out.data, want), seed
-            for got, ref in zip((q.grad, cos_t.grad, sin_t.grad), pair_rotation_grads(x, ct, st_, g)):
+            dx, dcos, dsin = pair_rotation_grads(x, ct, st_, g)
+            dtable = np.stack([dcos, dsin], axis=-1).reshape(table.shape)
+            for got, ref in ((q.grad, dx), (table.grad, dtable)):
                 assert got.shape == ref.shape and got.dtype == dtype
                 assert self.within_bound(got, ref), seed
 

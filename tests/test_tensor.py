@@ -18,7 +18,6 @@ from veca.tensor import (
     add,
     broadcast_to,
     concat,
-    cos,
     getitem,
     grad_check,
     layer_norm,
@@ -27,7 +26,6 @@ from veca.tensor import (
     mul,
     reshape,
     silu,
-    sin,
     softmax_rows,
     tanh,
     transpose,
@@ -230,8 +228,6 @@ def test_silu_backward_at_extreme_inputs(dtype):
 
 UNARY_OPS = [
     ("tanh", tanh, 3.0),
-    ("sin", sin, 3.0),
-    ("cos", cos, 3.0),
     ("silu", silu, 3.0),
     ("reshape", lambda t: reshape(t, (6,)), 3.0),
     ("transpose", lambda t: transpose(t, (1, 0)), 3.0),
@@ -316,7 +312,7 @@ def _fused_op_cases(dtype, sliced):
         ("layer_norm", layer_norm, [operand(3, 5, 8), operand(8), operand(8)]),
         ("softmax_rows", softmax_rows, [operand(2, 3, 7)]),
         ("silu", silu, [operand(3, 5, 8)]),
-        ("rope.apply", rope_apply, [operand(2, 3, 5, 8), operand(2, 1, 5, 4), operand(2, 1, 5, 4)]),
+        ("rope.apply", rope_apply, [operand(2, 3, 5, 8), operand(2, 1, 5, 8)]),
     ]
 
 
@@ -512,7 +508,7 @@ class TestAxisSums:
 
 def _operands(dtype_of: dict[str, type]) -> dict[str, Tensor]:
     """Operands of linear, layer_norm and rope.apply; float32 unless ``dtype_of`` names another dtype."""
-    shapes = {"x": (2, 4), "w": (4, 3), "b": (3,), "gamma": (4,), "beta": (4,), "cos": (2, 2), "sin": (2, 2)}
+    shapes = {"x": (2, 4), "w": (4, 3), "b": (3,), "gamma": (4,), "beta": (4,), "table": (2, 4)}
     rng = np.random.default_rng(0)
     return {k: Tensor(rng.normal(size=s).astype(dtype_of.get(k, np.float32))) for k, s in shapes.items()}
 
@@ -523,8 +519,8 @@ MIXED_DTYPE_CALLS = {
     "linear bias": (lambda o: linear(o["x"], o["w"], o["b"]), {"b": np.float64}),
     "layer_norm gamma": (lambda o: layer_norm(o["x"], o["gamma"], o["beta"]), {"gamma": np.float64}),
     "layer_norm beta": (lambda o: layer_norm(o["x"], o["gamma"], o["beta"]), {"beta": np.float64}),
-    "rope.apply tables": (lambda o: rope_apply(o["x"], o["cos"], o["sin"]), {"cos": np.float64, "sin": np.float64}),
-    "rope.apply sin table": (lambda o: rope_apply(o["x"], o["cos"], o["sin"]), {"sin": np.float64}),
+    "rope.apply tables": (lambda o: rope_apply(o["x"], o["table"]), {"table": np.float64}),
+    "rope.apply input": (lambda o: rope_apply(o["x"], o["table"]), {"x": np.float64}),
 }
 
 
