@@ -5,13 +5,15 @@
 
 Covers ``tiny-test`` in float32 and float64 (seed-0 weights, two 16 px
 images): the forward at every budget, the loss and every gradient at C = 8
-against the synthetic teacher, and 30 steps of ``distill.train`` (each
-step's budget, loss and learning rate, then the final weights); and
-``small`` float32 forwards of two 64 px images at C = 8 and C = 64. Every
-array is hashed with its name, dtype and shape, in a fixed order. The digest
-holds only at a fixed BLAS thread count: OpenBLAS splits some products
-differently across threads, so pin it (``OPENBLAS_NUM_THREADS=1``) when
-comparing two checkouts. ``--npz PATH`` also saves the arrays, so two
+against the synthetic teacher, the teacher's targets, ``core_attention`` at
+C = T (dense, the teacher's path) with the gradient of a random projection
+of its output w.r.t. the input, the coordinates and all 8 projections, and
+30 steps of ``distill.train`` (each step's budget, loss and learning rate,
+then the final weights); and ``small`` float32 forwards of two 64 px images
+at C = 8 and C = 64. Every array is hashed with its name, dtype and shape,
+in a fixed order. The digest holds only at a fixed BLAS thread count:
+OpenBLAS splits some products differently across threads, so pin it
+(``OPENBLAS_NUM_THREADS=1``) when comparing two checkouts. ``--npz PATH`` also saves the arrays, so two
 checkouts whose digests differ can be compared by max |difference|.
 """
 
@@ -23,11 +25,13 @@ import sys
 
 import numpy as np
 
+from veca.attention import AttnParams, core_attention
 from veca.data import synthetic_images
 from veca.distill import TEACHER_SEED, DistillConfig, SyntheticTeacher, total_loss, train
 from veca.elastic import BUDGETS, DEFAULT_WEIGHTS, BudgetDistribution
 from veca.model import Encoder, get_preset
 from veca.rng import RngStream
+from veca.tensor import Tensor, mul, tsum
 
 TRAIN_STEPS = 30
 
@@ -51,6 +55,10 @@ def outputs() -> dict[str, np.ndarray]:
         for name, p in student.params.items():
             if p.grad is not None:
                 arrays[f"{tag}/grad/C{BUDGETS[0]}/{name}"] = p.grad
+        y, z = teacher.targets(images)
+        arrays[f"{tag}/teacher/global"] = y
+        arrays[f"{tag}/teacher/dense"] = z
+        arrays.update(dense_attention(tiny.dim, tiny.heads, dtype, tag))
 
         student = Encoder(tiny, seed=0, dtype=dtype)
         records = train(
@@ -71,6 +79,23 @@ def outputs() -> dict[str, np.ndarray]:
         y, z = small(images, c)
         arrays[f"small/float32/forward/C{c}/global"] = y.data
         arrays[f"small/float32/forward/C{c}/dense"] = z.data
+    return arrays
+
+
+def dense_attention(dim: int, heads: int, dtype, tag: str) -> dict[str, np.ndarray]:
+    """``core_attention`` at C = T = 12 on seeded inputs: the output and its gradients."""
+    rng = np.random.default_rng(0)
+    drawn = AttnParams.init(dim, heads, RngStream(0, "digest-attn")).tensors()
+    inputs = {name: Tensor(w.data.astype(dtype), requires_grad=True) for name, w in drawn.items()}
+    inputs["x"] = Tensor(rng.normal(size=(2, 12, dim)).astype(dtype), requires_grad=True)
+    inputs["coords"] = Tensor(rng.uniform(-1, 1, size=(12, 2)).astype(dtype), requires_grad=True)
+    probe = Tensor(rng.normal(size=(2, 12, dim)).astype(dtype))
+    params = AttnParams(*(inputs[name] for name in drawn), heads)
+    out = core_attention(params, inputs["x"], inputs["coords"], 12)
+    tsum(mul(out, probe)).backward()
+    arrays = {f"{tag}/attention/C=T/forward": out.data}
+    for name, t in inputs.items():
+        arrays[f"{tag}/attention/C=T/grad/{name}"] = t.grad
     return arrays
 
 

@@ -7,8 +7,8 @@ token is excluded too; the residual connection carries patch identity).
 Rotary tables are applied to queries and keys after projection, never to
 values; their frequency layout follows the weights' head width
 (``AttnParams.head_dim``). The contract is 1 <= C <= T; at C = T there are
-no patch rows and the block is dense self-attention, which is how the
-synthetic teacher runs.
+no patch rows, the patch block is skipped and the block is dense
+self-attention, which is how the synthetic teacher runs.
 
 ``masked_dense_oracle`` recomputes the same contract as one dense T x T
 attention with an additive mask, in plain numpy with no shared scoring code,
@@ -34,7 +34,6 @@ from .tensor import (
     getitem,
     linear,
     matmul,
-    mul,
     reshape,
     softmax_rows,
     transpose,
@@ -100,12 +99,16 @@ def _validate(x: Tensor, active_c: int, heads: int) -> tuple[int, int, int]:
     return b, t, d
 
 
-def _split_heads(t: Tensor, heads: int) -> Tensor:
-    # [B, N, D] -> [B, H, N, D/H], one tape node
+def _split_heads(t: Tensor, heads: int, scale: float | None = None) -> Tensor:
+    # [B, N, D] -> [B, H, N, D/H], times ``scale`` if given, one tape node
     b, n, d = t.shape
     data = t.data.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
+    if scale is not None:
+        data = data * scale
 
     def grad_fn(g: np.ndarray) -> None:
+        if scale is not None:
+            g = g * scale
         _accumulate(t, g.transpose(0, 2, 1, 3).reshape(b, n, d))
 
     return _from_op(data, (t,), grad_fn, "split_heads", check=False)
@@ -155,36 +158,40 @@ def core_attention(
     h, hd = params.heads, params.head_dim
     c = active_c
 
-    q = _split_heads(linear(x, params.wq, params.bq), h)
+    # rotation commutes with scalar scaling, so 1/sqrt(d_k) is folded into q's head split
+    q = _split_heads(linear(x, params.wq, params.bq), h, 1.0 / float(np.sqrt(hd)))
     k = _split_heads(linear(x, params.wk, params.bk), h)
     v = _split_heads(linear(x, params.wv, params.bv), h)
 
     table = reshape(rope_mod.cos_sin(hd, coords), (b, 1, t, hd))
-    # rotation commutes with scalar scaling, so 1/sqrt(d_k) is folded into q
-    q = rope_mod.apply(mul(q, 1.0 / float(np.sqrt(hd))), table)
+    q = rope_mod.apply(q, table)
     k = rope_mod.apply(k, table)
 
     k_t = transpose(k, (0, 1, 3, 2))
 
     q_core = getitem(q, (slice(None), slice(None), slice(0, c)))
     probs_core = softmax_rows(matmul(q_core, k_t))
+    out = matmul(probs_core, v)
 
-    q_patch = getitem(q, (slice(None), slice(None), slice(c, None)))
-    k_cores_t = getitem(k_t, (slice(None), slice(None), slice(None), slice(0, c)))
-    v_cores = getitem(v, (slice(None), slice(None), slice(0, c)))
-    probs_patch = softmax_rows(matmul(q_patch, k_cores_t))
+    # patch rows attend to the C cores; at C = T there are none, and no patch block is built
+    if c < t:
+        q_patch = getitem(q, (slice(None), slice(None), slice(c, None)))
+        k_cores_t = getitem(k_t, (slice(None), slice(None), slice(None), slice(0, c)))
+        v_cores = getitem(v, (slice(None), slice(None), slice(0, c)))
+        patch = softmax_rows(matmul(q_patch, k_cores_t))
+        out = concat([out, matmul(patch, v_cores)], axis=2)
+        probs_patch = patch.data
+    else:
+        probs_patch = np.zeros((b, h, 0, c), x.data.dtype)
 
     if capture is not None:
         capture["probs_core"] = probs_core.data.copy()
-        capture["probs_patch"] = probs_patch.data.copy()
+        capture["probs_patch"] = probs_patch.copy()
         capture["values"] = v.data.copy()
         capture["wo"] = params.wo.data.copy()
         capture["active_c"] = c
 
-    out_core = matmul(probs_core, v)
-    out_patch = matmul(probs_patch, v_cores)
-    merged = _merge_heads(concat([out_core, out_patch], axis=2))
-    return linear(merged, params.wo, params.bo)
+    return linear(_merge_heads(out), params.wo, params.bo)
 
 
 def masked_dense_oracle(params: AttnParams, x, coords, active_c: int) -> np.ndarray:

@@ -107,7 +107,11 @@ class _Reader:
     def array(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         """The next payload, read straight into its own native-order array."""
         self._claim(math.prod(shape) * dtype.itemsize)
-        arr = np.empty(shape, dtype=dtype.newbyteorder("="))
+        try:
+            arr = np.empty(shape, dtype=dtype.newbyteorder("="))
+        # an empty tensor can still declare more axes, or a longer axis, than numpy allows
+        except ValueError as err:
+            raise CheckpointError(f"{self.path}: tensor shape cannot be built: {err}") from err
         if arr.nbytes and self.file.readinto(memoryview(arr).cast("B")) != arr.nbytes:
             raise CheckpointError(f"{self.path}: truncated container")
         if sys.byteorder == "big":  # pragma: no cover

@@ -39,21 +39,28 @@ def synthetic_images(stream: RngStream, batch: int, resolution: int) -> np.ndarr
         raise ResolutionError(f"synthetic images need a resolution of at least 1, got {resolution}")
     r = resolution
     out = np.empty((batch, 3, r, r))
-    yy, xx = np.mgrid[0:r, 0:r]
+    pixels = np.arange(r)  # x along a row, y down a column
     for i in range(batch):
         base = stream.uniform(0.1, 0.9, size=3)
-        img = base[:, None, None] + stream.normal(0.05, size=(3, r, r))
+        img = out[i]
+        np.add(base[:, None, None], stream.normal(0.05, size=(3, r, r)), out=img)
         n_shapes = int(stream.integers(1, 4))
-        for _ in range(n_shapes):
-            color = stream.uniform(0.0, 1.0, size=3)
-            cx, cy = stream.uniform(0.15, 0.85, size=2) * r
-            half = stream.uniform(0.08, 0.3) * r
-            if stream.uniform() < 0.5:
-                mask = (np.abs(xx - cx) <= half) & (np.abs(yy - cy) <= half)
+        # one draw per shape: color (3), centre (2), half-width, kind; each column is
+        # rescaled by numpy's own uniform formula lo + (hi - lo) * u
+        for u in stream.uniform(size=(n_shapes, 7)):
+            color = u[:3]
+            cx, cy = (0.15 + (0.85 - 0.15) * u[3:5]) * r
+            half = (0.08 + (0.3 - 0.08) * u[5]) * r
+            if u[6] < 0.5:
+                # a square: one run of columns and one of rows lie within half of the centre
+                cols = np.flatnonzero(np.abs(pixels - cx) <= half)
+                rows = np.flatnonzero(np.abs(pixels - cy) <= half)
+                if cols.size and rows.size:
+                    img[:, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] = color[:, None, None]
             else:
-                mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= half**2
-            img[:, mask] = color[:, None]
-        out[i] = np.clip(img, 0.0, 1.0)
+                mask = ((pixels - cx) ** 2)[None, :] + ((pixels - cy) ** 2)[:, None] <= half**2
+                img[:, mask] = color[:, None]
+    np.clip(out, 0.0, 1.0, out=out)
     return normalize(out)
 
 

@@ -16,8 +16,12 @@ central finite differences. Design constraints, all deliberate:
   over it, and raises :class:`~veca.errors.NonFiniteError` otherwise;
 * sums over the last axis (softmax's normaliser, layer norm's moments, the
   losses' dot products) and over the leading axes (bias and affine
-  gradients) are BLAS matrix-vector products with a vector of ones, not
-  numpy reductions, which cost several times more on these short axes;
+  gradients) are BLAS matrix-vector products with a cached read-only vector
+  of ones, not numpy reductions, which cost several times more on these
+  short axes; softmax's row max over rows shorter than :data:`SHORT_ROW` is
+  one vectorized max over a transposed copy, for the same reason;
+* a backward builds a parent's gradient only when that parent requires one,
+  and the backward pass sorts only the nodes that have a backward;
 * binary elementwise ops require exactly matching shapes, a python scalar, or
   an explicit :func:`broadcast_to` beforehand (no silent broadcasting);
 * the backward pass visits nodes in reverse creation order, which is a
@@ -32,6 +36,7 @@ graph's backward pass is single-writer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Iterable, Sequence
@@ -42,6 +47,8 @@ from .errors import DTypeError, NonFiniteError, ShapeError
 
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 LAYER_NORM_EPS = 1e-6
+# rows shorter than this take their max along the first axis of a transposed copy
+SHORT_ROW = 128
 
 _counter = itertools.count()
 
@@ -51,9 +58,17 @@ def _check_finite(data: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 
+@functools.lru_cache(maxsize=64)
+def _ones(n: int, dtype: np.dtype) -> np.ndarray:
+    """A read-only vector of ``n`` ones, shared by every caller."""
+    ones = np.ones(n, dtype)
+    ones.flags.writeable = False
+    return ones
+
+
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """Sum over the last axis, keeping it with length 1."""
-    return (a @ np.ones(a.shape[-1], a.dtype))[..., None]
+    return (a @ _ones(a.shape[-1], a.dtype))[..., None]
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
@@ -66,7 +81,25 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
 def _col_sum(a: np.ndarray) -> np.ndarray:
     """Sum over every axis but the last."""
     m = math.prod(a.shape[:-1])
-    return np.ones(m, a.dtype) @ a.reshape(m, a.shape[-1])
+    return _ones(m, a.dtype) @ a.reshape(m, a.shape[-1])
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Max over the last axis, keeping it with length 1.
+
+    numpy reduces a short last axis one row at a time. For rows shorter than
+    :data:`SHORT_ROW`, a contiguous transposed copy is reduced along its
+    first axis instead, one vectorized pass per row element. Longer rows
+    keep numpy's reduce; the transposed copy is slower there, and at 128
+    elements, a power-of-two stride, it is slower by 1.5-3.5x. The max is
+    exact either way. Only where a +0.0 and a
+    -0.0 tie for the max may the sign of the zero differ, as it does between
+    numpy's own reduces of one row in different layouts.
+    """
+    d = a.shape[-1]
+    if d >= SHORT_ROW:
+        return a.max(axis=-1, keepdims=True)
+    return a.reshape(-1, d).T.copy().max(axis=0).reshape(a.shape[:-1] + (1,))
 
 
 class Tensor:
@@ -122,7 +155,8 @@ class Tensor:
         stack: list[Tensor] = [self]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
+            # leaves and constants have no backward, so they are neither kept nor sorted
+            if node._grad_fn is None or id(node) in seen:
                 continue
             seen.add(id(node))
             nodes.append(node)
@@ -130,7 +164,7 @@ class Tensor:
         nodes.sort(key=lambda t: t._order, reverse=True)
         self.grad = np.ones_like(self.data)
         for node in nodes:
-            if node._grad_fn is not None and node.grad is not None:
+            if node.grad is not None:
                 node._grad_fn(node.grad)
 
 
@@ -225,8 +259,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast_scalar(a, g))
-        _accumulate(b, _unbroadcast_scalar(b, g))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast_scalar(a, g))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast_scalar(b, g))
 
     return _from_op(data, (a, b), grad_fn, "add")
 
@@ -238,8 +274,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast_scalar(a, g * b.data))
-        _accumulate(b, _unbroadcast_scalar(b, g * a.data))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast_scalar(a, g * b.data))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast_scalar(b, g * a.data))
 
     return _from_op(data, (a, b), grad_fn, "mul")
 
@@ -272,9 +310,16 @@ def silu(a: Tensor) -> Tensor:
     data = x / den
 
     def grad_fn(g: np.ndarray) -> None:
+        # g * (1 + x * sigmoid(-x)) / den, each step in place on the one fresh array
         with np.errstate(over="ignore", under="ignore"):
-            sig_neg = 1.0 / (1.0 + np.exp(x))
-        _accumulate(a, g * (1.0 + x * sig_neg) / den)
+            t = np.exp(x)
+        t += 1.0
+        np.divide(1.0, t, out=t)
+        t *= x
+        t += 1.0
+        t *= g
+        t /= den
+        _accumulate(a, t)
 
     return _from_op(data, (a,), grad_fn, "silu")
 
@@ -311,9 +356,10 @@ def getitem(a: Tensor, idx) -> Tensor:
     data = a.data[idx]
 
     def grad_fn(g: np.ndarray) -> None:
-        buf = np.zeros_like(a.data)
-        buf[idx] = g
-        _accumulate(a, buf)
+        if a.requires_grad:
+            buf = np.zeros_like(a.data)
+            buf[idx] = g
+            _accumulate(a, buf)
 
     return _from_op(data, (a,), grad_fn, "getitem", check=False)
 
@@ -403,12 +449,16 @@ def softmax_rows(x: Tensor) -> Tensor:
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ShapeError(f"softmax_rows: need a non-empty last axis, got {x.shape}")
     # exp and the normalization run in place on the one fresh array
-    p = x.data - x.data.max(axis=-1, keepdims=True)
+    p = x.data - _row_max(x.data)
     np.exp(p, out=p)
     p /= _row_sum(p)
 
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(x, p * (g - _row_sum(g * p)))
+        # p * (g - sum(g * p)) in place on the product's array
+        t = g * p
+        np.subtract(g, _row_sum(t), out=t)
+        t *= p
+        _accumulate(x, t)
 
     return _from_op(p, (x,), grad_fn, "softmax_rows")
 
@@ -471,9 +521,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         gf = g.reshape(m, w.shape[1])
-        _accumulate(x, (gf @ w.data.T).reshape(x.shape))
-        _accumulate(w, flat.T @ gf)
-        if b is not None:
+        if x.requires_grad:
+            _accumulate(x, (gf @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            _accumulate(w, flat.T @ gf)
+        if b is not None and b.requires_grad:
             _accumulate(b, _col_sum(gf))
 
     return _from_op(out.reshape(lead + (w.shape[1],)), parents, grad_fn, "linear")

@@ -31,6 +31,14 @@ def _tiny_encoder(seed: int) -> Encoder:
     return Encoder(get_preset("tiny-test"), seed=seed)
 
 
+def _attention_config(rng: np.random.Generator) -> tuple[int, int, int, int, int]:
+    """A random (C, heads, dim, T, batch) with C < T, drawn in that order."""
+    c = int(rng.choice([2, 4, 8]))
+    heads = int(rng.choice([1, 2]))
+    dim = int(rng.choice([8, 16]))
+    return c, heads, dim, int(rng.integers(c + 1, 33)), int(rng.integers(1, 3))
+
+
 def oracle_equivalence(rng_seed: int, param_stream, cases: int = 50, corrupt: bool = False) -> Check:
     """Block-sparse attention vs the masked-dense oracle on random configs.
 
@@ -41,11 +49,7 @@ def oracle_equivalence(rng_seed: int, param_stream, cases: int = 50, corrupt: bo
     rng = np.random.default_rng(rng_seed)
     worst = 0.0
     for i in range(cases):
-        c = int(rng.choice([2, 4, 8]))
-        heads = int(rng.choice([1, 2]))
-        dim = int(rng.choice([8, 16]))
-        t = int(rng.integers(c + 1, 33))
-        b = int(rng.integers(1, 3))
+        c, heads, dim, t, b = _attention_config(rng)
         params = AttnParams.init(dim, heads, param_stream(i))
         x = Tensor(rng.normal(size=(b, t, dim)))
         coords = Tensor(rng.uniform(-1, 1, size=(t, 2)))
@@ -56,6 +60,49 @@ def oracle_equivalence(rng_seed: int, param_stream, cases: int = 50, corrupt: bo
         worst = max(worst, float(np.abs(out - ref).max()))
     return (f"oracle equivalence ({cases} random configs)", worst <= 1e-12,
             f"max |diff| = {worst:.2e} (tol 1e-12)")
+
+
+F32_ORACLE_EPS = 16  # bound on f32 attention's error, in eps32 x the output's largest magnitude
+
+
+def oracle_equivalence_f32(rng_seed: int, param_stream, cases: int = 50) -> Check:
+    """float32 block-sparse attention vs the float64 masked-dense oracle.
+
+    Configs are drawn as in :func:`oracle_equivalence`, and every fourth case
+    runs at C = T (dense, no patch rows). The weights are scaled by 10 (std
+    0.2), so scores are of order one and the softmax is far from uniform.
+    Weights, inputs and coordinates are rounded to float32 once and the
+    oracle runs on exactly those values in float64, so the difference is
+    float32 arithmetic alone. Passes at max |diff| <= ``F32_ORACLE_EPS``
+    float32 epsilons times max |oracle output| of the case.
+    """
+    rng = np.random.default_rng(rng_seed)
+    eps = float(np.finfo(np.float32).eps)
+    worst = 0.0
+    for i in range(cases):
+        c, heads, dim, t, b = _attention_config(rng)
+        c = t if i % 4 == 0 else c
+        drawn = AttnParams.init(dim, heads, param_stream(i)).tensors().values()
+        weights = [(w.data * 10.0).astype(np.float32) for w in drawn]
+        x = rng.normal(size=(b, t, dim)).astype(np.float32)
+        coords = rng.uniform(-1, 1, size=(t, 2)).astype(np.float32)
+        out = core_attention(AttnParams(*map(Tensor, weights), heads), Tensor(x), Tensor(coords), c).data
+        p64 = AttnParams(*(Tensor(w.astype(np.float64)) for w in weights), heads)
+        ref = masked_dense_oracle(p64, Tensor(x.astype(np.float64)), Tensor(coords.astype(np.float64)), c)
+        worst = max(worst, float(np.abs(out - ref).max() / (eps * np.abs(ref).max())))
+    return (f"float32 oracle equivalence ({cases} random configs)", worst <= F32_ORACLE_EPS,
+            f"max |diff| = {worst:.2f} eps32 x output scale (tol {F32_ORACLE_EPS})")
+
+
+def attention_row_sums(params: AttnParams, x: Tensor, coords: Tensor, budgets) -> Check:
+    """Every captured probability row, core and patch, sums to 1 (within 1e-6) at each budget."""
+    worst = 0.0
+    for c in budgets:
+        capture: dict = {}
+        core_attention(params, x, coords, c, capture=capture)
+        sums = np.concatenate([capture["probs_core"].sum(-1).ravel(), capture["probs_patch"].sum(-1).ravel()])
+        worst = max(worst, float(np.abs(sums - 1).max()))
+    return (f"attention rows sum to 1 (C in {tuple(budgets)})", worst <= 1e-6, f"max |sum-1| = {worst:.2e}")
 
 
 def budget_sampler_fit(streams: list[RngStream], draws: int = 100_000) -> list[Check]:
@@ -182,18 +229,15 @@ def graph_diameter(cases, corrupt: bool = False) -> list[Check]:
 
 
 def suite_attention(seed: int = 0, corrupt: bool = False) -> list[Check]:
-    checks = [oracle_equivalence(seed, lambda i: RngStream(seed * 1000 + i, "attn"), corrupt=corrupt)]
+    checks = [
+        oracle_equivalence(seed, lambda i: RngStream(seed * 1000 + i, "attn"), corrupt=corrupt),
+        oracle_equivalence_f32(seed, lambda i: RngStream(seed * 1000 + i, "attn-f32")),
+    ]
 
-    capture: dict = {}
     params = AttnParams.init(16, 2, RngStream(seed, "cap"))
     x = Tensor(np.random.default_rng(seed + 1).normal(size=(2, 20, 16)))
     coords = Tensor(np.random.default_rng(seed + 2).uniform(-1, 1, size=(20, 2)))
-    core_attention(params, x, coords, 4, capture=capture)
-    sums = np.concatenate(
-        [capture["probs_core"].sum(-1).ravel(), capture["probs_patch"].sum(-1).ravel()]
-    )
-    err = float(np.abs(sums - 1).max())
-    checks.append(("attention rows sum to 1", err <= 1e-6, f"max |sum-1| = {err:.2e}"))
+    checks.append(attention_row_sums(params, x, coords, (4, 20)))
 
     # permuting patches together with their coordinates permutes outputs
     rng = np.random.default_rng(seed + 3)

@@ -12,7 +12,8 @@ from veca.attention import (
 )
 from veca.errors import BudgetError, ConfigError, DTypeError, ShapeError
 from veca.rng import RngStream
-from veca.tensor import Tensor
+from veca.tensor import Tensor, central_difference_error, mul, tsum
+from veca.verify import attention_row_sums, oracle_equivalence_f32
 
 
 def make_params(dim, heads, seed=0):
@@ -97,14 +98,28 @@ class TestCoreAttention:
                 fn(params, x32, Tensor(coords.data, requires_grad=requires_grad), 4)
 
     def test_capture_shapes_and_row_sums(self):
+        # at C = T (14) there are no patch rows: the patch block is (B, H, 0, C)
         params, x, coords = random_case(7, t=14, c=4, dim=16, heads=2, batch=2)
-        cap = {}
-        core_attention(params, x, coords, 4, capture=cap)
-        assert cap["probs_core"].shape == (2, 2, 4, 14)
-        assert cap["probs_patch"].shape == (2, 2, 10, 4)
-        assert cap["values"].shape == (2, 2, 14, 8)
-        for key in ("probs_core", "probs_patch"):
-            np.testing.assert_allclose(cap[key].sum(-1), 1.0, atol=1e-6)
+        for c in (4, 14):
+            cap = {}
+            core_attention(params, x, coords, c, capture=cap)
+            assert cap["probs_core"].shape == (2, 2, c, 14)
+            assert cap["probs_patch"].shape == (2, 2, 14 - c, c)
+            assert cap["probs_patch"].dtype == x.dtype
+            assert cap["values"].shape == (2, 2, 14, 8)
+        _, ok, detail = attention_row_sums(params, x, coords, (4, 14))
+        assert ok, detail
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_all_cores_gradients_match_central_differences(self, seed):
+        # C = T skips the patch block; the gradient w.r.t. x, the coordinates and all
+        # 8 projections must still be dense attention's
+        t = 3 + seed
+        params, x, coords = random_case(200 + seed, t=t, c=t, heads=1 + seed % 2, batch=1 + seed % 2)
+        probe = Tensor(np.random.default_rng(seed).normal(size=x.shape))
+        inputs = {"x": x, "coords": coords, **params.tensors()}
+        err = central_difference_error(inputs, lambda: tsum(mul(core_attention(params, x, coords, t), probe)), 1e-5)
+        assert err <= 1e-5
 
 
 class TestOracle:
@@ -131,6 +146,12 @@ class TestOracle:
         out = core_attention(params, x, coords, c).data
         ref = masked_dense_oracle(params, x, coords, c)
         assert np.abs(out - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float32_matches_float64_oracle(self, seed):
+        # bound: F32_ORACLE_EPS float32 epsilons of the output's scale, C = T included
+        _, ok, detail = oracle_equivalence_f32(seed, lambda i: RngStream(seed * 1000 + i, "attn-f32"))
+        assert ok, detail
 
     def test_per_batch_coords(self):
         rng = np.random.default_rng(9)

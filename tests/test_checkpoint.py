@@ -104,6 +104,54 @@ class TestContainer:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @staticmethod
+    def _loads_or_refuses(path, raw: bytes) -> None:
+        # the only two outcomes allowed for any bytes: a loaded container or CheckpointError
+        path.write_bytes(raw)
+        try:
+            config, tensors = load_container(path)
+        except CheckpointError:
+            return
+        assert isinstance(config, dict) and all(isinstance(t, np.ndarray) for t in tensors.values())
+
+    @given(raw=st.one_of(
+        st.binary(max_size=300),
+        st.binary(max_size=300).map(lambda b: MAGIC + struct.pack("<I", VERSION) + b),
+    ))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_bytes_load_or_raise_checkpoint_error(self, tmp_path, raw):
+        self._loads_or_refuses(tmp_path / "fuzz.veca", raw)
+
+    @given(
+        shapes=st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=3),
+        flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=4),
+        cut=st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_flipped_or_truncated_container_loads_or_raises_checkpoint_error(self, tmp_path, shapes, flips, cut):
+        path = tmp_path / "flip.veca"
+        save_container(path, {"k": [1, 2], "s": "x"}, {f"t{i}": np.ones(s) for i, s in enumerate(shapes)})
+        raw = bytearray(path.read_bytes())
+        for pos, mask in flips:
+            raw[pos % len(raw)] ^= mask
+        self._loads_or_refuses(path, bytes(raw if cut is None else raw[: cut % len(raw)]))
+
+    @pytest.mark.parametrize(
+        "shape", [(0, 2**63), (0, 2**64 - 1), (0,) * 65, (0, 2**40, 2**40)],
+        ids=["axis-2^63", "axis-2^64-1", "65-axes", "size-overflow"],
+    )
+    def test_empty_tensor_numpy_cannot_build_is_refused(self, tmp_path, shape):
+        # zero bytes of payload, so the size check passes; numpy refuses the shape itself
+        blob, name = b"{}", b"w"
+        raw = (
+            MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + struct.pack("<II", 1, len(name)) + name
+            + struct.pack(f"<I{len(shape)}QB", len(shape), *shape, 1)
+        )
+        path = tmp_path / "shape.veca"
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError, match="shape"):
+            load_container(path)
+
     def test_unsupported_dtype_rejected_on_save(self, tmp_path):
         with pytest.raises(CheckpointError):
             save_container(tmp_path / "i.veca", {}, {"x": np.zeros(2, dtype=np.int32)})

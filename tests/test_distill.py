@@ -401,7 +401,7 @@ class TestTrain:
         before = next(tensor._counter)
         train(enc, teacher, BudgetDistribution(), DistillConfig(total_steps=1),
               data_stream=RngStream(0, "data"), budget_stream=RngStream(0, "budgets"), budget_schedule=[budget])
-        assert next(tensor._counter) - before - 1 == 174
+        assert next(tensor._counter) - before - 1 == 152
 
     def test_constant_patch_grid_keeps_no_gradient(self, tiny_config):
         # the cached grid is shared across steps; a gradient on it would grow forever

@@ -244,7 +244,7 @@ class TestEncoder:
         enc(images, budget)
         before = next(tensor._counter)
         enc(images, budget)
-        assert next(tensor._counter) - before - 1 == 92
+        assert next(tensor._counter) - before - 1 == 88
 
     def test_core_coordinates_stay_bounded(self, tiny_encoder, tiny_images):
         capture = []

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from veca.errors import DTypeError, NonFiniteError, ShapeError
 from veca.rope import apply as rope_apply
 from veca.tensor import (
+    SHORT_ROW,
     Tensor,
     _check_finite,
     _col_sum,
+    _row_max,
     _row_mean,
     _row_sum,
     add,
@@ -504,6 +506,55 @@ class TestAxisSums:
         assert out.shape == x.shape and out.dtype == dtype
         tsum(out).backward()
         assert x.grad.shape == x.shape
+
+
+class TestRowMax:
+    """``_row_max`` against numpy's own max over the last axis, bit for bit."""
+
+    LENGTHS = [1, 2, 8, 57, SHORT_ROW - 1, SHORT_ROW, SHORT_ROW + 1, 260]
+
+    @staticmethod
+    def _same_bits(a: np.ndarray) -> None:
+        got, want = _row_max(a), a.max(axis=-1, keepdims=True)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", LENGTHS)
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_every_layout_on_both_sides_of_the_cutoff(self, dtype, d):
+        rng = np.random.default_rng(d)
+        values = (rng.normal(size=(3, 5, d)) * 10.0 ** rng.integers(-3, 4, size=(3, 5, d))).astype(dtype)
+        for a in _layouts(values).values():
+            self._same_bits(a)
+
+    @pytest.mark.parametrize("d", LENGTHS)
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_special_values(self, dtype, d):
+        # zeros of one sign per row, infinities and NaN, mixed with ordinary values
+        rng = np.random.default_rng(100 + d)
+        for zero in (0.0, -0.0):
+            specials = np.array([zero, -1.0, np.inf, -np.inf, np.nan, 2.5], dtype)
+            a = rng.choice(specials, size=(7, d))
+            a[0] = zero
+            a[1] = -np.inf
+            a[2, 0] = np.nan
+            self._same_bits(a)
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_zero_size_leading_axes(self, dtype):
+        for shape in [(0, 5), (2, 0, 7), (0, SHORT_ROW + 3)]:
+            self._same_bits(np.zeros(shape, dtype))
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_tied_zeros_of_both_signs_shift_softmax_identically(self, dtype):
+        # where +0.0 and -0.0 tie for the max, numpy itself returns either sign depending on
+        # the layout it reduces; x - (+0) and x - (-0) have the same exponentials
+        rng = np.random.default_rng(7)
+        a = rng.choice(np.array([0.0, -0.0, -1.0], dtype), size=(200, 9))
+        a[:, :2] = [0.0, -0.0]
+        got, want = _row_max(a), a.max(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(got, want)
+        assert np.exp(a - got).tobytes() == np.exp(a - want).tobytes()
 
 
 def _operands(dtype_of: dict[str, type]) -> dict[str, Tensor]:
