@@ -10,9 +10,14 @@ end-to-end metric in A's ``BENCHMARK.json`` it prints each side's median
 [q1, q3], the median [q1, q3] of the per-pair ratio B/A (a slow or fast
 phase of the host that spans a pair cancels in its ratio), the pairs each
 side won (ties count for neither), and whether B gained or is worse than A
-by more than the metric's bound. B gains only when it wins at least nine
-tenths of all pairs and the medians differ, in B's favour, by more than the
-distance between A's quartiles; the ratio is shown, not judged.
+by more than the metric's bound. B gains when it wins at least nine tenths
+of all pairs and the per-pair ratio's quartiles both lie on B's better side
+of 1. The rule reads the ratio, not the absolute medians: a slow or fast
+phase of the host that spans a pair moves both of its runs, so it widens
+A's own spread but not the ratio's, and a consistent saving smaller than
+A's spread still counts. For positive metrics nine wins in ten already put
+the ratio's quartiles on B's side; the quartile test also refuses a ratio
+that is not finite.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ def summarize(spec: list[dict], a_runs: list[dict], b_runs: list[dict]) -> list[
         wins_a = int((sign * (a - b) > 0).sum())
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.percentile(b / a, [50, 25, 75])
+        # the ratio's quartile nearer 1 must still be on B's better side
+        edge = ratio[2] if sign < 0 else ratio[1]
         rows.append({
             "name": name,
             "unit": metric["unit"],
@@ -63,7 +70,7 @@ def summarize(spec: list[dict], a_runs: list[dict], b_runs: list[dict]) -> list[
             "ratio": tuple(ratio),
             "wins_a": wins_a,
             "wins_b": wins_b,
-            "gain": wins_b >= WIN_SHARE * len(a) and gap > qa[2] - qa[1],
+            "gain": wins_b >= WIN_SHARE * len(a) and bool(np.isfinite(edge) and sign * (edge - 1.0) > 0),
             "beyond_bound": -gap > metric["bound"] * abs(qa[0]),
         })
     return rows

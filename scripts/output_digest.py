@@ -4,16 +4,19 @@
     PYTHONPATH=src python3 scripts/output_digest.py [--npz PATH]
 
 Covers ``tiny-test`` in float32 and float64 (seed-0 weights, two 16 px
-images): the forward at every budget, the loss and every gradient at C = 8
-against the synthetic teacher, the teacher's targets, ``core_attention`` at
-C = T (dense, the teacher's path) with the gradient of a random projection
-of its output w.r.t. the input, the coordinates and all 8 projections, and
-30 steps of ``distill.train`` (each step's budget, loss and learning rate,
-then the final weights); and ``small`` float32 forwards of two 64 px images
-at C = 8 and C = 64. Every array is hashed with its name, dtype and shape,
-in a fixed order. The digest holds only at a fixed BLAS thread count:
-OpenBLAS splits some products differently across threads, so pin it
-(``OPENBLAS_NUM_THREADS=1``) when comparing two checkouts. ``--npz PATH`` also saves the arrays, so two
+images): the forward at every budget; one forward at C = 64 with an
+analysis capture (every core row runs there, where a plain forward's last
+block runs only core 0 and the patch rows) and every captured array; the
+loss and every gradient at C = 8 against the synthetic teacher, the
+teacher's targets, ``core_attention`` at C = T (dense, the teacher's path)
+with the gradient of a random projection of its output w.r.t. the input,
+the coordinates and all 8 projections, and 30 steps of ``distill.train``
+(each step's budget, loss and learning rate, then the final weights); and
+``small`` float32 forwards of two 64 px images at C = 8 and C = 64. Every
+array is hashed with its name, dtype and shape, in a fixed order. The
+digest holds only at a fixed BLAS thread count: OpenBLAS splits some
+products differently across threads, so pin it (``OPENBLAS_NUM_THREADS=1``)
+when comparing two checkouts. ``--npz PATH`` also saves the arrays, so two
 checkouts whose digests differ can be compared by max |difference|.
 """
 
@@ -49,6 +52,13 @@ def outputs() -> dict[str, np.ndarray]:
             y, z = student(images, c)
             arrays[f"{tag}/forward/C{c}/global"] = y.data
             arrays[f"{tag}/forward/C{c}/dense"] = z.data
+        capture: list[dict] = []
+        y, z = student(images, BUDGETS[-1], capture=capture)
+        arrays[f"{tag}/capture/C{BUDGETS[-1]}/global"] = y.data
+        arrays[f"{tag}/capture/C{BUDGETS[-1]}/dense"] = z.data
+        for layer, internals in enumerate(capture):
+            for key, value in internals.items():
+                arrays[f"{tag}/capture/C{BUDGETS[-1]}/layer{layer}/{key}"] = np.asarray(value)
         loss, _ = total_loss(images, BUDGETS[0], student, teacher, DistillConfig())
         loss.backward()
         arrays[f"{tag}/loss/C{BUDGETS[0]}"] = loss.data

@@ -193,7 +193,7 @@ def influence_probe(model: Encoder, image: np.ndarray, layer_count_used: int) ->
             out = model.encode_tokens(
                 Tensor(tok), hp, wp, budget, num_blocks=layer_count_used, apply_final_norm=False
             )
-            return out.data[0, budget:, :]
+            return out.data[0, -n:, :]
 
         sq = np.zeros((n, n))
         for i in range(n):

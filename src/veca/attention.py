@@ -8,7 +8,10 @@ Rotary tables are applied to queries and keys after projection, never to
 values; their frequency layout follows the weights' head width
 (``AttnParams.head_dim``). The contract is 1 <= C <= T; at C = T there are
 no patch rows, the patch block is skipped and the block is dense
-self-attention, which is how the synthetic teacher runs.
+self-attention, which is how the synthetic teacher runs. A caller that reads
+only the first few core rows (the encoder's last block reads core 0) can ask
+for just those: the dropped core rows are never scored, merged or projected,
+while keys and values still cover all T tokens.
 
 ``masked_dense_oracle`` recomputes the same contract as one dense T x T
 attention with an additive mask, in plain numpy with no shared scoring code,
@@ -142,6 +145,8 @@ def core_attention(
     coords,
     active_c: int,
     capture: dict | None = None,
+    *,
+    core_rows: int | None = None,
 ) -> Tensor:
     """Block-sparse attention over x = [cores ; patches], shape [B, T, D].
 
@@ -149,14 +154,25 @@ def core_attention(
     C..T-1 (patches) are softmax(Q_Z K_R^T / sqrt(d_k)) V_R. Both are merged
     and output-projected in input order; at C = T there are no patch rows and
     this is dense self-attention. Queries and keys are rotated by the rotary
-    tables of ``params.head_dim``. ``capture``, if given, receives the
-    detached per-head probabilities and values for analysis.
+    tables of ``params.head_dim``.
+
+    ``core_rows`` = k keeps only core query rows 0..k-1 (1 <= k <= C; None
+    keeps all C): the output is [B, k + T - C, D], those core rows followed by
+    every patch row, each equal to the same row of the full output. Keys and
+    values still cover all T tokens. ``capture``, if given, receives the
+    detached per-head probabilities and values of every row for analysis, so
+    it needs all C core rows.
     """
     x = as_tensor(x)
     b, t, d = _validate(x, active_c, params.heads)
     coords = _coords_3d(coords, b, t, x.data.dtype)
     h, hd = params.heads, params.head_dim
     c = active_c
+    kept = c if core_rows is None else core_rows
+    if not 1 <= kept <= c:
+        raise BudgetError(f"kept core rows must satisfy 1 <= k <= C, got k={kept}, C={c}")
+    if capture is not None and kept < c:
+        raise ConfigError(f"capture needs all C={c} core rows, got k={kept}")
 
     # rotation commutes with scalar scaling, so 1/sqrt(d_k) is folded into q's head split
     q = _split_heads(linear(x, params.wq, params.bq), h, 1.0 / float(np.sqrt(hd)))
@@ -169,7 +185,7 @@ def core_attention(
 
     k_t = transpose(k, (0, 1, 3, 2))
 
-    q_core = getitem(q, (slice(None), slice(None), slice(0, c)))
+    q_core = getitem(q, (slice(None), slice(None), slice(0, kept)))
     probs_core = softmax_rows(matmul(q_core, k_t))
     out = matmul(probs_core, v)
 

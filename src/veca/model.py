@@ -7,8 +7,10 @@ pre-norm block-sparse attention followed by a pre-norm SwiGLU feed-forward.
 Before each block after the first, the unconstrained core coordinate states
 are nudged by a learned per-layer affine head scaled by a learned scalar, and
 the bounded coordinates used for the rotary tables are tanh of the states.
-After the final block a LayerNorm is applied to the whole sequence; the first
-core token is the global feature and the patch tokens are the dense features.
+The first core token is the global feature and the patch tokens are the
+dense features, so the last block computes only those 1 + N query rows
+(keys and values still cover every token) and the final LayerNorm is applied
+to them; with an analysis capture every row is computed and normalized.
 """
 
 from __future__ import annotations
@@ -145,13 +147,21 @@ def block_forward(
     active_c: int,
     block: BlockParams,
     capture: dict | None = None,
+    *,
+    core_rows: int | None = None,
 ) -> Tensor:
     """Pre-norm residual attention, then pre-norm residual SwiGLU.
 
-    The rotary layout is the attention weights' own head width.
+    The rotary layout is the attention weights' own head width. ``core_rows``
+    = k keeps core rows 0..k-1 and the patch rows, as in
+    :func:`~veca.attention.core_attention`: the block returns those
+    k + T - C rows (None keeps all T).
     """
     normed = layer_norm(x, block.norm_attn_gamma, block.norm_attn_beta)
-    x = add(x, core_attention(block.attn, normed, coords, active_c, capture))
+    attn = core_attention(block.attn, normed, coords, active_c, capture, core_rows=core_rows)
+    if attn.shape[1] < x.shape[1]:  # the residual keeps the rows attention kept
+        x = getitem(x, (slice(None), np.r_[0:core_rows, active_c : x.shape[1]]))
+    x = add(x, attn)
     f = ffn_swiglu(
         layer_norm(x, block.norm_ffn_gamma, block.norm_ffn_beta),
         block.ffn_w1,
@@ -313,9 +323,12 @@ class Encoder:
     ) -> Tensor:
         """Run the block stack over [active cores ; patch_tokens].
 
-        Returns the full token-state tensor [B, T, D]. ``num_blocks`` truncates
-        the stack (used by structural probes); ``capture`` collects per-layer
-        attention internals for analysis.
+        Returns [B, 1 + N, D]: core token 0 and the N patch tokens, the only
+        rows the features are read from; the last block of the stack computes
+        no other query row. With ``capture`` (per-layer attention internals
+        for analysis, which read every core row) it returns all T = C + N
+        rows. Either way the patch tokens are the last N rows. ``num_blocks``
+        truncates the stack (used by structural probes).
         """
         cfg = self.config
         c = active_c
@@ -352,7 +365,8 @@ class Encoder:
             if capture is not None:
                 layer_capture = {"coords": coords.data.copy()}
                 capture.append(layer_capture)
-            x = block_forward(x, coords, c, self.blocks[li], layer_capture)
+            last = li == depth - 1 and capture is None
+            x = block_forward(x, coords, c, self.blocks[li], layer_capture, core_rows=1 if last else None)
         if apply_final_norm:
             x = layer_norm(x, self.final_gamma, self.final_beta)
         return x
@@ -369,7 +383,7 @@ class Encoder:
         tokens, (hp, wp) = self.patch_embed(images)
         x = self.encode_tokens(tokens, hp, wp, c, capture=capture)
         global_feat = getitem(x, (slice(None), 0))
-        dense = getitem(x, (slice(None), slice(c, None)))
+        dense = getitem(x, (slice(None), slice(-tokens.shape[1], None)))
         return global_feat, dense
 
     def __call__(self, images, active_c: int, **kw):

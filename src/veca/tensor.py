@@ -351,7 +351,8 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def getitem(a: Tensor, idx) -> Tensor:
-    # basic indexing only: slices and integers (no repeated fancy indices)
+    # slices and integers, plus at most one integer array of distinct indices (the
+    # backward scatters with ``buf[idx] = g``, which a repeated index would undercount)
     a = as_tensor(a)
     data = a.data[idx]
 

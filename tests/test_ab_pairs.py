@@ -21,12 +21,13 @@ def row(metric, a, b):
     return out
 
 
-def test_gain_needs_nine_of_ten_pairs_and_a_gap_beyond_the_parents_quartiles():
+def test_gain_needs_nine_of_ten_pairs_and_the_ratio_quartiles_beyond_one():
     a = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]
     r = row(LOWER, a, [v - 2.0 for v in a])
     assert (r["wins_a"], r["wins_b"], r["gain"]) == (0, 10, True)
     assert r["a"] == pytest.approx((10.9, 10.45, 11.35))
     assert r["b"] == pytest.approx((8.9, 8.45, 9.35))
+    assert r["ratio"][2] < 1.0
 
     b = [v - 2.0 for v in a]
     b[0], b[1] = 10.5, 10.3  # two pairs lost: 8 of 10 is not enough
@@ -34,9 +35,18 @@ def test_gain_needs_nine_of_ten_pairs_and_a_gap_beyond_the_parents_quartiles():
     assert (r["wins_a"], r["wins_b"], r["gain"]) == (2, 8, False)
 
 
-def test_winning_every_pair_by_less_than_the_spread_is_no_gain():
+def test_winning_every_pair_by_less_than_the_parents_spread_is_a_gain():
+    # the gap of the medians (0.5) is smaller than A's quartile spread (2.0); the ratio
+    # (0.95-0.96 in every pair) decides
     a = [10.0, 12.0, 10.0, 12.0, 10.0, 12.0, 10.0, 12.0, 10.0, 12.0]
     r = row(LOWER, a, [v - 0.5 for v in a])
+    assert r["a"][2] - r["a"][1] == pytest.approx(2.0)
+    assert r["wins_b"] == 10 and r["gain"]
+
+
+def test_a_ratio_that_is_not_finite_is_no_gain():
+    # a parent that read 0 gives an infinite ratio: wins alone do not make a gain
+    r = row(HIGHER, [0.0] * 10, [1.0] * 10)
     assert r["wins_b"] == 10 and not r["gain"]
 
 
@@ -71,7 +81,7 @@ def test_per_pair_ratio_cancels_phases_that_span_a_pair():
     a = [10.0, 15.0, 10.0, 15.0, 10.0, 15.0, 10.0, 15.0, 10.0, 15.0]
     r = row(LOWER, a, [0.8 * v for v in a])
     assert r["ratio"] == pytest.approx((0.8, 0.8, 0.8))
-    assert r["wins_b"] == 10 and not r["gain"]  # the gain rule is unchanged
+    assert r["wins_b"] == 10 and r["gain"]  # A's own spread (5.0) does not hide it
 
 
 def test_per_pair_ratio_quartiles():

@@ -13,7 +13,7 @@ from veca.attention import (
 from veca.errors import BudgetError, ConfigError, DTypeError, ShapeError
 from veca.rng import RngStream
 from veca.tensor import Tensor, central_difference_error, mul, tsum
-from veca.verify import attention_row_sums, oracle_equivalence_f32
+from veca.verify import F32_ORACLE_EPS, attention_row_sums, oracle_equivalence_f32
 
 
 def make_params(dim, heads, seed=0):
@@ -120,6 +120,67 @@ class TestCoreAttention:
         inputs = {"x": x, "coords": coords, **params.tensors()}
         err = central_difference_error(inputs, lambda: tsum(mul(core_attention(params, x, coords, t), probe)), 1e-5)
         assert err <= 1e-5
+
+
+def kept_rows(full, c, k):
+    """Rows 0..k-1 and C..T-1 of a [B, T, D] array, in that order."""
+    return np.concatenate([full[:, :k], full[:, c:]], axis=1)
+
+
+KEPT_CASES = [(t, c, k) for t, c in ((12, 4), (20, 8), (9, 9), (5, 5)) for k in (1, c)]
+
+
+class TestKeptCoreRows:
+    @pytest.mark.parametrize("t,c,k", KEPT_CASES)
+    def test_kept_rows_match_oracle_float64(self, t, c, k):
+        for seed in range(5):
+            params, x, coords = random_case(300 + seed, t=t, c=c, dim=16, heads=2, batch=1 + seed % 2)
+            out = core_attention(params, x, coords, c, core_rows=k).data
+            assert out.shape == (x.shape[0], k + t - c, 16)
+            ref = kept_rows(masked_dense_oracle(params, x, coords, c), c, k)
+            assert np.abs(out - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("t,c,k", KEPT_CASES)
+    def test_kept_rows_match_oracle_float32(self, t, c, k):
+        # the oracle runs in float64 on the float32-rounded values; weights scaled by 10
+        # as in oracle_equivalence_f32, so the softmax is far from uniform
+        eps = float(np.finfo(np.float32).eps)
+        for seed in range(5):
+            p64, x, coords = random_case(400 + seed, t=t, c=c, dim=16, heads=2, batch=1 + seed % 2)
+            weights = [(w.data * 10.0).astype(np.float32) for w in p64.tensors().values()]
+            x32, coords32 = x.data.astype(np.float32), coords.data.astype(np.float32)
+            out = core_attention(AttnParams(*map(Tensor, weights), 2), Tensor(x32), Tensor(coords32), c,
+                                 core_rows=k).data
+            assert out.dtype == np.float32
+            p_ref = AttnParams(*(Tensor(w.astype(np.float64)) for w in weights), 2)
+            ref = kept_rows(masked_dense_oracle(p_ref, Tensor(x32.astype(np.float64)),
+                                                Tensor(coords32.astype(np.float64)), c), c, k)
+            assert np.abs(out - ref).max() <= F32_ORACLE_EPS * eps * np.abs(ref).max()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_kept_row_gradients_match_central_differences(self, seed):
+        # gradients w.r.t. x, the coordinates and all 8 projections through the kept rows only
+        t, c = 7 + seed, 3 + seed
+        params, x, coords = random_case(500 + seed, t=t, c=c, heads=1 + seed % 2, batch=1 + seed % 2)
+        probe = Tensor(np.random.default_rng(seed).normal(size=(x.shape[0], 1 + t - c, x.shape[2])))
+        inputs = {"x": x, "coords": coords, **params.tensors()}
+
+        def loss():
+            return tsum(mul(core_attention(params, x, coords, c, core_rows=1), probe))
+
+        assert central_difference_error(inputs, loss, 1e-5) <= 1e-5
+
+    def test_kept_row_count_errors(self):
+        params, x, coords = random_case(6, t=12, c=4)
+        for k in (0, 5):
+            with pytest.raises(BudgetError):
+                core_attention(params, x, coords, 4, core_rows=k)
+        # analysis reads every core row's probabilities, so a capture cannot drop any
+        with pytest.raises(ConfigError):
+            core_attention(params, x, coords, 4, capture={}, core_rows=1)
+        cap = {}
+        core_attention(params, x, coords, 4, capture=cap, core_rows=4)
+        assert cap["probs_core"].shape[2] == 4
 
 
 class TestOracle:

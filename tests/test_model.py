@@ -187,6 +187,29 @@ class TestBlockForward:
         err = grad_check(f, Tensor(rng.normal(size=(1, 6, 8))), 1e-5)
         assert err <= 1e-5
 
+    def test_one_kept_core_row_returns_those_rows_of_the_full_block(self):
+        # C = 3 of T = 8: the kept block is rows 0 and 3..7 of the full block's output
+        block = make_block(8, 2, 12, seed=4)
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 8, 8)))
+        coords = Tensor(rng.uniform(-1, 1, size=(8, 2)))
+        full = block_forward(x, coords, 3, block).data
+        kept = block_forward(x, coords, 3, block, core_rows=1).data
+        assert kept.shape == (2, 6, 8)
+        assert np.abs(kept - full[:, [0, 3, 4, 5, 6, 7]]).max() <= 1e-12 * np.abs(full).max()
+
+    def test_gradient_wrt_input_with_one_kept_core_row(self):
+        block = make_block(8, 2, 12, seed=6)
+        rng = np.random.default_rng(7)
+        coords = Tensor(rng.uniform(-1, 1, size=(7, 2)))
+        probe = Tensor(rng.normal(size=(1, 5, 8)))  # core row 0 and the 4 patch rows
+
+        def f(t):
+            return tsum(mul(block_forward(t, coords, 3, block, core_rows=1), probe))
+
+        err = grad_check(f, Tensor(rng.normal(size=(1, 7, 8))), 1e-5)
+        assert err <= 1e-5
+
 
 class TestEncoder:
     def test_tiny_shapes(self, tiny_encoder, tiny_images):
@@ -244,7 +267,22 @@ class TestEncoder:
         enc(images, budget)
         before = next(tensor._counter)
         enc(images, budget)
-        assert next(tensor._counter) - before - 1 == 88
+        assert next(tensor._counter) - before - 1 == 89
+
+    @pytest.mark.parametrize("dtype,bound", [(np.float64, 1e-12), (np.float32, 4 * 2.0**-23)])
+    def test_features_equal_with_and_without_capture(self, tiny_config, tiny_images, dtype, bound):
+        # without a capture the last block computes only the rows the features read; with
+        # one, every row: both must give the same features, within ``bound`` of each
+        # array's largest magnitude (GEMMs of another row count may round differently)
+        enc = Encoder(tiny_config, seed=0, dtype=dtype)
+        n = 16  # 16 px images, 4 px patches
+        for budget in BUDGETS:
+            tokens, (hp, wp) = enc.patch_embed(tiny_images)
+            assert enc.encode_tokens(tokens, hp, wp, budget).shape == (2, 1 + n, 16)
+            assert enc.encode_tokens(tokens, hp, wp, budget, capture=[]).shape == (2, budget + n, 16)
+            for kept, full in zip(enc(tiny_images, budget), enc(tiny_images, budget, capture=[])):
+                assert kept.shape == full.shape
+                assert np.abs(kept.data - full.data).max() <= bound * np.abs(full.data).max()
 
     def test_core_coordinates_stay_bounded(self, tiny_encoder, tiny_images):
         capture = []

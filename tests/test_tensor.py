@@ -234,6 +234,7 @@ UNARY_OPS = [
     ("reshape", lambda t: reshape(t, (6,)), 3.0),
     ("transpose", lambda t: transpose(t, (1, 0)), 3.0),
     ("getitem", lambda t: getitem(t, (slice(0, 2), slice(0, None, 2))), 3.0),
+    ("getitem-rows", lambda t: getitem(t, (slice(None), np.array([2, 0]))), 3.0),
     ("broadcast", lambda t: broadcast_to(reshape(t, (2, 3, 1)), (2, 3, 4)), 3.0),
     ("sum", tsum, 3.0),
 ]
@@ -252,6 +253,22 @@ def test_unary_op_gradients_20_seeds(name, op, scale):
 
         worst = max(worst, grad_check(f, theta, 1e-5))
     assert worst <= 1e-6, f"{name}: {worst}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_getitem_distinct_integer_rows_are_exact(dtype):
+    # one integer array of distinct indices: the forward gathers and the backward
+    # scatters each gradient row back to its own row, bit for bit
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(2, 6, 3)).astype(dtype), requires_grad=True)
+    rows = np.array([0, 3, 4, 5])
+    out = getitem(x, (slice(None), rows))
+    np.testing.assert_array_equal(out.data, x.data[:, rows])
+    g = rng.normal(size=out.shape).astype(dtype)
+    tsum(mul(out, Tensor(g))).backward()
+    want = np.zeros_like(x.data)
+    want[:, rows] = g
+    np.testing.assert_array_equal(x.grad, want)
 
 
 BINARY_OPS = [
