@@ -12,8 +12,10 @@ teacher's targets, ``core_attention`` at C = T (dense, the teacher's path)
 with the gradient of a random projection of its output w.r.t. the input,
 the coordinates and all 8 projections, and 30 steps of ``distill.train``
 (each step's budget, loss and learning rate, then the final weights); and
-``small`` float32 forwards of two 64 px images at C = 8 and C = 64. Every
-array is hashed with its name, dtype and shape, in a fixed order. The
+``small`` float32 forwards of two 64 px images at C = 8 and C = 64; and one
+normalized synthetic batch of eight 224 px images, the size the
+``encode_small`` benchmark draws (``synthetic_images`` normalizes it in
+the buffer it was drawn into). Every array is hashed with its name, dtype and shape, in a fixed order. The
 digest holds only at a fixed BLAS thread count: OpenBLAS splits some
 products differently across threads, so pin it (``OPENBLAS_NUM_THREADS=1``)
 when comparing two checkouts. ``--npz PATH`` also saves the arrays, so two
@@ -89,6 +91,7 @@ def outputs() -> dict[str, np.ndarray]:
         y, z = small(images, c)
         arrays[f"small/float32/forward/C{c}/global"] = y.data
         arrays[f"small/float32/forward/C{c}/dense"] = z.data
+    arrays["synthetic/8x224"] = synthetic_images(RngStream(0, "digest-batch"), 8, 224)
     return arrays
 
 

@@ -9,9 +9,13 @@ channel-normalized with the usual ImageNet constants.
 
 from __future__ import annotations
 
+import io
+import math
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .errors import CheckpointError, ResolutionError
 from .rng import RngStream
@@ -21,11 +25,14 @@ NORM_MEAN = np.array([0.485, 0.456, 0.406])
 NORM_STD = np.array([0.229, 0.224, 0.225])
 
 
-def normalize(images: np.ndarray) -> np.ndarray:
-    """Channelwise (x - mean) / std for images shaped [..., CHANNELS, H, W] in [0, 1]."""
-    mean = NORM_MEAN.reshape(CHANNELS, 1, 1)
-    std = NORM_STD.reshape(CHANNELS, 1, 1)
-    return (images - mean) / std
+def normalize(images: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Channelwise (x - mean) / std for images shaped [..., CHANNELS, H, W] in [0, 1].
+
+    The result goes to ``out`` when given (``images`` itself normalizes in
+    place), else to one new array.
+    """
+    out = np.subtract(images, NORM_MEAN.reshape(CHANNELS, 1, 1), out=out)
+    return np.divide(out, NORM_STD.reshape(CHANNELS, 1, 1), out=out)
 
 
 def synthetic_images(stream: RngStream, batch: int, resolution: int) -> np.ndarray:
@@ -61,30 +68,58 @@ def synthetic_images(stream: RngStream, batch: int, resolution: int) -> np.ndarr
                 mask = ((pixels - cx) ** 2)[None, :] + ((pixels - cy) ** 2)[:, None] <= half**2
                 img[:, mask] = color[:, None]
     np.clip(out, 0.0, 1.0, out=out)
-    return normalize(out)
+    return normalize(out, out=out)
 
 
 def load_raster(path: str | Path) -> np.ndarray:
-    """Load one image as [3, H, W] floats in [0, 1] from .npy or binary PPM."""
+    """Load one image as [3, H, W] floats in [0, 1] from .npy or binary PPM.
+
+    Both formats are parsed from the file's bytes, so a header that claims
+    more data than the file holds is refused before anything is allocated;
+    so are empty images and non-finite values.
+    """
     path = Path(path)
     if path.suffix == ".npy":
-        try:
-            arr = np.load(path)
-        except (ValueError, EOFError) as err:
-            raise CheckpointError(f"{path}: not a readable .npy array: {err}") from err
-        if not isinstance(arr, np.ndarray) or arr.dtype.kind not in "biuf":
-            raise CheckpointError(f"{path}: expected one real-valued .npy array")
+        arr = _read_npy(path)
         if arr.ndim == 3 and arr.shape[-1] == 3 and arr.shape[0] != 3:
             arr = arr.transpose(2, 0, 1)
-        if arr.ndim != 3 or arr.shape[0] != 3:
-            raise CheckpointError(f"{path}: expected [3,H,W] or [H,W,3], got {arr.shape}")
+        if arr.ndim != 3 or arr.shape[0] != 3 or arr.size == 0:
+            raise CheckpointError(f"{path}: expected a non-empty [3,H,W] or [H,W,3] array, got {arr.shape}")
         arr = arr.astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: .npy image holds non-finite values")
         if arr.max() > 1.5:
             arr = arr / 255.0
         return np.clip(arr, 0.0, 1.0)
     if path.suffix in (".ppm", ".pnm"):
         return _read_ppm(path)
     raise CheckpointError(f"{path}: unsupported raster format (use .npy or binary .ppm)")
+
+
+def _read_npy(path: Path) -> np.ndarray:
+    """A read-only view of the one real-valued array in a version 1 or 2 .npy file."""
+    raw = path.read_bytes()
+    # a BytesIO read past the end returns what is there, where a file read first
+    # allocates the (up to 4 GiB) header length that a version 2 header claims
+    buf = io.BytesIO(raw)
+    try:
+        version = npy_format.read_magic(buf)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"unsupported version {version}")
+        read_header = npy_format.read_array_header_1_0 if version == (1, 0) else npy_format.read_array_header_2_0
+        shape, fortran_order, dtype = read_header(buf)
+    except (ValueError, SyntaxError, TokenError) as err:  # numpy parses the header and its dtype as Python
+        raise CheckpointError(f"{path}: not a readable .npy array: {err}") from err
+    if dtype.kind not in "biuf":
+        raise CheckpointError(f"{path}: expected one real-valued .npy array, got dtype {dtype}")
+    count = math.prod(shape)
+    if min(shape, default=0) < 0 or count * dtype.itemsize > len(raw) - buf.tell():
+        raise CheckpointError(f"{path}: .npy shape {shape} of {dtype} does not fit the file's {len(raw)} bytes")
+    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=buf.tell())
+    try:
+        return arr.reshape(shape, order="F" if fortran_order else "C")
+    except ValueError as err:  # a shape numpy cannot build: an empty one too large, or over 64 axes
+        raise CheckpointError(f"{path}: .npy shape {shape}: {err}") from err
 
 
 def _read_ppm(path: Path) -> np.ndarray:
@@ -117,5 +152,7 @@ def _read_ppm(path: Path) -> np.ndarray:
     if len(raw) - pos < count:
         raise CheckpointError(f"{path}: PPM pixel data truncated ({max(len(raw) - pos, 0)} of {count} bytes)")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count, offset=pos)
+    if pixels.max() > maxval:
+        raise CheckpointError(f"{path}: PPM sample {pixels.max()} above maxval {maxval}")
     img = pixels.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64)
     return img / maxval

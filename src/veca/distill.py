@@ -269,7 +269,8 @@ class FileTeacher:
     """Fixed (image, target) set loaded from a precomputed target file.
 
     The images must be ones ``config``'s model takes, and the dense targets
-    [B, N, D] must have its patch count N and width D.
+    [B, N, D] must have its patch count N and width D. Every value must be
+    finite.
     """
 
     def __init__(self, path: str | Path, config: ModelConfig):
@@ -281,6 +282,9 @@ class FileTeacher:
         missing = [k for k in ("images", "global", "dense") if k not in tensors]
         if missing:
             raise CheckpointError(f"{path}: teacher-target container has no {missing} tensors")
+        nonfinite = [k for k in ("images", "global", "dense") if not np.isfinite(tensors[k]).all()]
+        if nonfinite:
+            raise CheckpointError(f"{path}: teacher-target tensors {nonfinite} hold non-finite values")
         self.images = tensors["images"]
         self.global_targets = tensors["global"]
         self.dense_targets = tensors["dense"]

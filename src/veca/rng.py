@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from scipy import special as sp_special
 
 
 class RngStream:
@@ -40,7 +39,13 @@ class RngStream:
         return self._gen.normal(0.0, std, size=size)
 
     def trunc_normal(self, std: float, size=None) -> np.ndarray:
-        """Normal(0, std) truncated to +-2 standard deviations (inverse CDF)."""
+        """Normal(0, std) truncated to +-2 standard deviations (inverse CDF).
+
+        scipy is imported here, its only use in the package outside ``verify``,
+        so a process that loads and encodes a checkpoint never imports it.
+        """
+        from scipy import special as sp_special
+
         lo, hi = sp_special.ndtr(-2.0), sp_special.ndtr(2.0)
         u = self._gen.uniform(lo, hi, size=size)
         return sp_special.ndtri(u) * std

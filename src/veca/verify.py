@@ -10,7 +10,6 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .analysis import influence_probe, score_macs_core
 from .attention import AttnParams, core_attention, dense_count, interaction_count, masked_dense_oracle
@@ -111,6 +110,8 @@ def budget_sampler_fit(streams: list[RngStream], draws: int = 100_000) -> list[C
     Two checks: every frequency within 0.005 of p_C, and the chi^2 statistic
     below its critical value at significance 1e-3, on every stream.
     """
+    from scipy import stats as sp_stats  # only this check needs it, and scipy.stats is slow to import
+
     dist = BudgetDistribution()
     crit = float(sp_stats.chi2.isf(1e-3, df=len(BUDGETS) - 1))
     expected = dist.probs * draws

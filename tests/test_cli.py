@@ -1,10 +1,15 @@
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 
 from veca.analysis import export_core_maps
 from veca.checkpoint import save_model
@@ -12,7 +17,7 @@ from veca.cli import _TRAIN_DEFAULTS, main
 from veca.data import synthetic_images
 from veca.distill import DistillConfig
 from veca.elastic import BudgetDistribution
-from veca.model import Encoder, ModelConfig
+from veca.model import Encoder, ModelConfig, get_preset
 from veca.rng import RngStream
 
 
@@ -252,14 +257,20 @@ def model_blob(**extra) -> bytes:
     return json.dumps({"model": {**asdict(TINY), **extra}}).encode()
 
 
-def targets(kind: str = "teacher_targets", batches=(2, 2, 2), drop: str = "", patches: int = 16) -> bytes:
+def targets(
+    kind: str = "teacher_targets", batches=(2, 2, 2), drop: str = "", patches: int = 16, poison: str = "", value=np.nan,
+) -> bytes:
     """A target-file container of ``kind`` with ``batches`` for images/global/dense, minus ``drop``.
 
-    Images are 16 px, so ``patches`` = 16 fits TINY (patch size 4).
+    Images are 16 px, so ``patches`` = 16 fits TINY (patch size 4). The
+    tensor named ``poison`` holds ``value`` in its first element.
     """
     shapes = {"images": (batches[0], 3, 16, 16), "global": (batches[1], 16), "dense": (batches[2], patches, 16)}
+    arrays = {k: np.zeros(v) for k, v in shapes.items() if k != drop}
+    if poison:
+        arrays[poison].flat[0] = value
     blob = json.dumps({"kind": kind}).encode()
-    return container(blob, {k.encode(): np.zeros(v) for k, v in shapes.items() if k != drop})
+    return container(blob, {k.encode(): v for k, v in arrays.items()})
 
 
 def tiny_checkpoint(**config) -> bytes:
@@ -272,6 +283,20 @@ def npy_bytes(arr: np.ndarray) -> bytes:
     buf = io.BytesIO()
     np.save(buf, arr)
     return buf.getvalue()
+
+
+def npy_header(shape: tuple[int, ...]) -> bytes:
+    """A version-1 .npy header for a float64 array of ``shape``, without its data."""
+    buf = io.BytesIO()
+    npy_format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buf.getvalue()
+
+
+def image_with(value: float) -> np.ndarray:
+    """A 16 px [3, H, W] image in [0, 1] with ``value`` in its first pixel."""
+    img = np.full((3, 16, 16), 0.5)
+    img[0, 0, 0] = value
+    return img
 
 
 class TestExitCodes:
@@ -289,6 +314,10 @@ class TestExitCodes:
         "budget weights overflowing their sum": ("flags", b"--budget-weights 1e308,1e308,1,1,1,1,1,1", 2),
         "npy of random bytes": ("npy", bytes(range(256)), 3),
         "npy of the wrong shape": ("npy", npy_bytes(np.zeros((4, 4))), 3),
+        "npy with no pixels": ("npy", npy_bytes(np.zeros((3, 0, 16))), 3),
+        "npy with a NaN pixel": ("npy", npy_bytes(image_with(np.nan)), 3),
+        "npy with an infinite pixel": ("npy", npy_bytes(image_with(np.inf)), 3),
+        "npy header claiming 21.8 TiB over 16 bytes": ("npy", npy_header((3, 10**6, 10**6)) + bytes(16), 3),
         "PPM that is not P6": ("ppm", b"P3\n4 4\n255\n" + bytes(48), 3),
         "checkpoint config not JSON": ("checkpoint", container(b"{nope"), 3),
         "checkpoint without model": ("checkpoint", container(b"{}"), 3),
@@ -302,6 +331,8 @@ class TestExitCodes:
         "targets of another kind": ("targets", targets(kind="model"), 3),
         "targets with misaligned batches": ("targets", targets(batches=(2, 3, 3)), 3),
         "targets with the wrong patch count": ("targets", targets(patches=5), 3),
+        "targets with a NaN dense target": ("targets", targets(poison="dense"), 3),
+        "targets with an infinite image pixel": ("targets", targets(poison="images", value=np.inf), 3),
         "checkpoint unknown model field": ("checkpoint", container(model_blob(width=3)), 3),
         "checkpoint non-zero dropout": ("checkpoint", container(model_blob(dropout=0.1)), 3),
         "checkpoint tensors not the model's": ("checkpoint", container(model_blob()), 3),
@@ -390,3 +421,37 @@ def test_settable_surface_is_pinned():
         "batch", "budget_weights", "dtype", "lr", "min_lr", "preset", "res",
         "seed", "steps", "targets_file", "teacher_seed", "warmup", "weight_decay",
     ]
+
+
+ENCODE_ONLY = """
+import sys
+
+import numpy as np
+
+import veca
+import veca.cli
+from veca.checkpoint import load_model
+from veca.data import synthetic_images
+from veca.rng import RngStream
+
+model, _ = load_model(sys.argv[1])
+y, z = model(synthetic_images(RngStream(0, "images"), 1, 16), 8)
+assert np.isfinite(y.data).all() and np.isfinite(z.data).all()
+assert veca.cli.main(["param-count"]) == 0
+assert "scipy" not in sys.modules, sorted(name for name in sys.modules if name.startswith("scipy"))
+RngStream(0, "weights").trunc_normal(0.02, size=3)
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_loading_and_encoding_a_checkpoint_never_imports_scipy(tmp_path):
+    # scipy is imported only by weight draws (trunc_normal) and by ``veca verify``
+    ckpt = tmp_path / "tiny.veca"
+    save_model(ckpt, Encoder(get_preset("tiny-test"), seed=0))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", ENCODE_ONLY, str(ckpt)], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("# param-count config:")

@@ -1,12 +1,16 @@
 import math
 import re
+import struct
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from veca import distill, tensor
+from veca.checkpoint import MAGIC, VERSION
 from veca.data import load_raster, normalize, synthetic_images
 from veca.distill import (
     AdamW,
@@ -21,7 +25,15 @@ from veca.distill import (
     train,
 )
 from veca.elastic import BUDGETS, BudgetDistribution
-from veca.errors import ConfigError, DTypeError, NonFiniteError, ResolutionError, ShapeError, TrainingDivergedError
+from veca.errors import (
+    CheckpointError,
+    ConfigError,
+    DTypeError,
+    NonFiniteError,
+    ResolutionError,
+    ShapeError,
+    TrainingDivergedError,
+)
 from veca.model import Encoder, ModelConfig, get_preset
 from veca.rng import RngStream
 from veca.tensor import Tensor, central_difference_error
@@ -527,6 +539,58 @@ class TestTrain:
             file_teacher=ft,
         )
         assert len(records) == 4 and all(math.isfinite(r.loss) for r in records)
+
+
+class TestFileTeacherFuzz:
+    """Any target file either loads as finite, consistent targets or raises CheckpointError."""
+
+    @staticmethod
+    def loads_or_refuses(path, raw: bytes, config: ModelConfig) -> None:
+        path.write_bytes(raw)
+        try:
+            ft = FileTeacher(path, config)
+        except CheckpointError:
+            return
+        arrays = (ft.images, ft.global_targets, ft.dense_targets)
+        assert all(np.isfinite(a).all() for a in arrays)
+        assert ft.images.shape[0] == ft.global_targets.shape[0] == ft.dense_targets.shape[0] >= 1
+        assert ft.images.shape[1] == 3 and ft.dense_targets.shape[2] == config.dim
+
+    @given(raw=st.one_of(
+        st.binary(max_size=300),
+        st.binary(max_size=300).map(lambda b: MAGIC + struct.pack("<I", VERSION) + b),
+    ))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_bytes_load_or_raise_checkpoint_error(self, tmp_path, tiny_config, raw):
+        self.loads_or_refuses(tmp_path / "fuzz.veca", raw, tiny_config)
+
+    @given(
+        batch=st.integers(1, 2),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        poison=st.tuples(st.sampled_from([None, 0, 1, 2]), st.sampled_from([np.nan, np.inf, -np.inf])),
+        flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
+        cut=st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_flipped_or_truncated_targets_load_or_raise_checkpoint_error(
+        self, tmp_path, tiny_config, batch, dtype, poison, flips, cut,
+    ):
+        # ``poison`` puts one non-finite value into images, global or dense before the bytes are damaged
+        path = tmp_path / "flip.veca"
+        rng = np.random.default_rng(batch)
+        arrays = [
+            synthetic_images(RngStream(batch, "fuzz"), batch, 8).astype(dtype),
+            rng.normal(size=(batch, tiny_config.dim)).astype(dtype),
+            rng.normal(size=(batch, 4, tiny_config.dim)).astype(dtype),
+        ]
+        which, value = poison
+        if which is not None:
+            arrays[which].flat[-1] = value
+        save_target_file(path, *arrays)
+        raw = bytearray(path.read_bytes())
+        for pos, mask in flips:
+            raw[pos % len(raw)] ^= mask
+        self.loads_or_refuses(path, bytes(raw if cut is None else raw[: cut % len(raw)]), tiny_config)
 
 
 class TestModelGradCheck:
