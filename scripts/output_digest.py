@@ -11,7 +11,9 @@ loss and every gradient at C = 8 against the synthetic teacher, the
 teacher's targets, ``core_attention`` at C = T (dense, the teacher's path)
 with the gradient of a random projection of its output w.r.t. the input,
 the coordinates and all 8 projections, and 30 steps of ``distill.train``
-(each step's budget, loss and learning rate, then the final weights); and
+(each step's budget, loss and learning rate, then the final weights) and 8
+more from a ``FileTeacher`` target file of the teacher's targets for six
+images, written to a temporary directory; and
 ``small`` float32 forwards of two 64 px images at C = 8 and C = 64; and one
 normalized synthetic batch of eight 224 px images, the size the
 ``encode_small`` benchmark draws (``synthetic_images`` normalizes it in
@@ -27,12 +29,22 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from veca.attention import AttnParams, core_attention
 from veca.data import synthetic_images
-from veca.distill import TEACHER_SEED, DistillConfig, SyntheticTeacher, total_loss, train
+from veca.distill import (
+    TEACHER_SEED,
+    DistillConfig,
+    FileTeacher,
+    SyntheticTeacher,
+    save_target_file,
+    total_loss,
+    train,
+)
 from veca.elastic import BUDGETS, DEFAULT_WEIGHTS, BudgetDistribution
 from veca.model import Encoder, get_preset
 from veca.rng import RngStream
@@ -72,18 +84,13 @@ def outputs() -> dict[str, np.ndarray]:
         arrays[f"{tag}/teacher/dense"] = z
         arrays.update(dense_attention(tiny.dim, tiny.heads, dtype, tag))
 
-        student = Encoder(tiny, seed=0, dtype=dtype)
-        records = train(
-            student,
-            teacher,
-            BudgetDistribution(weights=DEFAULT_WEIGHTS),
-            DistillConfig(total_steps=TRAIN_STEPS),
-            data_stream=RngStream(0, "data"),
-            budget_stream=RngStream(0, "budgets"),
-        )
-        arrays[f"{tag}/train/records"] = np.array([(r.step, r.budget, r.loss, r.lr) for r in records])
-        for name, value in student.state().items():
-            arrays[f"{tag}/train/weights/{name}"] = value
+        arrays.update(train_run(f"{tag}/train", teacher, DistillConfig(total_steps=TRAIN_STEPS), dtype))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "targets.veca"
+            file_images = synthetic_images(RngStream(0, "digest-file"), 6, 16)
+            save_target_file(path, file_images, *teacher.targets(file_images))
+            cfg = DistillConfig(total_steps=8, batch_size=4)
+            arrays.update(train_run(f"{tag}/train-file", FileTeacher(path, tiny), cfg, dtype))
 
     small = Encoder(get_preset("small"), seed=0, dtype=np.float32)
     images = synthetic_images(RngStream(0, "digest-images"), 2, 64)
@@ -92,6 +99,23 @@ def outputs() -> dict[str, np.ndarray]:
         arrays[f"small/float32/forward/C{c}/global"] = y.data
         arrays[f"small/float32/forward/C{c}/dense"] = z.data
     arrays["synthetic/8x224"] = synthetic_images(RngStream(0, "digest-batch"), 8, 224)
+    return arrays
+
+
+def train_run(prefix: str, teacher, cfg: DistillConfig, dtype) -> dict[str, np.ndarray]:
+    """``distill.train`` of the seed-0 ``tiny-test`` student: each step's record, then the weights."""
+    student = Encoder(get_preset("tiny-test"), seed=0, dtype=dtype)
+    records = train(
+        student,
+        teacher,
+        BudgetDistribution(weights=DEFAULT_WEIGHTS),
+        cfg,
+        data_stream=RngStream(0, "data"),
+        budget_stream=RngStream(0, "budgets"),
+    )
+    arrays = {f"{prefix}/records": np.array([(r.step, r.budget, r.loss, r.lr) for r in records])}
+    for name, value in student.state().items():
+        arrays[f"{prefix}/weights/{name}"] = value
     return arrays
 
 

@@ -4,8 +4,8 @@
 Runs ``veca train-toy`` (tiny preset, float32, frozen synthetic teacher,
 nested budget sampling) and then ``veca eval-budgets`` on the saved
 checkpoint, which reports the distillation loss at every budget on a held-out
-synthetic batch. Artifacts land in --out: checkpoint.veca, train_log.csv,
-budget_schedule.txt and budget_sweep.csv.
+synthetic batch. Artifacts land in --out: checkpoint.veca, train_log.csv
+(every step's budget, loss and learning rate) and budget_sweep.csv.
 """
 
 import argparse

@@ -185,7 +185,7 @@ def core_attention(
 
     k_t = transpose(k, (0, 1, 3, 2))
 
-    q_core = getitem(q, (slice(None), slice(None), slice(0, kept)))
+    q_core = q if kept == t else getitem(q, (slice(None), slice(None), slice(0, kept)))
     probs_core = softmax_rows(matmul(q_core, k_t))
     out = matmul(probs_core, v)
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, checkpoint, verify
 from .data import load_raster, normalize, synthetic_images
 from .distill import TEACHER_SEED, DistillConfig, FileTeacher, SyntheticTeacher, total_loss, train
-from .elastic import BUDGETS, DEFAULT_WEIGHTS, BudgetDistribution, save_schedule
+from .elastic import BUDGETS, DEFAULT_WEIGHTS, BudgetDistribution
 from .errors import (
     BudgetError,
     CheckpointError,
@@ -169,10 +169,11 @@ def cmd_train_toy(args) -> int:
         raise ConfigError(f"train-toy config value has the wrong type: {err}") from err
     dist = BudgetDistribution(weights=weights)
     student = Encoder(config, seed=seed, dtype=dtype)
-    file_teacher = FileTeacher(resolved["targets_file"], config) if resolved["targets_file"] else None
-    teacher = None
-    if file_teacher is None:
-        teacher = SyntheticTeacher(config, seed=teacher_seed, dtype=student.dtype)
+    teacher = (
+        FileTeacher(resolved["targets_file"], config)
+        if resolved["targets_file"]
+        else SyntheticTeacher(config, seed=teacher_seed, dtype=student.dtype)
+    )
 
     records = train(
         student,
@@ -181,7 +182,6 @@ def cmd_train_toy(args) -> int:
         dcfg,
         data_stream=RngStream(seed, "data"),
         budget_stream=RngStream(seed, "budgets"),
-        file_teacher=file_teacher,
     )
 
     out_dir = Path(args.out or "toy-run")
@@ -191,7 +191,6 @@ def cmd_train_toy(args) -> int:
         log_lines = [header, "step,budget,loss,lr"]
         log_lines += [f"{r.step},{r.budget},{r.loss:.10g},{r.lr:.10g}" for r in records]
         (out_dir / "train_log.csv").write_text("".join(l + "\n" for l in log_lines))
-        save_schedule(out_dir / "budget_schedule.txt", [r.budget for r in records])
         checkpoint.save_model(
             out_dir / "checkpoint.veca",
             student,
@@ -204,7 +203,7 @@ def cmd_train_toy(args) -> int:
     print(header)
     print(f"trained {len(records)} steps; loss {records[0].loss:.4f} -> {records[-1].loss:.4f}")
     print(f"early 10-step mean {early:.4f}; final 10-step mean {final:.4f}")
-    print(f"artifacts in {out_dir}/: checkpoint.veca, train_log.csv, budget_schedule.txt")
+    print(f"artifacts in {out_dir}/: checkpoint.veca, train_log.csv (every step's budget, loss and lr)")
     return 0
 
 

@@ -32,9 +32,8 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .model import BlockParams, Encoder, ModelConfig, block_forward, patchify
+from .model import BlockParams, Encoder, ModelConfig, block_forward, grid_coords, patchify
 from .rng import RngStream
-from .rope import patch_grid
 from .tensor import (
     Tensor,
     _accumulate,
@@ -177,7 +176,7 @@ def total_loss(
 ) -> tuple[Tensor, dict[str, float]]:
     """Global + dense loss of the student at the given budget.
 
-    ``targets`` overrides the teacher (used for precomputed target files).
+    ``targets`` overrides the teacher (:func:`train` passes each batch's).
     ``cfg`` sets nothing in the objective; callers pass their stage's config.
     """
     if targets is None:
@@ -204,6 +203,7 @@ class SyntheticTeacher:
     def __init__(self, config: ModelConfig, seed: int = TEACHER_SEED, dtype=np.float64):
         self.config = config
         self.dtype = float_type(dtype)
+        self._grid_cache: dict[tuple[int, int, int], Tensor] = {}
         root = RngStream(seed, "teacher")
         d, hidden = config.dim, config.hidden
 
@@ -228,11 +228,18 @@ class SyntheticTeacher:
             ))
         self.fg, self.fb = const(1.0, d), const(0.0, d)
 
+    def batch(
+        self, step: int, data_stream: RngStream, cfg: DistillConfig
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """A fresh synthetic batch from ``data_stream`` and its targets."""
+        images = synthetic_images(data_stream, cfg.batch_size, cfg.resolution)
+        return images, self.targets(images)
+
     def targets(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flat, (hp, wp) = patchify(images, self.config, self.dtype)
         x = linear(flat, self.patch_w, self.patch_b)
         b, n, _ = x.shape
-        coords = Tensor(np.broadcast_to(patch_grid(hp, wp).astype(self.dtype)[None], (b, n, 2)).copy())
+        coords = grid_coords(self._grid_cache, b, hp, wp, self.dtype)
         for blk in self.blocks:
             x = block_forward(x, coords, n, blk)
         dense = layer_norm(x, self.fg, self.fb).data.copy()
@@ -298,9 +305,12 @@ class FileTeacher:
                 f"{path}: dense targets {self.dense_targets.shape} do not fit {n} patches of width {config.dim}"
             )
 
-    def batch(self, step: int, batch_size: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        n = self.images.shape[0]
-        idx = [((step - 1) * batch_size + i) % n for i in range(batch_size)]
+    def batch(
+        self, step: int, data_stream: RngStream, cfg: DistillConfig
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """The stored pairs of ``step`` (1-indexed), cycling through the file; draws nothing."""
+        n, size = self.images.shape[0], cfg.batch_size
+        idx = [((step - 1) * size + i) % n for i in range(size)]
         return self.images[idx], (self.global_targets[idx], self.dense_targets[idx])
 
 
@@ -309,15 +319,16 @@ class AdamW:
 
     Turns ``requires_grad`` on for every parameter it is given, so a frozen
     (loaded) encoder trains exactly like a fresh one; :meth:`step` skips a
-    parameter whose ``grad`` is None, leaving its weights and moments as they
-    are. All parameters must share one dtype.
+    parameter whose ``grad`` is None (the core chunks beyond a step's budget),
+    leaving its weights and moments as they are. All parameters must share
+    one dtype.
 
     The first and second moments are two flat float64 arrays, ``m`` and ``v``,
-    in parameter order. Parameters are grouped in that order into buckets of
-    consecutive tensors of at most BUCKET elements (a larger tensor is a
-    bucket of its own), and a step updates each bucket with one pass of
-    whole-array numpy calls over its live parameters, so the temporaries of a
-    step are bounded by the largest bucket rather than the whole model.
+    in parameter order. A step updates each run of consecutive parameters
+    that have a gradient, of at most BUCKET elements (a larger tensor is a
+    run of its own), with one pass of whole-array numpy calls over the run's
+    slices of ``m`` and ``v``, so the temporaries of a step are bounded by the
+    largest run rather than the whole model.
     """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -335,82 +346,43 @@ class AdamW:
         total = sum(p.size for p in params.values())
         self.m = np.zeros(total)
         self.v = np.zeros(total)
-        self._buckets: list[_Bucket] = []
-        offset = 0
-        for p in params.values():
-            if not self._buckets or self._buckets[-1].size + p.size > self.BUCKET:
-                self._buckets.append(_Bucket(offset))
-            self._buckets[-1].add(p)
+
+    def _runs(self):
+        """Yield (start, stop, parameters): each run of consecutive live parameters and its slice of m and v."""
+        run: list[Tensor] = []
+        start = size = offset = 0
+        for p in self.params.values():
+            if run and (p.grad is None or size + p.size > self.BUCKET):
+                yield start, start + size, run
+                run = []
+            if p.grad is not None:
+                if not run:
+                    start, size = offset, 0
+                run.append(p)
+                size += p.size
             offset += p.size
+        if run:
+            yield start, start + size, run
 
     def step(self, lr: float) -> None:
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for bucket in self._buckets:
-            live = bucket.live()
-            if live is None:
-                continue
-            region, sub, tensors, bounds = live
-            # in place, so a contiguous pattern updates the moments with no temporary copy of them
-            m, v = self.m[region][sub], self.v[region][sub]
-            g = np.concatenate([p.grad for p in tensors], axis=None, dtype=np.float64)
+        for start, stop, run in self._runs():
+            m, v = self.m[start:stop], self.v[start:stop]  # views: updated in place
+            g = np.concatenate([p.grad for p in run], axis=None, dtype=np.float64)
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2
             v += (1.0 - self.b2) * g * g
-            self.m[region][sub], self.v[region][sub] = m, v  # a gathered copy goes back; a view is left alone
             del g  # freed before the weights are gathered, so the two are never held at once
-            w = np.concatenate([p.data for p in tensors], axis=None)
+            w = np.concatenate([p.data for p in run], axis=None)
             update = (m / c1) / (np.sqrt(v / c2) + self.eps)
             new = (w.astype(np.float64) - lr * update - lr * self.weight_decay * w).astype(w.dtype)
-            for p, lo, hi in zip(tensors, bounds, bounds[1:]):
-                p.data = new[lo:hi].reshape(p.shape)
-
-
-class _Bucket:
-    """Consecutive parameters updated together, with one element index per live pattern.
-
-    A pattern is which of its parameters have a gradient. Its index is the
-    region of the flat moments from the first live element to the last, and
-    within it either everything (the live parameters are contiguous, as when
-    all are live) or a boolean mask of the live elements.
-    """
-
-    def __init__(self, offset: int):
-        self.offset = offset
-        self.size = 0
-        self.tensors: list[Tensor] = []
-        self._patterns: dict[tuple[bool, ...], tuple | None] = {}
-
-    def add(self, p: Tensor) -> None:
-        self.tensors.append(p)
-        self.size += p.size
-
-    def live(self) -> tuple[slice, slice | np.ndarray, list[Tensor], list[int]] | None:
-        """(region, mask in it, live parameters, their bounds in the concatenation), or None if none is live."""
-        key = tuple(p.grad is not None for p in self.tensors)
-        if key not in self._patterns:
-            self._patterns[key] = self._index(key)
-        return self._patterns[key]
-
-    def _index(self, key: tuple[bool, ...]):
-        tensors, ranges, lo = [], [], self.offset
-        for p, on in zip(self.tensors, key):
-            if on:
-                tensors.append(p)
-                ranges.append((lo, lo + p.size))
-            lo += p.size
-        if not tensors:
-            return None
-        start, stop = ranges[0][0], ranges[-1][1]
-        sub = slice(None)
-        if any(a[1] != b[0] for a, b in zip(ranges, ranges[1:])):
-            sub = np.zeros(stop - start, dtype=bool)
-            for lo, hi in ranges:
-                sub[lo - start : hi - start] = True
-        bounds = [0] + np.cumsum([p.size for p in tensors]).tolist()
-        return slice(start, stop), sub, tensors, bounds
+            lo = 0
+            for p in run:
+                p.data = new[lo : lo + p.size].reshape(p.shape)
+                lo += p.size
 
 
 def lr_schedule(step: int, cfg: DistillConfig) -> float:
@@ -438,33 +410,24 @@ def train(
     *,
     data_stream: RngStream,
     budget_stream: RngStream,
-    file_teacher: FileTeacher | None = None,
-    budget_schedule: list[int] | None = None,
 ) -> list[TrainRecord]:
     """Elastic distillation loop; mutates the student in place.
 
-    One budget per optimizer step shared by the whole batch. A saved
-    ``budget_schedule`` replays budgets exactly instead of sampling. Aborts
-    with the step index and budget if any step produces a non-finite value.
+    One budget per optimizer step, drawn from ``budget_stream`` and shared by
+    the whole batch; the records hold every step's budget. ``teacher`` gives
+    each step's batch as ``teacher.batch(step, data_stream, cfg)`` ->
+    (images, (global, dense) targets): a :class:`SyntheticTeacher` draws it
+    from ``data_stream``, a :class:`FileTeacher` reads its stored pairs.
+    Aborts with the step index and budget if any step produces a non-finite
+    value.
     """
-    if budget_schedule is not None and len(budget_schedule) < cfg.total_steps:
-        raise ConfigError(
-            f"budget schedule has {len(budget_schedule)} entries for {cfg.total_steps} steps"
-        )
     opt = AdamW(student.params, weight_decay=cfg.weight_decay)
     records: list[TrainRecord] = []
     for step in range(1, cfg.total_steps + 1):
-        if budget_schedule is not None:
-            budget = int(budget_schedule[step - 1])
-        else:
-            budget = sample_budget(dist, budget_stream)
-        if file_teacher is not None:
-            images, targets = file_teacher.batch(step, cfg.batch_size)
-        else:
-            images = synthetic_images(data_stream, cfg.batch_size, cfg.resolution)
-            targets = None
+        budget = sample_budget(dist, budget_stream)
         try:
-            loss, _ = total_loss(images, budget, student, teacher, cfg, targets=targets)
+            images, targets = teacher.batch(step, data_stream, cfg)
+            loss, _ = total_loss(images, budget, student, None, cfg, targets=targets)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise NonFiniteError("loss value")

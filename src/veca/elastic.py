@@ -6,13 +6,14 @@ CHUNK = 8 rows. A budget C activates the first C/CHUNK chunks as an ordered
 prefix, so prefixes nest exactly: the C1 rows of a C1 budget are the leading
 rows of any larger budget. :func:`active_prefix` is where a budget is
 checked. Budget sampling uses one uniform draw from an explicit stream
-against the cumulative distribution, so a schedule can be replayed exactly.
+against the cumulative distribution, so a seeded stream gives the same
+budgets every run; a training run's per-step budgets are read from its
+``train_log.csv``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -53,15 +54,6 @@ def sample_budget(dist: BudgetDistribution, stream: RngStream) -> int:
     cum = np.cumsum(dist.probs)
     idx = int(np.searchsorted(cum, u, side="right"))
     return BUDGETS[min(idx, len(BUDGETS) - 1)]
-
-
-def save_schedule(path: str | Path, budgets: list[int]) -> None:
-    """Dump a budget sequence as one integer per line for exact replay."""
-    Path(path).write_text("".join(f"{b}\n" for b in budgets))
-
-
-def load_schedule(path: str | Path) -> list[int]:
-    return [int(line) for line in Path(path).read_text().split()]
 
 
 def active_prefix(token_chunks: list[Tensor], coord_chunks: list[Tensor], c: int) -> tuple[Tensor, Tensor]:

@@ -118,6 +118,19 @@ def patchify(images, config: ModelConfig, dtype) -> tuple[Tensor, tuple[int, int
     return Tensor(np.ascontiguousarray(tiles.reshape(b, hp * wp, ch * p * p))), (hp, wp)
 
 
+def grid_coords(cache: dict, b: int, hp: int, wp: int, dtype) -> Tensor:
+    """[B, N, 2] patch-grid coordinates as a constant leaf, built once per shape in ``cache``.
+
+    The leaf records no gradient, so one tensor is safely shared by every
+    graph its owner (an encoder or a teacher) builds.
+    """
+    key = (b, hp, wp)
+    if key not in cache:
+        grid = rope_mod.patch_grid(hp, wp).astype(dtype)
+        cache[key] = Tensor(np.broadcast_to(grid[None], (b, hp * wp, 2)).copy())
+    return cache[key]
+
+
 @dataclass
 class BlockParams:
     norm_attn_gamma: Tensor
@@ -343,13 +356,7 @@ class Encoder:
         cores_b = broadcast_to(reshape(core_tokens, (1, c, d)), (b, c, d))
         rho_b = broadcast_to(reshape(rho, (1, c, 2)), (b, c, 2))
 
-        # constant leaf tensor, safe to share across graphs
-        key = (b, hp, wp)
-        patch_coords = self._grid_cache.get(key)
-        if patch_coords is None:
-            grid = rope_mod.patch_grid(hp, wp).astype(self.dtype)
-            patch_coords = Tensor(np.broadcast_to(grid[None], (b, n, 2)).copy())
-            self._grid_cache[key] = patch_coords
+        patch_coords = grid_coords(self._grid_cache, b, hp, wp, self.dtype)
 
         x = concat([cores_b, patch_tokens], axis=1)
         core_u = tanh(rho_b)

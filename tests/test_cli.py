@@ -78,8 +78,6 @@ class TestTrainToy:
         assert log[0].startswith("# train-toy config:")
         assert log[1] == "step,budget,loss,lr"
         assert len(log) == 2 + 12
-        schedule = (out_dir / "budget_schedule.txt").read_text().split()
-        assert len(schedule) == 12
 
     def test_deterministic_checkpoints(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -94,7 +92,8 @@ class TestTrainToy:
             "--budget-weights", "0,0,0,0,0,0,0,1",
         )
         assert code == 0
-        assert set((out_dir / "budget_schedule.txt").read_text().split()) == {"64"}
+        log = (out_dir / "train_log.csv").read_text().splitlines()[2:]
+        assert {row.split(",")[1] for row in log} == {"64"}
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -427,20 +427,25 @@ class TestTrain:
             np.testing.assert_array_equal(enc1.params[name].data, enc2.params[name].data)
 
     @pytest.mark.parametrize("budget", [BUDGETS[0], BUDGETS[-1]])
-    def test_tape_nodes_per_step_are_pinned(self, tiny_config, budget):
+    def test_tape_nodes_per_step_are_pinned(self, monkeypatch, tiny_config, budget):
         # tensors created by one float32 train step (batch 8): teacher, student, objective,
         # backward and update; a change that adds nodes has to edit this number on purpose
         enc = Encoder(tiny_config, seed=0, dtype=np.float32)
         teacher = SyntheticTeacher(tiny_config, seed=7001, dtype=np.float32)
+        monkeypatch.setattr(distill, "sample_budget", lambda dist, stream: budget)
         before = next(tensor._counter)
         train(enc, teacher, BudgetDistribution(), DistillConfig(total_steps=1),
-              data_stream=RngStream(0, "data"), budget_stream=RngStream(0, "budgets"), budget_schedule=[budget])
-        assert next(tensor._counter) - before - 1 == 153
+              data_stream=RngStream(0, "data"), budget_stream=RngStream(0, "budgets"))
+        assert next(tensor._counter) - before - 1 == 151
 
     def test_constant_patch_grid_keeps_no_gradient(self, tiny_config):
-        # the cached grid is shared across steps; a gradient on it would grow forever
-        enc, _ = self._run(seed=0, steps=5, tiny_config=tiny_config)
-        assert enc._grid_cache and all(t.grad is None for t in enc._grid_cache.values())
+        # the cached grids are shared across steps; a gradient on one would grow forever
+        enc = Encoder(tiny_config, seed=0, dtype=np.float32)
+        teacher = SyntheticTeacher(tiny_config, seed=7001, dtype=np.float32)
+        train(enc, teacher, BudgetDistribution(), DistillConfig(total_steps=5, batch_size=4),
+              data_stream=RngStream(0, "data"), budget_stream=RngStream(0, "budgets"))
+        for cache in (enc._grid_cache, teacher._grid_cache):
+            assert cache and all(t.grad is None for t in cache.values())
 
     def test_loss_decreases(self, tiny_config):
         _, recs = self._run(seed=0, steps=60, tiny_config=tiny_config)
@@ -481,43 +486,6 @@ class TestTrain:
         assert len(recs1) == 6 and len(recs2) == 6
         assert all(math.isfinite(r.loss) for r in recs1 + recs2)
 
-    def test_schedule_replay_reproduces_run(self, tmp_path, tiny_config):
-        from veca.elastic import load_schedule, save_schedule
-
-        enc1, recs1 = self._run(seed=13, steps=12, tiny_config=tiny_config)
-        path = tmp_path / "schedule.txt"
-        save_schedule(path, [r.budget for r in recs1])
-
-        enc2 = Encoder(tiny_config, seed=13, dtype=np.float32)
-        teacher = SyntheticTeacher(tiny_config, seed=7001, dtype=np.float32)
-        recs2 = train(
-            enc2,
-            teacher,
-            BudgetDistribution(),
-            DistillConfig(total_steps=12, warmup_steps=5, batch_size=4),
-            data_stream=RngStream(13, "data"),
-            budget_stream=RngStream(999, "unused"),
-            budget_schedule=load_schedule(path),
-        )
-        assert [r.budget for r in recs2] == [r.budget for r in recs1]
-        assert [r.loss for r in recs2] == [r.loss for r in recs1]
-        for name in enc1.params:
-            np.testing.assert_array_equal(enc1.params[name].data, enc2.params[name].data)
-
-    def test_short_schedule_rejected(self, tiny_config):
-        enc = Encoder(tiny_config, seed=0, dtype=np.float32)
-        teacher = SyntheticTeacher(tiny_config, seed=7001, dtype=np.float32)
-        with pytest.raises(ConfigError):
-            train(
-                enc,
-                teacher,
-                BudgetDistribution(),
-                DistillConfig(total_steps=5, warmup_steps=1, batch_size=2),
-                data_stream=RngStream(0, "data"),
-                budget_stream=RngStream(0, "budgets"),
-                budget_schedule=[8, 16],
-            )
-
     def test_file_teacher_roundtrip(self, tmp_path, tiny_config, tiny_teacher):
         imgs = synthetic_images(RngStream(3, "file"), 6, 16)
         y, z = tiny_teacher.targets(imgs)
@@ -525,18 +493,18 @@ class TestTrain:
         save_target_file(path, imgs, y, z)
         ft = FileTeacher(path, tiny_config)
         np.testing.assert_array_equal(ft.images, imgs)
-        batch, (by, bz) = ft.batch(step=2, batch_size=4)
+        batch, (by, bz) = ft.batch(2, RngStream(0, "data"), DistillConfig(batch_size=4))
         assert batch.shape[0] == 4 and by.shape[0] == 4 and bz.shape[0] == 4
+        np.testing.assert_array_equal(batch, imgs[[4, 5, 0, 1]])  # step 2 of 4 cycles past the end
 
         enc = Encoder(tiny_config, seed=0, dtype=np.float32)
         records = train(
             enc,
-            None,
+            ft,
             BudgetDistribution(),
             DistillConfig(total_steps=4, warmup_steps=1, batch_size=3),
             data_stream=RngStream(0, "data"),
             budget_stream=RngStream(0, "budgets"),
-            file_teacher=ft,
         )
         assert len(records) == 4 and all(math.isfinite(r.loss) for r in records)
 
@@ -642,7 +610,6 @@ class TestAdamW:
     def test_bitwise_equal_to_per_parameter_reference(self, dtype):
         ours, ref = self.params(dtype), self.params(dtype)
         opt, ref_opt = AdamW(ours, weight_decay=0.05), ReferenceAdamW(ref, weight_decay=0.05)
-        assert len(opt._buckets) > 2
         rng = np.random.default_rng(1)
         names = list(ours)
         for step in range(12):
@@ -661,6 +628,39 @@ class TestAdamW:
                 assert ours[name].data.shape == ref[name].data.shape
                 assert ours[name].data.tobytes() == ref[name].data.tobytes(), (step, name)
 
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        sizes=st.lists(
+            st.one_of(
+                st.integers(0, 40),
+                st.integers(AdamW.BUCKET // 2 - 20, AdamW.BUCKET // 2 + 20),
+                st.integers(AdamW.BUCKET - 20, AdamW.BUCKET + 20),
+            ),
+            min_size=1, max_size=8,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_live_subsets_match_the_reference_bitwise(self, dtype, sizes, data):
+        # weights and moments after each step, with a drawn subset of parameters given gradients
+        rng = np.random.default_rng(len(sizes))
+        ours = {f"p{i}": Tensor(rng.normal(size=n).astype(dtype)) for i, n in enumerate(sizes)}
+        ref = {name: Tensor(p.data.copy()) for name, p in ours.items()}
+        opt, ref_opt = AdamW(ours, weight_decay=0.05), ReferenceAdamW(ref, weight_decay=0.05)
+        for step in range(data.draw(st.integers(1, 4), label="steps")):
+            live = data.draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)), label="live")
+            for name, on in zip(ours, live):
+                g = rng.normal(size=ours[name].shape).astype(dtype) if on else None
+                ours[name].grad, ref[name].grad = g, g
+            opt.step(0.1 / (step + 1))
+            ref_opt.step(0.1 / (step + 1))
+            for name in ours:
+                assert ours[name].data.dtype == ref[name].data.dtype
+                assert ours[name].data.tobytes() == ref[name].data.tobytes(), (step, name)
+            for mine, theirs in ((opt.m, ref_opt.m), (opt.v, ref_opt.v)):
+                flat = np.concatenate([theirs[name] for name in ours], axis=None, dtype=np.float64)
+                assert mine.tobytes() == flat.tobytes(), step
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_train_is_bitwise_equal_with_the_reference(self, monkeypatch, tiny_config, dtype):
         # 30 steps of batch 4 that visit every budget
@@ -668,10 +668,12 @@ class TestAdamW:
         cfg = DistillConfig(total_steps=30, batch_size=4, weight_decay=0.05)
 
         def run():
+            budgets = iter(schedule)
+            monkeypatch.setattr(distill, "sample_budget", lambda dist, stream: next(budgets))
             enc = Encoder(tiny_config, seed=0, dtype=dtype)
             records = train(enc, SyntheticTeacher(tiny_config, dtype=dtype), BudgetDistribution(), cfg,
-                            data_stream=RngStream(3, "data"), budget_stream=RngStream(3, "budgets"),
-                            budget_schedule=schedule)
+                            data_stream=RngStream(3, "data"), budget_stream=RngStream(3, "budgets"))
+            assert [r.budget for r in records] == schedule[:30]
             return [r.loss for r in records], enc.state()
 
         losses, state = run()

@@ -10,9 +10,7 @@ from veca.elastic import (
     MAX_CORES,
     BudgetDistribution,
     active_prefix,
-    load_schedule,
     sample_budget,
-    save_schedule,
 )
 from veca.errors import BudgetError, ConfigError
 from veca.rng import RngStream
@@ -78,14 +76,6 @@ class TestSampler:
             draws1.append(sample_budget(dist, s1))
             draws2.append(sample_budget(dist, s2))
         assert draws1 == draws2 and draws1[0] == a[0]
-
-
-class TestSchedule:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "schedule.txt"
-        budgets = [8, 64, 32, 32, 16]
-        save_schedule(path, budgets)
-        assert load_schedule(path) == budgets
 
 
 def make_bank(chunks=4, dim=16, seed=0):
