@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """SHA-256 over the encoder's outputs, to tell whether a change moved any number.
 
-    PYTHONPATH=src python3 scripts/output_digest.py [--npz PATH]
+    PYTHONPATH=src python3 scripts/output_digest.py [--npz PATH] [--against OLD.npz]
 
 Covers ``tiny-test`` in float32 and float64 (seed-0 weights, two 16 px
 images): the forward at every budget; one forward at C = 64 with an
-analysis capture (every core row runs there, where a plain forward's last
-block runs only core 0 and the patch rows) and every captured array; the
+analysis capture and every captured array (the capture records the rows
+that ran, so its last layer holds core row 0 and the patch rows); the
 loss and every gradient at C = 8 against the synthetic teacher, the
 teacher's targets, ``core_attention`` at C = T (dense, the teacher's path)
 with the gradient of a random projection of its output w.r.t. the input,
@@ -20,8 +20,10 @@ normalized synthetic batch of eight 224 px images, the size the
 the buffer it was drawn into). Every array is hashed with its name, dtype and shape, in a fixed order. The
 digest holds only at a fixed BLAS thread count: OpenBLAS splits some
 products differently across threads, so pin it (``OPENBLAS_NUM_THREADS=1``)
-when comparing two checkouts. ``--npz PATH`` also saves the arrays, so two
-checkouts whose digests differ can be compared by max |difference|.
+when comparing two checkouts. ``--npz PATH`` also saves the arrays;
+``--against OLD.npz``, with ``OLD.npz`` saved by ``--npz`` on another
+checkout, then prints each covered array that is missing, new, or differs
+in dtype, shape or bytes, with max |new - old| / max |old| for a value change.
 """
 
 from __future__ import annotations
@@ -145,14 +147,38 @@ def digest(arrays: dict[str, np.ndarray]) -> str:
     return h.hexdigest()
 
 
+def differences(old: dict[str, np.ndarray], new: dict[str, np.ndarray]) -> list[str]:
+    """One line per array that is missing from ``new``, new in it, or differs in dtype, shape or bytes."""
+    lines = [f"missing  {name}" for name in old if name not in new]
+    for name, b in new.items():
+        if name not in old:
+            lines.append(f"new      {name}")
+            continue
+        a = old[name]
+        if a.dtype != b.dtype:
+            lines.append(f"dtype    {name}  {a.dtype} -> {b.dtype}")
+        elif a.shape != b.shape:
+            lines.append(f"shape    {name}  {a.shape} -> {b.shape}")
+        elif a.tobytes() != b.tobytes():
+            delta, scale = np.abs(b.astype(np.float64) - a).max(), np.abs(a).max()
+            ratio = delta / scale if scale else float("inf")
+            lines.append(f"values   {name}  max |d| / max |old| = {ratio:.3g}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--npz", help="also save every covered array to this .npz file")
+    parser.add_argument("--against", metavar="OLD.npz", help="list the arrays that differ from this --npz file")
     args = parser.parse_args(argv)
     arrays = outputs()
     if args.npz:
         np.savez(args.npz, **arrays)
     print(f"{digest(arrays)}  {len(arrays)} arrays")
+    if args.against:
+        with np.load(args.against) as saved:
+            for line in differences({name: saved[name] for name in saved.files}, arrays):
+                print(line)
     return 0
 
 

@@ -101,35 +101,37 @@ def cost_csv_lines(reports: list[CostReport]) -> list[str]:
 
 
 def contribution_map(capture_layer: dict) -> np.ndarray:
-    """Row-stochastic output-contribution scores [B, T, T] for one layer.
+    """Row-stochastic output-contribution scores [B, k + N, T] for one layer.
 
-    The contribution of key j to query i sums, over heads, the attention
-    probability times the output-projected value vector; scores are the
-    contribution norms normalized per query row. Patch-query rows only have
-    mass on the active core columns.
+    Rows are the queries that ran (k kept core rows, then N patch rows; C and
+    k come from the captured shapes). The contribution of key j to query i
+    sums, over heads, the attention probability times the output-projected
+    value vector; scores are the contribution norms normalized per query row.
+    Patch-query rows only have mass on the active core columns.
     """
-    probs_core = capture_layer["probs_core"]  # [B, H, C, T]
+    probs_core = capture_layer["probs_core"]  # [B, H, k, T]
     probs_patch = capture_layer["probs_patch"]  # [B, H, N, C]
     values = capture_layer["values"]  # [B, H, T, dk]
     wo = capture_layer["wo"]  # [D, D]
-    b, h, c, t = probs_core.shape
+    b, h, k, t = probs_core.shape
+    c = probs_patch.shape[-1]
     dk = values.shape[-1]
     d = wo.shape[0]
     projected = np.einsum("bhjk,hkd->bhjd", values, wo.reshape(h, dk, d))
     e_core = np.einsum("bhij,bhjd->bijd", probs_core, projected)
     e_patch = np.einsum("bhij,bhjd->bijd", probs_patch, projected[:, :, :c])
-    s = np.zeros((b, t, t), dtype=values.dtype)
-    s[:, :c, :] = np.linalg.norm(e_core, axis=-1)
-    s[:, c:, :c] = np.linalg.norm(e_patch, axis=-1)
+    s = np.zeros((b, k + t - c, t), dtype=values.dtype)
+    s[:, :k, :] = np.linalg.norm(e_core, axis=-1)
+    s[:, k:, :c] = np.linalg.norm(e_patch, axis=-1)
     s /= s.sum(axis=-1, keepdims=True)
     return s
 
 
 def patch_core_profiles(capture_layer: dict) -> np.ndarray:
     """Per-patch contribution profiles over the active cores, [B, N, C]."""
-    s = contribution_map(capture_layer)
-    c = capture_layer["active_c"]
-    return s[:, c:, :c]
+    k = capture_layer["probs_core"].shape[2]
+    c = capture_layer["probs_patch"].shape[-1]
+    return contribution_map(capture_layer)[:, k:, :c]
 
 
 def export_core_maps(
@@ -173,9 +175,10 @@ def influence_probe(model: Encoder, image: np.ndarray, layer_count_used: int) ->
 
     Entry (i, j) is || d(patch j output) / d(patch i input tokens) ||_F,
     measured at the smallest budget by central differences of step 1e-4 in
-    each input coordinate. With one block, cross-patch entries are
-    structurally zero (patch queries see only cores); two blocks route
-    influence through the cores.
+    each input coordinate; outputs include the final LayerNorm, which acts
+    per token and so adds no cross-patch path. With one block, cross-patch
+    entries are structurally zero (patch queries see only cores); two blocks
+    route influence through the cores.
     """
     budget, h = BUDGETS[0], 1e-4
     if image.ndim == 3:
@@ -190,10 +193,8 @@ def influence_probe(model: Encoder, image: np.ndarray, layer_count_used: int) ->
         from .tensor import Tensor
 
         def run(tok: np.ndarray) -> np.ndarray:
-            out = model.encode_tokens(
-                Tensor(tok), hp, wp, budget, num_blocks=layer_count_used, apply_final_norm=False
-            )
-            return out.data[0, -n:, :]
+            out = model.encode_tokens(Tensor(tok), hp, wp, budget, num_blocks=layer_count_used)
+            return out.data[0, 1:, :]
 
         sq = np.zeros((n, n))
         for i in range(n):

@@ -131,7 +131,7 @@ def _merge_heads(t: Tensor) -> Tensor:
 def _coords_3d(coords, batch: int, t: int, dtype) -> Tensor:
     coords = as_tensor(coords)
     if coords.ndim == 2:
-        coords = broadcast_to(reshape(coords, (1,) + coords.shape), (batch,) + coords.shape)
+        coords = broadcast_to(coords, (batch,) + coords.shape)
     if coords.shape != (batch, t, 2):
         raise ShapeError(f"coords must be [T,2] or [B,T,2] matching x, got {coords.shape}")
     if coords.dtype != dtype:
@@ -159,9 +159,9 @@ def core_attention(
     ``core_rows`` = k keeps only core query rows 0..k-1 (1 <= k <= C; None
     keeps all C): the output is [B, k + T - C, D], those core rows followed by
     every patch row, each equal to the same row of the full output. Keys and
-    values still cover all T tokens. ``capture``, if given, receives the
-    detached per-head probabilities and values of every row for analysis, so
-    it needs all C core rows.
+    values still cover all T tokens. ``capture``, if given, receives detached
+    copies of what ran: the kept core rows' probabilities [B, H, k, T], the
+    patch rows' [B, H, T - C, C], every token's values and ``wo``.
     """
     x = as_tensor(x)
     b, t, d = _validate(x, active_c, params.heads)
@@ -171,8 +171,6 @@ def core_attention(
     kept = c if core_rows is None else core_rows
     if not 1 <= kept <= c:
         raise BudgetError(f"kept core rows must satisfy 1 <= k <= C, got k={kept}, C={c}")
-    if capture is not None and kept < c:
-        raise ConfigError(f"capture needs all C={c} core rows, got k={kept}")
 
     # rotation commutes with scalar scaling, so 1/sqrt(d_k) is folded into q's head split
     q = _split_heads(linear(x, params.wq, params.bq), h, 1.0 / float(np.sqrt(hd)))
@@ -205,7 +203,6 @@ def core_attention(
         capture["probs_patch"] = probs_patch.copy()
         capture["values"] = v.data.copy()
         capture["wo"] = params.wo.data.copy()
-        capture["active_c"] = c
 
     return linear(_merge_heads(out), params.wo, params.bo)
 

@@ -17,7 +17,7 @@ from tokenize import TokenError
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .errors import CheckpointError, ResolutionError
+from .errors import CapacityError, CheckpointError, ResolutionError
 from .rng import RngStream
 
 CHANNELS = 3  # RGB; every model input is [B, CHANNELS, H, W]
@@ -40,12 +40,16 @@ def synthetic_images(stream: RngStream, batch: int, resolution: int) -> np.ndarr
 
     Each image gets a random base color, low-amplitude pixel noise, and 1-3
     shapes (axis-aligned rectangles or disks) in random colors. Deterministic
-    given the stream state.
+    given the stream state. A batch numpy cannot allocate raises
+    ``CapacityError``.
     """
     if resolution < 1:
         raise ResolutionError(f"synthetic images need a resolution of at least 1, got {resolution}")
     r = resolution
-    out = np.empty((batch, 3, r, r))
+    try:
+        out = np.empty((batch, CHANNELS, r, r))
+    except (ValueError, MemoryError) as err:  # ValueError: the byte count overflows
+        raise CapacityError(f"cannot allocate synthetic images of shape {(batch, CHANNELS, r, r)}: {err}") from err
     pixels = np.arange(r)  # x along a row, y down a column
     for i in range(batch):
         base = stream.uniform(0.1, 0.9, size=3)

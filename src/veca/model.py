@@ -10,7 +10,7 @@ the bounded coordinates used for the rotary tables are tanh of the states.
 The first core token is the global feature and the patch tokens are the
 dense features, so the last block computes only those 1 + N query rows
 (keys and values still cover every token) and the final LayerNorm is applied
-to them; with an analysis capture every row is computed and normalized.
+to them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .tensor import (
     layer_norm,
     linear,
     mul,
-    reshape,
     silu,
     tanh,
 )
@@ -332,16 +331,14 @@ class Encoder:
         num_blocks: int | None = None,
         *,
         capture: list | None = None,
-        apply_final_norm: bool = True,
     ) -> Tensor:
         """Run the block stack over [active cores ; patch_tokens].
 
-        Returns [B, 1 + N, D]: core token 0 and the N patch tokens, the only
-        rows the features are read from; the last block of the stack computes
-        no other query row. With ``capture`` (per-layer attention internals
-        for analysis, which read every core row) it returns all T = C + N
-        rows. Either way the patch tokens are the last N rows. ``num_blocks``
-        truncates the stack (used by structural probes).
+        Returns [B, 1 + N, D] after the final LayerNorm: core token 0, then the
+        N patch tokens, the only rows the features are read from; the last
+        block of the stack computes no other query row. ``capture`` receives
+        each layer's attention internals as they ran. ``num_blocks`` truncates
+        the stack (used by structural probes).
         """
         cfg = self.config
         c = active_c
@@ -353,8 +350,8 @@ class Encoder:
             raise ConfigError(f"num_blocks must be in [1, {cfg.layers}], got {depth}")
 
         core_tokens, rho = active_prefix(self.core_tokens, self.core_coords, c)
-        cores_b = broadcast_to(reshape(core_tokens, (1, c, d)), (b, c, d))
-        rho_b = broadcast_to(reshape(rho, (1, c, 2)), (b, c, 2))
+        cores_b = broadcast_to(core_tokens, (b, c, d))
+        rho_b = broadcast_to(rho, (b, c, 2))
 
         patch_coords = grid_coords(self._grid_cache, b, hp, wp, self.dtype)
 
@@ -372,11 +369,9 @@ class Encoder:
             if capture is not None:
                 layer_capture = {"coords": coords.data.copy()}
                 capture.append(layer_capture)
-            last = li == depth - 1 and capture is None
+            last = li == depth - 1
             x = block_forward(x, coords, c, self.blocks[li], layer_capture, core_rows=1 if last else None)
-        if apply_final_norm:
-            x = layer_norm(x, self.final_gamma, self.final_beta)
-        return x
+        return layer_norm(x, self.final_gamma, self.final_beta)
 
     def forward(
         self,
@@ -389,9 +384,7 @@ class Encoder:
         c = int(active_c)
         tokens, (hp, wp) = self.patch_embed(images)
         x = self.encode_tokens(tokens, hp, wp, c, capture=capture)
-        global_feat = getitem(x, (slice(None), 0))
-        dense = getitem(x, (slice(None), slice(-tokens.shape[1], None)))
-        return global_feat, dense
+        return getitem(x, (slice(None), 0)), getitem(x, (slice(None), slice(1, None)))
 
     def __call__(self, images, active_c: int, **kw):
         return self.forward(images, active_c, **kw)

@@ -16,7 +16,7 @@ from .attention import AttnParams, core_attention, dense_count, interaction_coun
 from .data import synthetic_images
 from .distill import DistillConfig, SyntheticTeacher, total_loss
 from .elastic import BUDGETS, CHUNK, MAX_CORES, BudgetDistribution, active_prefix, sample_budget
-from .errors import VecaError
+from .errors import ConfigError, VecaError
 from .model import Encoder, ModelConfig, get_preset
 from .rng import RngStream
 from .rope import cos_sin, fps_init, patch_grid
@@ -377,6 +377,8 @@ SUITES = {
 
 def run_suites(names: list[str], seed: int = 0, corrupt: bool = False) -> tuple[bool, list[str]]:
     """Run suites and return (all_passed, printable report lines)."""
+    if seed < 0:  # numpy's seeded generators take no negative seed
+        raise ConfigError(f"verify needs a non-negative seed, got {seed}")
     lines: list[str] = []
     all_ok = True
     for name in names:

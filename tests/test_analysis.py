@@ -119,13 +119,13 @@ def contribution_scalar_oracle(probs_core, probs_patch, values, wo):
 
 
 class TestContributionMap:
-    def _capture(self, seed=0, heads=2, dim=16, t=12, c=4, batch=1):
+    def _capture(self, seed=0, heads=2, dim=16, t=12, c=4, batch=1, core_rows=None):
         rng = np.random.default_rng(seed)
         params = AttnParams.init(dim, heads, RngStream(seed, "cm"))
         x = Tensor(rng.normal(size=(batch, t, dim)))
         coords = Tensor(rng.uniform(-1, 1, size=(t, 2)))
         cap = {}
-        core_attention(params, x, coords, c, capture=cap)
+        core_attention(params, x, coords, c, capture=cap, core_rows=core_rows)
         return cap
 
     def test_rows_stochastic_and_nonnegative(self):
@@ -153,6 +153,15 @@ class TestContributionMap:
         profiles = patch_core_profiles(self._capture(c=8, t=20))
         assert profiles.shape == (1, 12, 8)
         np.testing.assert_allclose(profiles.sum(-1), 1.0, atol=1e-6)
+
+    def test_patch_profiles_equal_from_one_kept_core_row(self):
+        # the patch rows read only their own probabilities, the core values and wo,
+        # so a capture that ran core row 0 alone gives the same profiles, bitwise
+        for c, t in ((4, 12), (8, 20)):
+            kept = self._capture(seed=5, c=c, t=t, batch=2, core_rows=1)
+            assert contribution_map(kept).shape == (2, 1 + t - c, t)
+            full = patch_core_profiles(self._capture(seed=5, c=c, t=t, batch=2))
+            assert patch_core_profiles(kept).tobytes() == full.tobytes()
 
 
 class TestExportMaps:

@@ -175,12 +175,13 @@ class TestKeptCoreRows:
         for k in (0, 5):
             with pytest.raises(BudgetError):
                 core_attention(params, x, coords, 4, core_rows=k)
-        # analysis reads every core row's probabilities, so a capture cannot drop any
-        with pytest.raises(ConfigError):
-            core_attention(params, x, coords, 4, capture={}, core_rows=1)
-        cap = {}
-        core_attention(params, x, coords, 4, capture=cap, core_rows=4)
-        assert cap["probs_core"].shape[2] == 4
+        # a capture records the rows that ran: the kept core rows, then every patch row
+        for k in (1, 4):
+            cap = {}
+            core_attention(params, x, coords, 4, capture=cap, core_rows=k)
+            assert cap["probs_core"].shape == (x.shape[0], params.heads, k, 12)
+            assert np.abs(cap["probs_core"].sum(-1) - 1).max() <= 1e-12
+            assert cap["probs_patch"].shape == (x.shape[0], params.heads, 8, 4)
 
 
 class TestOracle:

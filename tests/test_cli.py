@@ -359,6 +359,12 @@ class TestExitCodes:
         "config resolution fractional": ("config", b'{"res": 16.5, "steps": 2, "batch": 2}', 2),
         "config steps infinite": ("config", b'{"steps": Infinity}', 2),
         "config steps a boolean": ("config", b'{"steps": true, "batch": 2}', 2),
+        "verify seed negative": ("verify flags", b"--seed -1", 2),
+        # sizes numpy refuses at once (petabytes and more), so nothing is ever allocated
+        "resolution too large to allocate": ("flags", b"--res 1000000000000", 1),
+        "batch too large to allocate": ("flags", b"--batch 1000000000000", 1),
+        "eval batch too large to allocate": ("eval flags", b"--eval-batch 1000000000000", 1),
+        "map resolution too large to allocate": ("maps flags", b"--res 1000000000000", 1),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -374,6 +380,8 @@ class TestExitCodes:
             argv = ["eval-budgets", "--checkpoint", str(bad)]
         elif kind == "flops flags":
             argv = ["bench-flops", *raw.decode().split()]
+        elif kind == "verify flags":
+            argv = ["verify", "--suite", "attention", *raw.decode().split()]
         elif kind == "targets":
             argv = ["train-toy", "--preset", "tiny-test", "--targets-file", str(bad),
                     "--steps", "2", "--batch", "2", "--out", str(tmp_path / "run")]
@@ -390,7 +398,7 @@ class TestExitCodes:
                 argv = ["export-maps", "--checkpoint", str(ckpt), "--image", image,
                         "--budget", "8", "--out", str(tmp_path / "maps")]
         code, _, err = run(capsys, *argv)
-        assert code == want and err.startswith(("error:", "i/o error:"))
+        assert code == want and err.startswith({1: "failure:", 2: "error:", 3: "i/o error:"}[want])
 
 
 class TestSeedEnv:
@@ -403,10 +411,12 @@ class TestSeedEnv:
         assert json.loads(header.split("config: ", 1)[1])["seed"] == 21
 
     def test_bad_veca_seed_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("VECA_SEED", "abc")
-        assert run(capsys, "param-count")[0] == 0  # reads no seed
-        code, _, err = run(capsys, "verify", "--suite", "attention")
-        assert code == 2 and err.startswith("error:")
+        # not an integer; negative, which verify's seeded numpy generators refuse
+        for bad in ("abc", "-1"):
+            monkeypatch.setenv("VECA_SEED", bad)
+            assert run(capsys, "param-count")[0] == 0  # reads no seed
+            code, _, err = run(capsys, "verify", "--suite", "attention")
+            assert code == 2 and err.startswith("error:")
 
 
 def test_settable_surface_is_pinned():

@@ -32,3 +32,30 @@ def test_two_processes_print_the_same_digest(tmp_path):
     with np.load(npz) as saved:
         arrays = {name: saved[name] for name in saved.files}
     assert len(arrays) == int(count) and output_digest.digest(arrays) == hexdigest
+
+
+def test_differences_name_every_moved_array():
+    old = {
+        "same": np.arange(3.0),
+        "gone": np.zeros(1),
+        "dtype": np.zeros(2),
+        "shape": np.zeros((2, 2)),
+        "values": np.array([1.0, -4.0]),
+        "scalar": np.array(2),
+    }
+    new = {
+        "same": np.arange(3.0),
+        "dtype": np.zeros(2, np.float32),
+        "shape": np.zeros((2, 1)),
+        "values": np.array([1.0, -3.0]),
+        "scalar": np.array(2),
+        "added": np.ones(1),
+    }
+    assert output_digest.differences(old, new) == [
+        "missing  gone",
+        "dtype    dtype  float64 -> float32",
+        "shape    shape  (2, 2) -> (2, 1)",
+        "values   values  max |d| / max |old| = 0.25",
+        "new      added",
+    ]
+    assert output_digest.differences(new, new) == []
