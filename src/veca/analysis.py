@@ -74,7 +74,10 @@ def attention_path_flops(preset: str, resolution: int, mode: str, budget: int = 
     tokens, macs = attention_macs(config, resolution, mode, budget)
     flops = FLOPS_PER_MAC * macs
     _, dense_macs = attention_macs(config, resolution, "dense")
-    ratio = (FLOPS_PER_MAC * dense_macs) / flops
+    try:
+        ratio = (FLOPS_PER_MAC * dense_macs) / flops
+    except OverflowError as err:
+        raise ResolutionError(f"resolution {resolution} is too large: its cost ratio overflows a float") from err
     label = "dense_baseline" if mode == "dense" else f"core({budget})"
     return CostReport(preset, resolution, label, tokens, macs, flops, ratio)
 

@@ -31,7 +31,6 @@ from .tensor import (
     Tensor,
     _accumulate,
     _from_op,
-    as_tensor,
     broadcast_to,
     concat,
     getitem,
@@ -128,8 +127,7 @@ def _merge_heads(t: Tensor) -> Tensor:
     return _from_op(data, (t,), grad_fn, "merge_heads", check=False)
 
 
-def _coords_3d(coords, batch: int, t: int, dtype) -> Tensor:
-    coords = as_tensor(coords)
+def _coords_3d(coords: Tensor, batch: int, t: int, dtype) -> Tensor:
     if coords.ndim == 2:
         coords = broadcast_to(coords, (batch,) + coords.shape)
     if coords.shape != (batch, t, 2):
@@ -142,7 +140,7 @@ def _coords_3d(coords, batch: int, t: int, dtype) -> Tensor:
 def core_attention(
     params: AttnParams,
     x: Tensor,
-    coords,
+    coords: Tensor,
     active_c: int,
     capture: dict | None = None,
     *,
@@ -163,7 +161,6 @@ def core_attention(
     copies of what ran: the kept core rows' probabilities [B, H, k, T], the
     patch rows' [B, H, T - C, C], every token's values and ``wo``.
     """
-    x = as_tensor(x)
     b, t, d = _validate(x, active_c, params.heads)
     coords = _coords_3d(coords, b, t, x.data.dtype)
     h, hd = params.heads, params.head_dim
@@ -207,7 +204,7 @@ def core_attention(
     return linear(_merge_heads(out), params.wo, params.bo)
 
 
-def masked_dense_oracle(params: AttnParams, x, coords, active_c: int) -> np.ndarray:
+def masked_dense_oracle(params: AttnParams, x: Tensor, coords: Tensor, active_c: int) -> np.ndarray:
     """Dense T x T attention with the core-periphery mask, in plain numpy.
 
     Entries (i, j) with i >= C and j >= C (including the diagonal) get a large
@@ -218,7 +215,6 @@ def masked_dense_oracle(params: AttnParams, x, coords, active_c: int) -> np.ndar
     Returns the same values as :func:`core_attention`; used as the
     independent equivalence reference.
     """
-    x = as_tensor(x)
     b, t, d = _validate(x, active_c, params.heads)
     coords = _coords_3d(coords, b, t, x.data.dtype)
     h, hd, c = params.heads, params.head_dim, active_c

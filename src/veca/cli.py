@@ -131,7 +131,6 @@ _TRAIN_DEFAULTS = {
     "seed": None,  # filled from --seed / VECA_SEED
     "budget_weights": ",".join(str(w) for w in DEFAULT_WEIGHTS),
     "dtype": "float32",
-    "teacher_seed": TEACHER_SEED,
     "targets_file": None,
 }
 
@@ -144,7 +143,6 @@ def _integer(value, key: str) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    # teacher_seed has no flag: getattr gives None, which _resolve_config skips
     overrides = {k: getattr(args, k, None) for k in _TRAIN_DEFAULTS}
     resolved = _resolve_config(_TRAIN_DEFAULTS, args.config, overrides)
     if resolved["seed"] is None:
@@ -164,7 +162,6 @@ def cmd_train_toy(args) -> int:
             resolution=_integer(resolved["res"], "res"),
         )
         dtype = np.dtype(resolved["dtype"])
-        teacher_seed = _integer(resolved["teacher_seed"], "teacher_seed")
     except (TypeError, ValueError) as err:
         raise ConfigError(f"train-toy config value has the wrong type: {err}") from err
     dist = BudgetDistribution(weights=weights)
@@ -172,7 +169,7 @@ def cmd_train_toy(args) -> int:
     teacher = (
         FileTeacher(resolved["targets_file"], config)
         if resolved["targets_file"]
-        else SyntheticTeacher(config, seed=teacher_seed, dtype=student.dtype)
+        else SyntheticTeacher(config, seed=TEACHER_SEED, dtype=student.dtype)
     )
 
     records = train(
@@ -214,24 +211,23 @@ def cmd_eval_budgets(args) -> int:
     train_cfg = config.get("train", {})
     if not isinstance(train_cfg, dict):
         raise CheckpointError(f"{args.checkpoint}: 'train' section is not a JSON object")
+    # older checkpoints record the teacher seed, which is now the constant TEACHER_SEED
+    if train_cfg.get("teacher_seed", TEACHER_SEED) != TEACHER_SEED:
+        raise CheckpointError(f"{args.checkpoint}: 'train' section records a teacher seed other than {TEACHER_SEED}")
     try:
         seed = args.seed if args.seed is not None else _integer(train_cfg.get("seed", _default_seed()), "seed")
         res = _integer(train_cfg.get("res", _DISTILL.resolution), "res")
-        teacher_seed = _integer(train_cfg.get("teacher_seed", TEACHER_SEED), "teacher_seed")
     except (TypeError, ValueError) as err:
         raise CheckpointError(f"{args.checkpoint}: 'train' section value is not an integer: {err}") from err
-    budgets = _ints(args.budgets) if args.budgets else list(BUDGETS)
+    budgets = _ints(args.budgets) if args.budgets is not None else list(BUDGETS)
     resolved = {
         "checkpoint": str(args.checkpoint),
         "budgets": budgets,
         "eval_batch": args.eval_batch,
         "seed": seed,
         "res": res,
-        "teacher_seed": teacher_seed,
     }
-    teacher = SyntheticTeacher(
-        student.config, seed=resolved["teacher_seed"], dtype=student.dtype
-    )
+    teacher = SyntheticTeacher(student.config, seed=TEACHER_SEED, dtype=student.dtype)
     images = synthetic_images(RngStream(seed, "eval-data"), args.eval_batch, res)
     targets = teacher.targets(images)
 
@@ -260,12 +256,12 @@ def cmd_export_maps(args) -> int:
     else:
         image = normalize(load_raster(args.image))
         image_name = Path(args.image).name
-    layers = _ints(args.layers) if args.layers else None
+    layers = _ints(args.layers) if args.layers is not None else None
     resolved = {
         "checkpoint": str(args.checkpoint),
         "image": image_name,
         "budget": args.budget,
-        "layers": layers if layers else f"1..{student.config.layers - 1} (layer 0 excluded)",
+        "layers": layers if layers is not None else f"1..{student.config.layers - 1} (layer 0 excluded)",
         "seed": seed,
         "res": args.res,
     }

@@ -42,7 +42,6 @@ from .tensor import (
     _row_sum,
     _same_dtype,
     add,
-    as_tensor,
     float_type,
     layer_norm,
     linear,
@@ -83,12 +82,10 @@ class DistillConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def _operands(op: str, a, b) -> tuple[Tensor, Tensor]:
-    a, b = as_tensor(a), as_tensor(b)
+def _check_operands(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes differ: {a.shape} vs {b.shape}")
     _same_dtype(op, a, b)
-    return a, b
 
 
 def _cosine(a: np.ndarray, b: np.ndarray, op: str):
@@ -99,8 +96,8 @@ def _cosine(a: np.ndarray, b: np.ndarray, op: str):
     squares are checked finite: an overflowed norm would give a silent cosine
     of 0. Their norm product cannot overflow then, because sqrt(max)^2 rounds
     to a finite value in both dtypes. Returns the cosines and their
-    vector-Jacobian product ``vjp(gc, first)``: the gradient of sum(gc * cos)
-    w.r.t. ``a`` (or ``b``).
+    vector-Jacobian product ``vjp(gc)``: the gradient of sum(gc * cos) w.r.t.
+    ``a``; ``b`` is a constant, whose floored norm enters only the value.
     """
     floor2 = NORM_FLOOR * NORM_FLOOR
     with np.errstate(over="ignore", invalid="ignore"):
@@ -112,10 +109,9 @@ def _cosine(a: np.ndarray, b: np.ndarray, op: str):
     den = np.sqrt(qa) * np.sqrt(qb)
     cos = dot / den
 
-    def vjp(gc: np.ndarray, first: bool) -> np.ndarray:
-        # d cos / dx = other / den - cos x / |x|^2, the second term only above the floor
-        x, other, ss, q = (a, b, ssa, qa) if first else (b, a, ssb, qb)
-        return (gc / den) * other - (gc * cos * (ss > floor2) / q) * x
+    def vjp(gc: np.ndarray) -> np.ndarray:
+        # d cos / da = b / den - cos a / |a|^2, the second term only above the floor
+        return (gc / den) * b - (gc * cos * (ssa > floor2) / qa) * a
 
     return cos, vjp
 
@@ -127,25 +123,25 @@ def _mean(a: np.ndarray):
 def loss_global(y: Tensor, y_star: Tensor) -> Tensor:
     """Mean cosine distance 1 - <y, y*> / (||y|| ||y*||), norms floored at NORM_FLOOR.
 
-    One tape node; a target that requires grad gets its gradient too.
+    One tape node whose only parent is ``y``: the target is a constant, so
+    no gradient reaches it, whether or not it requires one.
     """
-    y, y_star = _operands("loss_global", y, y_star)
+    _check_operands("loss_global", y, y_star)
     cos, vjp = _cosine(y.data, y_star.data, "loss_global")
     data = np.asarray(_mean(1.0 - cos))
 
     def grad_fn(g: np.ndarray) -> None:
-        gc = g * (-1.0 / cos.size)
-        if y.requires_grad:
-            _accumulate(y, vjp(gc, True))
-        if y_star.requires_grad:
-            _accumulate(y_star, vjp(gc, False))
+        _accumulate(y, vjp(g * (-1.0 / cos.size)))
 
-    return _from_op(data, (y, y_star), grad_fn, "loss_global")
+    return _from_op(data, (y,), grad_fn, "loss_global")
 
 
 def loss_dense(z: Tensor, z_star: Tensor) -> Tensor:
-    """Patch-mean cosine distance plus elementwise-mean squared error; one tape node."""
-    z, z_star = _operands("loss_dense", z, z_star)
+    """Patch-mean cosine distance plus elementwise-mean squared error.
+
+    One tape node whose only parent is ``z``, as in :func:`loss_global`.
+    """
+    _check_operands("loss_dense", z, z_star)
     cos, vjp = _cosine(z.data, z_star.data, "loss_dense")
     with np.errstate(over="ignore", invalid="ignore"):
         diff = z.data - z_star.data
@@ -155,14 +151,9 @@ def loss_dense(z: Tensor, z_star: Tensor) -> Tensor:
     data = np.asarray(_mean(1.0 - cos) + mse)
 
     def grad_fn(g: np.ndarray) -> None:
-        gc = g * (-1.0 / cos.size)
-        gd = g * (2.0 / diff.size) * diff
-        if z.requires_grad:
-            _accumulate(z, vjp(gc, True) + gd)
-        if z_star.requires_grad:
-            _accumulate(z_star, vjp(gc, False) - gd)
+        _accumulate(z, vjp(g * (-1.0 / cos.size)) + g * (2.0 / diff.size) * diff)
 
-    return _from_op(data, (z, z_star), grad_fn, "loss_dense")
+    return _from_op(data, (z,), grad_fn, "loss_dense")
 
 
 def total_loss(

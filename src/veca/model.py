@@ -96,14 +96,13 @@ def param_count(config: ModelConfig) -> int:
     return sum(math.prod(shape) for shape, _ in _layout(config, 0).values())
 
 
-def patchify(images, config: ModelConfig, dtype) -> tuple[Tensor, tuple[int, int]]:
+def patchify(images: np.ndarray, config: ModelConfig, dtype) -> tuple[Tensor, tuple[int, int]]:
     """Split [B, C, H, W] images into flattened P x P patches, [B, N, C*P*P].
 
     Patches are in row-major grid order; returns them with the (rows, cols)
     grid shape.
     """
-    arr = images.data if isinstance(images, Tensor) else np.asarray(images)
-    arr = arr.astype(dtype, copy=False)
+    arr = np.asarray(images).astype(dtype, copy=False)
     if arr.ndim != 4 or arr.shape[1] != CHANNELS:
         raise ShapeError(f"images must be [B, {CHANNELS}, H, W], got {arr.shape}")
     p = config.patch_size

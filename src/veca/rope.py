@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ConfigError, ShapeError
-from .tensor import Tensor, _accumulate, _from_op, _same_dtype, _unbroadcast, as_tensor
+from .tensor import Tensor, _accumulate, _from_op, _same_dtype, _unbroadcast
 
 
 BASE = 100.0
@@ -50,14 +50,13 @@ def patch_grid(hp: int, wp: int) -> np.ndarray:
     return np.stack([gx, gy], axis=-1).reshape(-1, 2)
 
 
-def cos_sin(head_dim: int, coords) -> Tensor:
+def cos_sin(head_dim: int, coords: Tensor) -> Tensor:
     """Rotation table [..., T, head_dim] from coordinates [..., T, 2]; one tape node.
 
     Pair t = (2t, 2t+1) holds (cos theta_t, sin theta_t): the unit complex
     number e^{i theta_t} that :func:`apply` multiplies it by. Angles
     0..num_freqs-1 are x * freq_j * pi, the rest y * freq_j * pi.
     """
-    coords = as_tensor(coords)
     if coords.shape[-1] != 2:
         raise ShapeError(f"cos_sin: coords must end in axis of size 2, got {coords.shape}")
     f = (freqs(head_dim) * np.pi).astype(coords.data.dtype)
@@ -93,7 +92,6 @@ def apply(q_or_k: Tensor, table: Tensor) -> Tensor:
     deliberate exception to the substrate's no-broadcast rule: attention
     shares one table across heads). Per-token vector norms are preserved.
     """
-    q_or_k, table = as_tensor(q_or_k), as_tensor(table)
     _same_dtype("rope.apply", q_or_k, table)
     hd = q_or_k.shape[-1]
     if hd % 2 or table.shape[-1] != hd:

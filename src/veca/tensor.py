@@ -22,8 +22,10 @@ central finite differences. Design constraints, all deliberate:
   one vectorized max over a transposed copy, for the same reason;
 * a backward builds a parent's gradient only when that parent requires one,
   and the backward pass sorts only the nodes that have a backward;
-* binary elementwise ops require exactly matching shapes, a python scalar, or
-  an explicit :func:`broadcast_to` beforehand (no silent broadcasting);
+* ops take :class:`Tensor` operands of one float dtype and convert nothing;
+  binary elementwise ops require exactly matching shapes, a one-element
+  Tensor, or an explicit :func:`broadcast_to` beforehand (no silent
+  broadcasting);
 * the backward pass visits nodes in reverse creation order, which is a
   topological order of the recorded graph, and always accumulates (sums)
   gradients into parents;
@@ -107,13 +109,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_order")
 
-    def __init__(self, data, dtype=None, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, *, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in SUPPORTED_DTYPES:
-            if dtype is None and arr.dtype.kind in "iub":
-                arr = arr.astype(np.float64)
-            else:
-                raise DTypeError(f"unsupported dtype {arr.dtype}; use float32 or float64")
+            raise DTypeError(f"unsupported dtype {arr.dtype}; use float32 or float64")
         _check_finite(arr, "tensor construction")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -174,12 +173,6 @@ def float_type(dtype) -> type:
     if dt not in SUPPORTED_DTYPES:
         raise DTypeError(f"unsupported dtype {dt}; use float32 or float64")
     return dt.type
-
-
-def as_tensor(value, dtype=None) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value, dtype=dtype)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -252,9 +245,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- primitive elementwise ops -------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b, a.dtype)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
     data = a.data + b.data
 
@@ -267,9 +258,7 @@ def add(a, b) -> Tensor:
     return _from_op(data, (a, b), grad_fn, "add")
 
 
-def mul(a, b) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b, a.dtype)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "mul")
     data = a.data * b.data
 
@@ -283,7 +272,6 @@ def mul(a, b) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     data = np.tanh(a.data)
 
     def grad_fn(g: np.ndarray) -> None:
@@ -301,7 +289,6 @@ def silu(a: Tensor) -> Tensor:
     (1 + x / (1 + exp(x))) / (1 + exp(-x)): no 1 - sigmoid(x) cancellation for
     large x and no subnormal sigmoid for very negative x.
     """
-    a = as_tensor(a)
     x = a.data
     den = np.negative(x)
     with np.errstate(over="ignore", under="ignore"):
@@ -328,7 +315,6 @@ def silu(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    a = as_tensor(a)
     shape = tuple(shape)
     data = a.data.reshape(shape)
 
@@ -339,7 +325,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    a = as_tensor(a)
     axes = tuple(axes)
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     data = a.data.transpose(axes)
@@ -353,7 +338,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 def getitem(a: Tensor, idx) -> Tensor:
     # slices and integers, plus at most one integer array of distinct indices (the
     # backward scatters with ``buf[idx] = g``, which a repeated index would undercount)
-    a = as_tensor(a)
     data = a.data[idx]
 
     def grad_fn(g: np.ndarray) -> None:
@@ -366,7 +350,7 @@ def getitem(a: Tensor, idx) -> Tensor:
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
+    ts = list(tensors)
     if not ts:
         raise ShapeError("concat of zero tensors")
     _same_dtype("concat", *ts)
@@ -386,7 +370,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
     """Explicit numpy-rules broadcast; backward sums over the expanded axes."""
-    a = as_tensor(a)
     shape = tuple(shape)
     data = np.broadcast_to(a.data, shape).copy()
 
@@ -398,7 +381,6 @@ def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 def tsum(a: Tensor) -> Tensor:
     """Sum over every element."""
-    a = as_tensor(a)
     data = a.data.sum()
 
     def grad_fn(g: np.ndarray) -> None:
@@ -416,7 +398,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     Leading (batch) axes must match exactly; the only broadcast allowed is the
     matrix product itself. Backward: dA = dC @ B^T, dB = A^T @ dC.
     """
-    a, b = as_tensor(a), as_tensor(b)
     _same_dtype("matmul", a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must have rank >= 2, got {a.shape} and {b.shape}")
@@ -446,7 +427,6 @@ def softmax_rows(x: Tensor) -> Tensor:
     softmax is invariant to per-row shifts, so the shift contributes zero
     gradient. Output rows sum to 1 for any finite input.
     """
-    x = as_tensor(x)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ShapeError(f"softmax_rows: need a non-empty last axis, got {x.shape}")
     # exp and the normalization run in place on the one fresh array
@@ -471,7 +451,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     The gamma/beta broadcast over leading axes is the one sanctioned
     trailing-dimension affine.
     """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     _same_dtype("layer_norm", x, gamma, beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -501,24 +480,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _from_op(out, (x, gamma, beta), grad_fn, "layer_norm")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b over the trailing axis). x: [..., in], w: [in, out], b: [out], all of one dtype."""
-    x, w = as_tensor(x), as_tensor(w)
-    _same_dtype("linear", x, w)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the trailing axis. x: [..., in], w: [in, out], b: [out], all of one dtype."""
+    _same_dtype("linear", x, w, b)
     if x.shape[-1] != w.shape[0] or w.ndim != 2:
         raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[1]},)")
     lead = x.shape[:-1]
     m = math.prod(lead) if lead else 1
     flat = x.data.reshape(m, x.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         out = flat @ w.data
-    if b is not None:
-        b = as_tensor(b)
-        _same_dtype("linear", x, b)
-        if b.shape != (w.shape[1],):
-            raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[1]},)")
-        out += b.data
-    parents = (x, w) if b is None else (x, w, b)
+    out += b.data
 
     def grad_fn(g: np.ndarray) -> None:
         gf = g.reshape(m, w.shape[1])
@@ -526,10 +500,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             _accumulate(x, (gf @ w.data.T).reshape(x.shape))
         if w.requires_grad:
             _accumulate(w, flat.T @ gf)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             _accumulate(b, _col_sum(gf))
 
-    return _from_op(out.reshape(lead + (w.shape[1],)), parents, grad_fn, "linear")
+    return _from_op(out.reshape(lead + (w.shape[1],)), (x, w, b), grad_fn, "linear")
 
 
 # -- gradient checking --------------------------------------------------------------
@@ -582,7 +556,6 @@ def central_difference_error(
 
 def grad_check(f: Callable[[Tensor], Tensor], theta: Tensor, h: float = 1e-5) -> float:
     """:func:`central_difference_error` of a scalar function of one float64 tensor."""
-    theta = as_tensor(theta)
     if theta.dtype != np.float64:
         raise DTypeError("grad_check requires float64 parameters")
     base = Tensor(theta.data.copy())

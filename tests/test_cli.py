@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.lib import format as npy_format
 
 from veca.analysis import export_core_maps
@@ -351,6 +353,9 @@ class TestExitCodes:
         "checkpoint train res not an integer": ("checkpoint", tiny_checkpoint(train={"res": "abc"}), 3),
         "checkpoint train res fractional": ("checkpoint", tiny_checkpoint(train={"res": 16.5, "seed": 0.5}), 3),
         "checkpoint train teacher seed a boolean": ("checkpoint", tiny_checkpoint(train={"teacher_seed": True}), 3),
+        "checkpoint train teacher seed not the constant": ("checkpoint", tiny_checkpoint(train={"teacher_seed": 1234}), 3),
+        "config teacher seed": ("config", b'{"teacher_seed": 7001}', 2),
+        "flops resolution whose cost ratio overflows a float": ("flops flags", b"--res 16" + b"0" * 160, 2),
         "config nested too deeply to parse": ("config", b"[" * 200_000, 2),
         "checkpoint config nested too deeply to parse": ("checkpoint", container(b"[" * 200_000), 3),
         "targets config nested too deeply to parse": ("targets", container(b"[" * 200_000), 3),
@@ -401,6 +406,63 @@ class TestExitCodes:
         assert code == want and err.startswith({1: "failure:", 2: "error:", 3: "i/o error:"}[want])
 
 
+def test_an_empty_list_flag_is_a_usage_error(capsys, tmp_path):
+    # an empty argument is no list of integers, not a request for the defaults
+    ckpt = tmp_path / "m.veca"
+    save_model(ckpt, Encoder(TINY, seed=0))
+    for argv in (
+        ["eval-budgets", "--checkpoint", str(ckpt), "--budgets", "", "--eval-batch", "2"],
+        ["export-maps", "--checkpoint", str(ckpt), "--layers", "", "--budget", "8", "--out", str(tmp_path / "maps")],
+        ["bench-flops", "--res", ""],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error:"), argv
+    assert not (tmp_path / "maps").exists()
+
+
+# any integer, and 16 * 10**e up to 403 digits (a 16 px multiple whose cost overflows a float from e = 156)
+INTEGER = st.integers() | st.integers(0, 400).map(lambda e: 16 * 10**e)
+INTEGER_LIST = st.lists(INTEGER, min_size=1, max_size=3).map(lambda v: ",".join(map(str, v)))
+FLAG_EXAMPLES = settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestIntegerFlags:
+    """Integer flags that size no allocation end in exit 0 or a usage error, never a traceback.
+
+    Values go in as ``--flag=value`` so that a negative one is not read as an option.
+    """
+
+    @pytest.fixture()
+    def ckpt(self, tmp_path):
+        path = tmp_path / "tiny.veca"
+        save_model(path, Encoder(get_preset("tiny-test"), seed=0))
+        return path
+
+    @staticmethod
+    def exits_cleanly(capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2), (argv, code, err)
+        assert code == 0 or err.startswith("error:"), (argv, err)
+
+    @FLAG_EXAMPLES
+    @given(res=INTEGER, budget=INTEGER)
+    def test_bench_flops(self, capsys, res, budget):
+        self.exits_cleanly(capsys, "bench-flops", f"--res={res}", f"--budget={budget}")
+
+    @FLAG_EXAMPLES
+    @given(budget=INTEGER, layers=INTEGER_LIST)
+    def test_export_maps(self, capsys, tmp_path, ckpt, budget, layers):
+        self.exits_cleanly(
+            capsys, "export-maps", "--checkpoint", str(ckpt), "--res", "16",
+            f"--budget={budget}", f"--layers={layers}", "--out", str(tmp_path / "maps"),
+        )
+
+    @FLAG_EXAMPLES
+    @given(budgets=INTEGER_LIST)
+    def test_eval_budgets(self, capsys, ckpt, budgets):
+        self.exits_cleanly(capsys, "eval-budgets", "--checkpoint", str(ckpt), "--eval-batch", "2", f"--budgets={budgets}")
+
+
 class TestSeedEnv:
     def test_veca_seed_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("VECA_SEED", "21")
@@ -428,7 +490,7 @@ def test_settable_surface_is_pinned():
     assert [f.name for f in fields(BudgetDistribution)] == ["weights"]
     assert sorted(_TRAIN_DEFAULTS) == [
         "batch", "budget_weights", "dtype", "lr", "min_lr", "preset", "res",
-        "seed", "steps", "targets_file", "teacher_seed", "warmup", "weight_decay",
+        "seed", "steps", "targets_file", "warmup", "weight_decay",
     ]
 
 

@@ -159,7 +159,7 @@ class TestLayerNorm:
 class TestGradCheck:
     def test_quadratic(self):
         theta = Tensor(np.random.default_rng(0).normal(size=9))
-        err = grad_check(lambda t: mul(tsum(mul(t, t)), 0.5), theta, 1e-5)
+        err = grad_check(lambda t: mul(tsum(mul(t, t)), Tensor(np.array(0.5))), theta, 1e-5)
         assert err <= 1e-9
 
     def test_softmax_cross_term(self):
@@ -276,7 +276,7 @@ BINARY_OPS = [
     ("mul", mul),
     ("matmul", lambda a, b: matmul(a, transpose(b, (1, 0)))),
     ("concat", lambda a, b: concat([a, b], axis=0)),
-    ("linear-w", lambda a, b: linear(transpose(b, (1, 0)), a)),
+    ("linear-w", lambda a, b: linear(transpose(b, (1, 0)), a, Tensor(np.array([0.5, -1.0, 2.0])))),
 ]
 
 
@@ -366,7 +366,7 @@ def test_an_op_writing_into_its_operand_is_caught():
 class TestAutogradMechanics:
     def test_reused_node_accumulates(self):
         x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
-        y = add(mul(x, x), mul(x, 3.0))  # x^2 + 3x -> grad 2x + 3
+        y = add(mul(x, x), mul(x, Tensor(np.full(2, 3.0))))  # x^2 + 3x -> grad 2x + 3
         tsum(y).backward()
         np.testing.assert_allclose(x.grad, 2 * x.data + 3.0)
 
@@ -380,11 +380,11 @@ class TestAutogradMechanics:
     def test_backward_needs_scalar(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ShapeError):
-            add(x, 1.0).backward()
+            add(x, Tensor(np.ones(3))).backward()
 
     def test_no_graph_without_requires_grad(self):
         x = Tensor(np.ones(3))
-        out = mul(x, 2.0)
+        out = mul(x, Tensor(np.full(3, 2.0)))
         assert out._parents == () and not out.requires_grad
 
     def test_grad_matches_data_shape(self):
@@ -414,8 +414,15 @@ class TestInvariants:
         with pytest.raises(DTypeError):
             Tensor(np.zeros(2, dtype=np.complex128))
 
-    def test_int_input_promotes(self):
-        assert Tensor([1, 2, 3]).dtype == np.float64
+    def test_int_input_refused(self):
+        # an integer or boolean array is no float dtype, so it is refused like any other
+        for data in (np.array([1, 2, 3]), [1, 2, 3], np.array([True, False])):
+            with pytest.raises(DTypeError):
+                Tensor(data)
+
+    def test_requires_grad_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            Tensor(np.ones(2), True)
 
 
 FLOATS = [np.float32, np.float64]
