@@ -17,10 +17,13 @@ images, written to a temporary directory; and
 ``small`` float32 forwards of two 64 px images at C = 8 and C = 64; and one
 normalized synthetic batch of eight 224 px images, the size the
 ``encode_small`` benchmark draws (``synthetic_images`` normalizes it in
-the buffer it was drawn into). Every array is hashed with its name, dtype and shape, in a fixed order. The
-digest holds only at a fixed BLAS thread count: OpenBLAS splits some
-products differently across threads, so pin it (``OPENBLAS_NUM_THREADS=1``)
-when comparing two checkouts. ``--npz PATH`` also saves the arrays;
+the buffer it was drawn into); and the bytes of ``train_log.csv`` and
+``checkpoint.veca`` that ``veca train-toy --steps 8 --batch 2 --seed 3``
+writes (its stdout is captured, not printed). Every array is hashed with
+its name, dtype and shape, in a fixed order. The digest holds only at a
+fixed BLAS thread count: OpenBLAS splits some products differently across
+threads, so pin it (``OPENBLAS_NUM_THREADS=1``) when comparing two
+checkouts. ``--npz PATH`` also saves the arrays;
 ``--against OLD.npz``, with ``OLD.npz`` saved by ``--npz`` on another
 checkout, then prints each covered array that is missing, new, or differs
 in dtype, shape or bytes, with max |new - old| / max |old| for a value change.
@@ -29,13 +32,16 @@ in dtype, shape or bytes, with max |new - old| / max |old| for a value change.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from veca import cli
 from veca.attention import AttnParams, core_attention
 from veca.data import synthetic_images
 from veca.distill import (
@@ -101,7 +107,20 @@ def outputs() -> dict[str, np.ndarray]:
         arrays[f"small/float32/forward/C{c}/global"] = y.data
         arrays[f"small/float32/forward/C{c}/dense"] = z.data
     arrays["synthetic/8x224"] = synthetic_images(RngStream(0, "digest-batch"), 8, 224)
+    arrays.update(train_toy_files())
     return arrays
+
+
+def train_toy_files() -> dict[str, np.ndarray]:
+    """The bytes of the files one ``veca train-toy`` run writes, as uint8 arrays."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        argv = ["train-toy", "--steps", "8", "--batch", "2", "--seed", "3", "--out", tmp]
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"veca {' '.join(argv)} failed")
+        return {
+            f"cli/train-toy/{name}": np.frombuffer((Path(tmp) / name).read_bytes(), dtype=np.uint8)
+            for name in ("train_log.csv", "checkpoint.veca")
+        }
 
 
 def train_run(prefix: str, teacher, cfg: DistillConfig, dtype) -> dict[str, np.ndarray]:

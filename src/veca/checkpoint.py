@@ -164,6 +164,14 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     return config, tensors
 
 
+def json_integer(value, key: str) -> int:
+    """The integer a JSON config holds under ``key``; ``int()`` would turn 2.7 into 2 and true into 1
+    while the config still records 2.7 or true, and would overflow on Infinity."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def save_model(path: str | Path, encoder, extra_config: dict | None = None) -> None:
     """Serialize an encoder's config and every parameter tensor."""
     config = {
@@ -207,7 +215,7 @@ def load_model(path: str | Path):
                 f"{len(cast)} tensor(s), first {cast[0]!r} ({tensors[cast[0]].dtype}), "
                 f"are not the config's {dtype.name}"
             )
-        enc = Encoder(model, seed=int(config.get("seed", 0)), dtype=dtype, state=tensors)
+        enc = Encoder(model, seed=json_integer(config.get("seed", 0), "seed"), dtype=dtype, state=tensors)
     except (TypeError, ValueError, VecaError) as err:  # an unknown field is a TypeError
         raise CheckpointError(f"{path}: cannot rebuild the encoder it describes: {err}") from err
     return enc, config

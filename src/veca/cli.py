@@ -1,18 +1,16 @@
 """Command-line interface.
 
 Subcommands: verify, bench-flops, train-toy, eval-budgets, export-maps,
-param-count. Every command echoes its fully-resolved configuration as a '#'
-comment header into its output; train-toy resolves it from built-in defaults,
-then an optional --config JSON file, then explicit flags (flags win). Exit
-codes: 0 success, 1 verification/runtime failure, 2 usage error, 3 I/O error.
-The VECA_SEED environment variable supplies the default seed.
+param-count. Every value of a run comes from its flags, and every command
+echoes its fully-resolved configuration as a '#' comment header into its
+output. Exit codes: 0 success, 1 verification/runtime failure, 2 usage
+error, 3 I/O error (a malformed checkpoint included).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,33 +31,6 @@ from .errors import (
 )
 from .model import PRESETS, Encoder, get_preset, param_count
 from .rng import RngStream
-
-
-def _default_seed() -> int:
-    env = os.environ.get("VECA_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError as err:
-        raise ConfigError(f"VECA_SEED must be an integer, got {env!r}") from err
-
-
-def _resolve_config(defaults: dict, config_path: str | None, overrides: dict) -> dict:
-    resolved = dict(defaults)
-    if config_path:
-        try:
-            file_values = json.loads(Path(config_path).read_text())
-        except OSError as err:
-            raise CheckpointError(f"cannot read config file: {err}") from err
-        except (ValueError, RecursionError) as err:  # RecursionError: nesting too deep to parse
-            raise ConfigError(f"config file {config_path} is not valid JSON: {err}") from err
-        if not isinstance(file_values, dict):
-            raise ConfigError(f"config file {config_path} must hold a JSON object")
-        unknown = set(file_values) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys in {config_path}: {sorted(unknown)}")
-        resolved.update(file_values)
-    resolved.update({k: v for k, v in overrides.items() if v is not None})
-    return resolved
 
 
 def _config_header(command: str, resolved: dict) -> str:
@@ -89,10 +60,9 @@ def _ints(raw: str) -> list[int]:
 
 def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    seed = args.seed if args.seed is not None else _default_seed()
-    resolved = {"suite": args.suite, "seed": seed, "corrupt": args.corrupt}
+    resolved = {"suite": args.suite, "seed": args.seed, "corrupt": args.corrupt}
     print(_config_header("verify", resolved))
-    ok, lines = verify.run_suites(names, seed=seed, corrupt=args.corrupt)
+    ok, lines = verify.run_suites(names, seed=args.seed, corrupt=args.corrupt)
     for line in lines:
         print(line)
     if not ok:
@@ -118,57 +88,34 @@ def cmd_bench_flops(args) -> int:
     return 0
 
 
-_DISTILL = DistillConfig()
-_TRAIN_DEFAULTS = {
-    "preset": "tiny-test",
-    "steps": _DISTILL.total_steps,
-    "batch": _DISTILL.batch_size,
-    "res": _DISTILL.resolution,
-    "lr": _DISTILL.lr,
-    "min_lr": _DISTILL.min_lr,
-    "warmup": _DISTILL.warmup_steps,
-    "weight_decay": _DISTILL.weight_decay,
-    "seed": None,  # filled from --seed / VECA_SEED
-    "budget_weights": ",".join(str(w) for w in DEFAULT_WEIGHTS),
-    "dtype": "float32",
-    "targets_file": None,
-}
-
-
-def _integer(value, key: str) -> int:
-    # int() would turn 2.7 into 2 and true into 1 while the header and checkpoint record 2.7 or true
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return int(value)
+# every train-toy flag, as the config header and the checkpoint's ``train`` section record it
+TRAIN_KEYS = (
+    "preset", "steps", "batch", "res", "lr", "min_lr", "warmup", "weight_decay",
+    "seed", "budget_weights", "dtype", "targets_file",
+)
 
 
 def cmd_train_toy(args) -> int:
-    overrides = {k: getattr(args, k, None) for k in _TRAIN_DEFAULTS}
-    resolved = _resolve_config(_TRAIN_DEFAULTS, args.config, overrides)
-    if resolved["seed"] is None:
-        resolved["seed"] = _default_seed()
-
-    config = get_preset(str(resolved["preset"]))
+    resolved = {k: getattr(args, k) for k in TRAIN_KEYS}
+    config = get_preset(args.preset)
     try:
-        seed = _integer(resolved["seed"], "seed")
-        weights = tuple(float(w) for w in str(resolved["budget_weights"]).split(","))
-        dcfg = DistillConfig(
-            lr=float(resolved["lr"]),
-            min_lr=float(resolved["min_lr"]),
-            warmup_steps=_integer(resolved["warmup"], "warmup"),
-            total_steps=_integer(resolved["steps"], "steps"),
-            weight_decay=float(resolved["weight_decay"]),
-            batch_size=_integer(resolved["batch"], "batch"),
-            resolution=_integer(resolved["res"], "res"),
-        )
-        dtype = np.dtype(resolved["dtype"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"train-toy config value has the wrong type: {err}") from err
+        weights = tuple(float(w) for w in args.budget_weights.split(","))
+    except ValueError as err:
+        raise ConfigError(f"--budget-weights must be comma-separated numbers, got {args.budget_weights!r}") from err
+    dcfg = DistillConfig(
+        lr=args.lr,
+        min_lr=args.min_lr,
+        warmup_steps=args.warmup,
+        total_steps=args.steps,
+        weight_decay=args.weight_decay,
+        batch_size=args.batch,
+        resolution=args.res,
+    )
     dist = BudgetDistribution(weights=weights)
-    student = Encoder(config, seed=seed, dtype=dtype)
+    student = Encoder(config, seed=args.seed, dtype=args.dtype)
     teacher = (
-        FileTeacher(resolved["targets_file"], config)
-        if resolved["targets_file"]
+        FileTeacher(args.targets_file, config)
+        if args.targets_file
         else SyntheticTeacher(config, seed=TEACHER_SEED, dtype=student.dtype)
     )
 
@@ -177,8 +124,8 @@ def cmd_train_toy(args) -> int:
         teacher,
         dist,
         dcfg,
-        data_stream=RngStream(seed, "data"),
-        budget_stream=RngStream(seed, "budgets"),
+        data_stream=RngStream(args.seed, "data"),
+        budget_stream=RngStream(args.seed, "budgets"),
     )
 
     out_dir = Path(args.out or "toy-run")
@@ -215,10 +162,15 @@ def cmd_eval_budgets(args) -> int:
     if train_cfg.get("teacher_seed", TEACHER_SEED) != TEACHER_SEED:
         raise CheckpointError(f"{args.checkpoint}: 'train' section records a teacher seed other than {TEACHER_SEED}")
     try:
-        seed = args.seed if args.seed is not None else _integer(train_cfg.get("seed", _default_seed()), "seed")
-        res = _integer(train_cfg.get("res", _DISTILL.resolution), "res")
-    except (TypeError, ValueError) as err:
+        seed = args.seed if args.seed is not None else checkpoint.json_integer(train_cfg.get("seed", 0), "seed")
+        res = checkpoint.json_integer(train_cfg.get("res", DistillConfig().resolution), "res")
+    except ValueError as err:
         raise CheckpointError(f"{args.checkpoint}: 'train' section value is not an integer: {err}") from err
+    patch = student.config.patch_size
+    if res < 1 or res % patch:
+        raise CheckpointError(
+            f"{args.checkpoint}: 'train' section resolution {res} is not a positive multiple of the patch size {patch}"
+        )
     budgets = _ints(args.budgets) if args.budgets is not None else list(BUDGETS)
     resolved = {
         "checkpoint": str(args.checkpoint),
@@ -242,14 +194,13 @@ def cmd_eval_budgets(args) -> int:
 
 def cmd_export_maps(args) -> int:
     student, _ = checkpoint.load_model(args.checkpoint)
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.image.startswith("synth:"):
         digits = args.image[len("synth:"):]
         if not digits.isdecimal():
             raise ConfigError(f"--image synth:<index> needs a non-negative integer, got {args.image!r}")
         # image `index` of one batch drawn from the stream, drawn one image at a
         # time: memory stays at one image, time still grows with the index
-        stream = RngStream(seed, "export-data")
+        stream = RngStream(args.seed, "export-data")
         for _ in range(int(digits) + 1):
             image = synthetic_images(stream, 1, args.res)[0]
         image_name = args.image
@@ -262,7 +213,7 @@ def cmd_export_maps(args) -> int:
         "image": image_name,
         "budget": args.budget,
         "layers": layers if layers is not None else f"1..{student.config.layers - 1} (layer 0 excluded)",
-        "seed": seed,
+        "seed": args.seed,
         "res": args.res,
     }
     maps = analysis.export_core_maps(student, image, args.budget, layers)
@@ -301,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", default="all", choices=sorted(verify.SUITES) + ["all"])
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt", action="store_true", help="negative control: inject a fault")
     p.set_defaults(func=cmd_verify)
 
@@ -313,18 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench_flops)
 
     p = sub.add_parser("train-toy", help="desk-scale elastic distillation run")
-    p.add_argument("--config", default=None, help="JSON file with defaults; flags override")
-    p.add_argument("--preset", default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--res", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--min-lr", dest="min_lr", type=float, default=None)
-    p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget-weights", dest="budget_weights", default=None)
-    p.add_argument("--dtype", default=None, choices=["float32", "float64"])
+    distill = DistillConfig()
+    p.add_argument("--preset", default="tiny-test")
+    p.add_argument("--steps", type=int, default=distill.total_steps)
+    p.add_argument("--batch", type=int, default=distill.batch_size)
+    p.add_argument("--res", type=int, default=distill.resolution)
+    p.add_argument("--lr", type=float, default=distill.lr)
+    p.add_argument("--min-lr", dest="min_lr", type=float, default=distill.min_lr)
+    p.add_argument("--warmup", type=int, default=distill.warmup_steps)
+    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=distill.weight_decay)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget-weights", dest="budget_weights", default=",".join(map(str, DEFAULT_WEIGHTS)))
+    p.add_argument("--dtype", default="float32", choices=["float32", "float64"])
     p.add_argument("--targets-file", dest="targets_file", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train_toy)
@@ -333,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--budgets", default=None, help="comma-separated; default: the budget set")
     p.add_argument("--eval-batch", dest="eval_batch", type=int, default=16)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="default: the checkpoint's recorded seed, else 0")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval_budgets)
 
@@ -343,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=64)
     p.add_argument("--layers", default=None, help="comma-separated; default: all but layer 0")
     p.add_argument("--res", type=int, default=16, help="resolution for synthetic images")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export_maps)
 

@@ -60,6 +60,12 @@ class ModelConfig:
     budgets: ClassVar[tuple[int, ...]] = BUDGETS
 
     def __post_init__(self):
+        sizes = {k: getattr(self, k) for k in ("layers", "dim", "heads", "patch_size")}
+        if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in sizes.values()):
+            raise ConfigError(f"layers, dim, heads and patch_size must be positive integers, got {sizes}")
+        r = self.mlp_ratio
+        if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0 < r < math.inf:
+            raise ConfigError(f"mlp_ratio must be a finite positive number, got {r!r}")
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         rope_mod.freqs(self.head_dim)  # the head width must form 2D rotary pairs

@@ -190,6 +190,11 @@ class TestContainer:
         assert all(np.array_equal(tensors[k], p.data) for k, p in enc.params.items())
 
 
+@pytest.fixture(scope="module")
+def tiny_state(tiny_config):
+    return Encoder(tiny_config, seed=0).state()
+
+
 class TestModelCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path, tiny_config, tiny_images):
         enc = Encoder(tiny_config, seed=9)
@@ -294,6 +299,29 @@ class TestModelCheckpoint:
         save_container(path, {"model": model}, Encoder(tiny_config).state())
         with pytest.raises(CheckpointError, match=field):
             load_model(path)
+
+    @given(
+        field=st.sampled_from(["layers", "dim", "heads", "mlp_ratio", "patch_size", "seed"]),
+        # integers stay small, so that ``layers`` never drives a long layout loop
+        value=st.none() | st.booleans() | st.integers(-3, 64) | st.floats() | st.text(max_size=4),
+    )
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_config_value_loads_a_finite_encoder_or_is_refused(
+        self, tmp_path, tiny_config, tiny_state, tiny_images, field, value
+    ):
+        config = {"model": asdict(tiny_config), "seed": 0, "dtype": "float64"}
+        if field == "seed":
+            config["seed"] = value
+        else:
+            config["model"][field] = value
+        path = tmp_path / "m.veca"
+        save_container(path, config, tiny_state)
+        try:
+            enc, _ = load_model(path)
+        except CheckpointError:
+            return
+        y, z = enc(tiny_images[:1], 8)
+        assert np.isfinite(y.data).all() and np.isfinite(z.data).all()
 
     def test_identical_saves_are_byte_identical(self, tmp_path, tiny_config):
         p1, p2 = tmp_path / "a.veca", tmp_path / "b.veca"

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -15,7 +16,7 @@ from numpy.lib import format as npy_format
 
 from veca.analysis import export_core_maps
 from veca.checkpoint import save_model
-from veca.cli import _TRAIN_DEFAULTS, main
+from veca.cli import TRAIN_KEYS, main
 from veca.data import synthetic_images
 from veca.distill import DistillConfig
 from veca.elastic import BudgetDistribution
@@ -97,23 +98,21 @@ class TestTrainToy:
         log = (out_dir / "train_log.csv").read_text().splitlines()[2:]
         assert {row.split(",")[1] for row in log} == {"64"}
 
-    def test_config_file_with_flag_override(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"steps": 6, "batch": 2, "seed": 1}))
-        out_dir = tmp_path / "cfgrun"
-        code, out, _ = run(
-            capsys, "train-toy", "--config", str(cfg), "--out", str(out_dir), "--batch", "3"
-        )
+    def test_config_flag_is_a_usage_error(self, capsys, tmp_path):
+        # every value of a run comes from its flags; there is no config file layer
+        with pytest.raises(SystemExit) as exc:
+            main(["train-toy", "--config", "x", "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "run").exists()
+        capsys.readouterr()
+
+    def test_veca_seed_is_not_read(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("VECA_SEED", "21")
+        out_dir = tmp_path / "env"
+        code, _, _ = run(capsys, "train-toy", "--steps", "4", "--batch", "2", "--out", str(out_dir))
         assert code == 0
         header = (out_dir / "train_log.csv").read_text().splitlines()[0]
-        resolved = json.loads(header.split("config: ", 1)[1])
-        assert resolved["steps"] == 6 and resolved["batch"] == 3
-
-    def test_unknown_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"nonsense": 1}))
-        code, _, err = run(capsys, "train-toy", "--config", str(cfg))
-        assert code == 2 and "nonsense" in err
+        assert json.loads(header.split("config: ", 1)[1])["seed"] == 0
 
 
 class TestEvalBudgets:
@@ -276,8 +275,13 @@ def targets(
 
 def tiny_checkpoint(**config) -> bytes:
     """A checkpoint container of TINY's real tensors with extra top-level ``config`` entries."""
-    blob = json.dumps({"model": asdict(TINY), **config}).encode()
+    blob = json.dumps({"model": asdict(TINY), **config}).encode()  # math.inf is written as Infinity
     return container(blob, {k.encode(): v for k, v in Encoder(TINY, seed=0).state().items()})
+
+
+def tiny_model(**fields) -> dict:
+    """TINY's model config with ``fields`` replaced."""
+    return {**asdict(TINY), **fields}
 
 
 def npy_bytes(arr: np.ndarray) -> bytes:
@@ -302,9 +306,6 @@ def image_with(value: float) -> np.ndarray:
 
 class TestExitCodes:
     CASES = {
-        "config not JSON": ("config", b'{"steps": 3', 2),
-        "config not an object": ("config", b"5", 2),
-        "config value of the wrong type": ("config", b'{"steps": "abc"}', 2),
         "batch of zero": ("flags", b"--batch 0", 2),
         "negative resolution": ("flags", b"--res -16", 2),
         "weight decay not a number": ("flags", b"--weight-decay nan", 2),
@@ -354,17 +355,19 @@ class TestExitCodes:
         "checkpoint train res fractional": ("checkpoint", tiny_checkpoint(train={"res": 16.5, "seed": 0.5}), 3),
         "checkpoint train teacher seed a boolean": ("checkpoint", tiny_checkpoint(train={"teacher_seed": True}), 3),
         "checkpoint train teacher seed not the constant": ("checkpoint", tiny_checkpoint(train={"teacher_seed": 1234}), 3),
-        "config teacher seed": ("config", b'{"teacher_seed": 7001}', 2),
         "flops resolution whose cost ratio overflows a float": ("flops flags", b"--res 16" + b"0" * 160, 2),
-        "config nested too deeply to parse": ("config", b"[" * 200_000, 2),
         "checkpoint config nested too deeply to parse": ("checkpoint", container(b"[" * 200_000), 3),
         "targets config nested too deeply to parse": ("targets", container(b"[" * 200_000), 3),
-        "config dtype not a float": ("config", b'{"dtype": "int8"}', 2),
-        "config steps fractional": ("config", b'{"steps": 2.7, "batch": 2}', 2),
-        "config resolution fractional": ("config", b'{"res": 16.5, "steps": 2, "batch": 2}', 2),
-        "config steps infinite": ("config", b'{"steps": Infinity}', 2),
-        "config steps a boolean": ("config", b'{"steps": true, "batch": 2}', 2),
         "verify seed negative": ("verify flags", b"--seed -1", 2),
+        "checkpoint model heads zero": ("checkpoint", tiny_checkpoint(model=tiny_model(heads=0)), 3),
+        "checkpoint model heads a boolean": ("checkpoint", tiny_checkpoint(model=tiny_model(heads=True)), 3),
+        "checkpoint model mlp ratio infinite": ("checkpoint", tiny_checkpoint(model=tiny_model(mlp_ratio=math.inf)), 3),
+        "checkpoint seed infinite": ("checkpoint", tiny_checkpoint(seed=math.inf), 3),
+        "checkpoint seed negative infinite": ("checkpoint", tiny_checkpoint(seed=-math.inf), 3),
+        "checkpoint seed fractional": ("checkpoint", tiny_checkpoint(seed=2.7), 3),
+        "checkpoint seed a boolean": ("checkpoint", tiny_checkpoint(seed=True), 3),
+        "checkpoint train res not a multiple of the patch size": ("checkpoint", tiny_checkpoint(train={"res": 18}), 3),
+        "checkpoint train res zero": ("checkpoint", tiny_checkpoint(train={"res": 0}), 3),
         # sizes numpy refuses at once (petabytes and more), so nothing is ever allocated
         "resolution too large to allocate": ("flags", b"--res 1000000000000", 1),
         "batch too large to allocate": ("flags", b"--batch 1000000000000", 1),
@@ -375,11 +378,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_malformed_input(self, capsys, tmp_path, case):
         kind, raw, want = self.CASES[case]
-        bad = tmp_path / {"config": "cfg.json", "ppm": "img.ppm", "npy": "img.npy"}.get(kind, "bad.veca")
+        bad = tmp_path / {"ppm": "img.ppm", "npy": "img.npy"}.get(kind, "bad.veca")
         bad.write_bytes(raw)
-        if kind == "config":
-            argv = ["train-toy", "--config", str(bad), "--out", str(tmp_path / "run")]
-        elif kind == "flags":
+        if kind == "flags":
             argv = ["train-toy", *raw.decode().split(), "--out", str(tmp_path / "run")]
         elif kind == "checkpoint":
             argv = ["eval-budgets", "--checkpoint", str(bad)]
@@ -463,24 +464,6 @@ class TestIntegerFlags:
         self.exits_cleanly(capsys, "eval-budgets", "--checkpoint", str(ckpt), "--eval-batch", "2", f"--budgets={budgets}")
 
 
-class TestSeedEnv:
-    def test_veca_seed_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("VECA_SEED", "21")
-        out_dir = tmp_path / "env"
-        code, _, _ = run(capsys, "train-toy", "--steps", "4", "--batch", "2", "--out", str(out_dir))
-        assert code == 0
-        header = (out_dir / "train_log.csv").read_text().splitlines()[0]
-        assert json.loads(header.split("config: ", 1)[1])["seed"] == 21
-
-    def test_bad_veca_seed_is_usage_error(self, capsys, monkeypatch):
-        # not an integer; negative, which verify's seeded numpy generators refuse
-        for bad in ("abc", "-1"):
-            monkeypatch.setenv("VECA_SEED", bad)
-            assert run(capsys, "param-count")[0] == 0  # reads no seed
-            code, _, err = run(capsys, "verify", "--suite", "attention")
-            assert code == 2 and err.startswith("error:")
-
-
 def test_settable_surface_is_pinned():
     # every value a caller can set; a new option has to be added here on purpose
     assert [f.name for f in fields(ModelConfig)] == ["layers", "dim", "heads", "mlp_ratio", "patch_size"]
@@ -488,7 +471,7 @@ def test_settable_surface_is_pinned():
         "lr", "min_lr", "warmup_steps", "total_steps", "weight_decay", "batch_size", "resolution",
     ]
     assert [f.name for f in fields(BudgetDistribution)] == ["weights"]
-    assert sorted(_TRAIN_DEFAULTS) == [
+    assert sorted(TRAIN_KEYS) == [
         "batch", "budget_weights", "dtype", "lr", "min_lr", "preset", "res",
         "seed", "steps", "targets_file", "warmup", "weight_decay",
     ]
