@@ -165,8 +165,11 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def json_integer(value, key: str) -> int:
-    """The integer a JSON config holds under ``key``; ``int()`` would turn 2.7 into 2 and true into 1
-    while the config still records 2.7 or true, and would overflow on Infinity."""
+    """The integer a JSON config holds under ``key``.
+
+    ``int()`` would turn 2.7 into 2 and true into 1 while the config still
+    records 2.7 or true, and would overflow on Infinity.
+    """
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
     return int(value)
