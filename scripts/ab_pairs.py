@@ -17,7 +17,10 @@ phase of the host that spans a pair moves both of its runs, so it widens
 A's own spread but not the ratio's, and a consistent saving smaller than
 A's spread still counts. For positive metrics nine wins in ten already put
 the ratio's quartiles on B's side; the quartile test also refuses a ratio
-that is not finite.
+that is not finite. Beside the verdict, the ``beats A's IQR`` column reads
+``yes`` when B's median is better than A's by more than the distance
+between A's quartiles, the bar of the absolute medians: a saving that
+clears only the per-pair rule shows there as ``no`` before it is claimed.
 """
 
 from __future__ import annotations
@@ -72,20 +75,22 @@ def summarize(spec: list[dict], a_runs: list[dict], b_runs: list[dict]) -> list[
             "wins_b": wins_b,
             "gain": wins_b >= WIN_SHARE * len(a) and bool(np.isfinite(edge) and sign * (edge - 1.0) > 0),
             "beyond_bound": -gap > metric["bound"] * abs(qa[0]),
+            "beyond_spread": bool(gap > qa[2] - qa[1]),
         })
     return rows
 
 
 def report(rows: list[dict], pairs: int) -> str:
     lines = [f"{'metric':<22} {'A median [q1, q3]':>30} {'B median [q1, q3]':>30} "
-             f"{'B/A per pair [q1, q3]':>26}  wins A/B  verdict"]
+             f"{'B/A per pair [q1, q3]':>26}  wins A/B  beats A's IQR  verdict"]
     for r in rows:
         verdict = "gain" if r["gain"] else "worse beyond bound" if r["beyond_bound"] else "no gain"
         a = "{:.4g} [{:.4g}, {:.4g}]".format(*r["a"])
         b = "{:.4g} [{:.4g}, {:.4g}]".format(*r["b"])
         ratio = "{:.4f} [{:.4f}, {:.4f}]".format(*r["ratio"])
         lines.append(f"{r['name']:<22} {a:>30} {b:>30} {ratio:>26}  "
-                     f"{r['wins_a']:>2}/{r['wins_b']:<2} of {pairs}  {verdict}")
+                     f"{r['wins_a']:>2}/{r['wins_b']:<2} of {pairs}  "
+                     f"{'yes' if r['beyond_spread'] else 'no':<13}  {verdict}")
     return "\n".join(lines)
 
 

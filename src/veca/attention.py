@@ -63,7 +63,7 @@ class AttnParams:
         d = self.wq.shape[0]
         if d % self.heads != 0:
             raise ConfigError(f"model dim {d} not divisible by {self.heads} heads")
-        rope_mod.freqs(self.head_dim)  # the head width must form 2D rotary pairs
+        rope_mod.check_head_dim(self.head_dim)
 
     @property
     def dim(self) -> int:

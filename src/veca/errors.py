@@ -21,6 +21,10 @@ class NonFiniteError(VecaError):
     """A NaN or Inf appeared where only finite values are allowed."""
 
 
+class GraphReleasedError(VecaError):
+    """A gradient reached a tape node whose graph was already backpropagated and released."""
+
+
 class ConfigError(VecaError):
     """A model or run configuration violates its invariants."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -68,7 +68,11 @@ class ModelConfig:
             raise ConfigError(f"mlp_ratio must be a finite positive number, got {r!r}")
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        rope_mod.freqs(self.head_dim)  # the head width must form 2D rotary pairs
+        rope_mod.check_head_dim(self.head_dim)
+        try:
+            self.hidden
+        except OverflowError as err:  # dim * mlp_ratio beyond a float
+            raise ConfigError(f"dim {self.dim} times mlp_ratio {r!r} is too large: {err}") from err
 
     @property
     def hidden(self) -> int:
@@ -99,7 +103,7 @@ def get_preset(name: str) -> ModelConfig:
 
 def param_count(config: ModelConfig) -> int:
     """Exact number of learnable scalars for a configuration (nothing is drawn)."""
-    return sum(math.prod(shape) for shape, _ in _layout(config, 0).values())
+    return sum(math.prod(shape) for _, shape, _ in _layout(config, 0))
 
 
 def patchify(images: np.ndarray, config: ModelConfig, dtype) -> tuple[Tensor, tuple[int, int]]:
@@ -189,67 +193,81 @@ def block_forward(
     return add(x, f)
 
 
-_Layout = dict[str, tuple[tuple[int, ...], Callable[[], np.ndarray]]]
+_Entry = tuple[str, tuple[int, ...], Callable[[], np.ndarray]]
+# names a state mismatch lists, and the missing names after which the walk of a layout stops
+LISTED = 4
 
 
-def _layout(config: ModelConfig, seed: int) -> _Layout:
-    """Every parameter in state order: name -> (shape, draw of its initial value).
+def _layout(config: ModelConfig, seed: int) -> Iterator[_Entry]:
+    """Every parameter in state order: (name, shape, draw of its initial value).
 
-    Nothing is drawn until a draw is called. Each random weight comes from its
-    own named stream under ``init``, so values do not depend on draw order.
+    The entries are made as they are walked, so a caller that stops early
+    never builds the rest, and nothing is drawn until a draw is called. Each
+    random weight comes from its own named stream under ``init``, so values
+    do not depend on draw order.
     """
     d, hidden = config.dim, config.hidden
     root = RngStream(seed, "init")
     fps_states = functools.cache(lambda: rope_mod.fps_init(MAX_CORES))
-    layout: _Layout = {}
 
-    def fill(name: str, size: int, value: float) -> None:
-        layout[name] = ((size,), lambda: np.full(size, value))
+    def fill(name: str, size: int, value: float) -> _Entry:
+        return name, (size,), lambda: np.full(size, value)
 
-    def weight(name: str, shape: tuple[int, int], stream: str) -> None:
-        layout[name] = (shape, lambda: root.spawn(stream).trunc_normal(0.02, size=shape))
+    def weight(name: str, shape: tuple[int, int], stream: str) -> _Entry:
+        return name, shape, lambda: root.spawn(stream).trunc_normal(0.02, size=shape)
 
-    def affine(name: str, din: int, dout: int) -> None:
-        weight(f"{name}.w", (din, dout), f"{name}.w")
-        fill(f"{name}.b", dout, 0.0)
+    def affine(name: str, din: int, dout: int) -> tuple[_Entry, _Entry]:
+        return weight(f"{name}.w", (din, dout), f"{name}.w"), fill(f"{name}.b", dout, 0.0)
 
-    def norm(name: str) -> None:
-        fill(f"{name}.gamma", d, 1.0)
-        fill(f"{name}.beta", d, 0.0)
+    def norm(name: str) -> tuple[_Entry, _Entry]:
+        return fill(f"{name}.gamma", d, 1.0), fill(f"{name}.beta", d, 0.0)
 
-    def core(j: int) -> None:
-        layout[f"core.tokens.{j}"] = (
-            (CHUNK, d), lambda: root.spawn(f"core.tokens.{j}").normal(0.02, size=(CHUNK, d))
+    def core(j: int) -> tuple[_Entry, _Entry]:
+        return (
+            (f"core.tokens.{j}", (CHUNK, d), lambda: root.spawn(f"core.tokens.{j}").normal(0.02, size=(CHUNK, d))),
+            (f"core.coords.{j}", (CHUNK, 2), lambda: fps_states()[j * CHUNK : (j + 1) * CHUNK].copy()),
         )
-        layout[f"core.coords.{j}"] = ((CHUNK, 2), lambda: fps_states()[j * CHUNK : (j + 1) * CHUNK].copy())
 
-    affine("patch_embed", config.patch_size * config.patch_size * CHANNELS, d)
+    yield from affine("patch_embed", config.patch_size * config.patch_size * CHANNELS, d)
     for i in range(config.layers):
         pre = f"blocks.{i}"
-        norm(f"{pre}.norm_attn")
+        yield from norm(f"{pre}.norm_attn")
         for proj in "qkvo":  # the stream layout of AttnParams.init
-            weight(f"{pre}.attn.w{proj}", (d, d), f"{pre}.attn/w{proj}")
-            fill(f"{pre}.attn.b{proj}", d, 0.0)
-        norm(f"{pre}.norm_ffn")
-        affine(f"{pre}.ffn.fc1", d, 2 * hidden)
-        affine(f"{pre}.ffn.fc2", hidden, d)
-    norm("final_norm")
+            yield weight(f"{pre}.attn.w{proj}", (d, d), f"{pre}.attn/w{proj}")
+            yield fill(f"{pre}.attn.b{proj}", d, 0.0)
+        yield from norm(f"{pre}.norm_ffn")
+        yield from affine(f"{pre}.ffn.fc1", d, 2 * hidden)
+        yield from affine(f"{pre}.ffn.fc2", hidden, d)
+    yield from norm("final_norm")
     for j in range(MAX_CORES // CHUNK):
-        core(j)
+        yield from core(j)
     for i in range(config.layers - 1):
-        affine(f"coord_head.{i}", d, 2)
-        fill(f"coord_head.{i}.alpha", 1, 0.01)
-    return layout
+        yield from affine(f"coord_head.{i}", d, 2)
+        yield fill(f"coord_head.{i}.alpha", 1, 0.01)
 
 
-def _check_state(state: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
-    missing = set(shapes) - set(state)
-    extra = set(state) - set(shapes)
-    if missing or extra:
-        raise ConfigError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-    for name, shape in shapes.items():
-        if state[name].shape != shape:
+def _check_state(state: dict[str, np.ndarray], shapes: Iterable[tuple[str, tuple[int, ...]]]) -> list[str]:
+    """The names of ``shapes`` (name, shape pairs in state order), each checked against ``state``.
+
+    The walk stops at the :data:`LISTED`-th name ``state`` lacks, so a layout
+    far larger than the state costs at most ``len(state) + LISTED`` steps.
+    """
+    names: list[str] = []
+    missing: list[str] = []
+    for name, shape in shapes:
+        if name not in state:
+            missing.append(name)
+            if len(missing) == LISTED:
+                raise ConfigError(f"state mismatch: missing={missing}, stopped at the first {LISTED}")
+        elif state[name].shape != shape:
             raise ShapeError(f"parameter {name}: shape {state[name].shape} != {shape}")
+        else:
+            names.append(name)
+    extra = sorted(set(state).difference(names))
+    if missing or extra:
+        more = f" and {len(extra) - LISTED} more" if len(extra) > LISTED else ""
+        raise ConfigError(f"state mismatch: missing={missing} extra={extra[:LISTED]}{more}")
+    return names
 
 
 class Encoder:
@@ -277,14 +295,15 @@ class Encoder:
         self.seed = seed
         self.dtype = float_type(dtype)
         self._grid_cache: dict[tuple[int, int, int], Tensor] = {}
-        layout = _layout(config, seed)
         fresh = state is None
         if fresh:  # cast as drawn, so only one float64 draw is alive at a time
-            state = {name: np.asarray(draw(), dtype=self.dtype) for name, (_, draw) in layout.items()}
-        _check_state(state, {name: shape for name, (shape, _) in layout.items()})
+            state = {name: np.asarray(draw(), dtype=self.dtype) for name, _, draw in _layout(config, seed)}
+            names = list(state)
+        else:
+            names = _check_state(state, ((name, shape) for name, shape, _ in _layout(config, seed)))
         self.params: dict[str, Tensor] = {
             name: Tensor(np.ascontiguousarray(state[name], dtype=self.dtype), requires_grad=fresh)
-            for name in layout
+            for name in names
         }
         p = self.params
         self.patch_w, self.patch_b = p["patch_embed.w"], p["patch_embed.b"]
@@ -312,7 +331,7 @@ class Encoder:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        _check_state(state, {name: t.shape for name, t in self.params.items()})
+        _check_state(state, ((name, t.shape) for name, t in self.params.items()))
         for name, t in self.params.items():
             t.data = np.ascontiguousarray(state[name], dtype=self.dtype)
 

@@ -6,7 +6,7 @@ head's query/key vectors are split into rotation pairs of adjacent elements
 the second half by angles proportional to y. Angles are coordinate * freq * pi
 with per-pair frequencies freq_j = BASE**(-j / (head_dim / 4)), strictly
 decreasing from 1; the base is the constant ``BASE`` = 100. The layout depends
-only on the head width, which must be a positive multiple of 4 (:func:`freqs`).
+only on the head width, which must be a positive multiple of 4 (:func:`check_head_dim`).
 This ordering (x pairs first, adjacent-element pairing) is part of the
 checkpoint contract. :func:`cos_sin` stores each pair's rotation as the
 unit complex number e^{i theta} = (cos theta, sin theta) in that pair's two
@@ -27,10 +27,18 @@ from .tensor import Tensor, _accumulate, _from_op, _same_dtype, _unbroadcast
 BASE = 100.0
 
 
-def freqs(head_dim: int) -> np.ndarray:
-    """The head_dim / 4 per-axis frequencies; the head width must be a positive multiple of 4."""
+def check_head_dim(head_dim: int) -> None:
+    """Refuse a head width that does not form the 2D rotary pairs: it must be a positive multiple of 4.
+
+    Arithmetic only, so a configuration can be validated without building its tables.
+    """
     if head_dim <= 0 or head_dim % 4 != 0:
         raise ConfigError(f"head_dim must be a positive multiple of 4, got {head_dim}")
+
+
+def freqs(head_dim: int) -> np.ndarray:
+    """The head_dim / 4 per-axis frequencies (see :func:`check_head_dim`)."""
+    check_head_dim(head_dim)
     nf = head_dim // 4
     return BASE ** (-np.arange(nf, dtype=np.float64) / nf)
 

@@ -29,6 +29,13 @@ central finite differences. Design constraints, all deliberate:
 * the backward pass visits nodes in reverse creation order, which is a
   topological order of the recorded graph, and always accumulates (sums)
   gradients into parents;
+* a graph is backpropagated once and released as the backward runs: each
+  interior node drops its gradient, its parent links and the arrays its
+  backward saved as soon as that backward has run, so after ``backward()``
+  the caller's loss holds no tape and only leaves (parameters, inputs that
+  require grad) keep gradients. A gradient that later reaches a released
+  node, by a second ``backward()`` or through a new graph built on it,
+  raises :class:`~veca.errors.GraphReleasedError`;
 * tensors are treated as immutable once created; only optimizers mutate
   ``.data`` in place, outside any recorded graph.
 
@@ -45,7 +52,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DTypeError, NonFiniteError, ShapeError
+from .errors import DTypeError, GraphReleasedError, NonFiniteError, ShapeError
 
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 LAYER_NORM_EPS = 1e-6
@@ -146,7 +153,12 @@ class Tensor:
     # -- autograd ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Seed d(self)/d(self)=1 and propagate to every reachable parent."""
+        """Seed d(self)/d(self)=1, propagate to every reachable parent and release the graph.
+
+        Leaves keep the gradients accumulated into them; every interior node
+        is released as its backward runs (see the module notes), so a second
+        call raises :class:`~veca.errors.GraphReleasedError`.
+        """
         if self.size != 1:
             raise ShapeError(f"backward() requires a scalar output, got shape {self.shape}")
         nodes: list[Tensor] = []
@@ -160,11 +172,25 @@ class Tensor:
             seen.add(id(node))
             nodes.append(node)
             stack.extend(node._parents)
-        nodes.sort(key=lambda t: t._order, reverse=True)
+        # popped from the end, so in reverse creation order
+        nodes.sort(key=lambda t: t._order)
         self.grad = np.ones_like(self.data)
-        for node in nodes:
-            if node.grad is not None:
-                node._grad_fn(node.grad)
+        while nodes:
+            node = nodes.pop()
+            grad, grad_fn = node.grad, node._grad_fn
+            # released before its backward runs, so its saved arrays and gradient are
+            # freed as soon as the next pop rebinds these names
+            node.grad, node._parents, node._grad_fn = None, (), _released
+            if grad is not None:
+                grad_fn(grad)
+
+
+def _released(g: np.ndarray) -> None:
+    """The backward of a node whose graph has been backpropagated and released."""
+    raise GraphReleasedError(
+        "a gradient reached a node whose graph was already backpropagated and released; "
+        "build the graph again to take another gradient"
+    )
 
 
 def float_type(dtype) -> type:

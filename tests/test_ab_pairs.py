@@ -44,6 +44,18 @@ def test_winning_every_pair_by_less_than_the_parents_spread_is_a_gain():
     assert r["wins_b"] == 10 and r["gain"]
 
 
+def test_the_absolute_bar_is_the_parents_quartile_distance():
+    # the per-pair rule reads gain; the medians differ by 0.5 < A's quartile distance 2.0
+    a = [10.0, 12.0, 10.0, 12.0, 10.0, 12.0, 10.0, 12.0, 10.0, 12.0]
+    r = row(LOWER, a, [v - 0.5 for v in a])
+    assert r["gain"] and not r["beyond_spread"]
+    assert ab_pairs.report([r], 10).splitlines()[1].endswith("no             gain")
+    # a gap of 2.5 clears it; a better median on the worse side of the metric never does
+    assert row(LOWER, a, [v - 2.5 for v in a])["beyond_spread"]
+    assert not row(HIGHER, a, [v - 2.5 for v in a])["beyond_spread"]
+    assert row(HIGHER, a, [v + 2.5 for v in a])["beyond_spread"]
+
+
 def test_a_ratio_that_is_not_finite_is_no_gain():
     # a parent that read 0 gives an infinite ratio: wins alone do not make a gain
     r = row(HIGHER, [0.0] * 10, [1.0] * 10)

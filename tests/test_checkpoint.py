@@ -1,6 +1,7 @@
 import struct
 import tracemalloc
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from veca.checkpoint import MAGIC, VERSION, load_container, load_model, save_con
 from veca.distill import DistillConfig, SyntheticTeacher, train
 from veca.elastic import BudgetDistribution
 from veca.errors import CheckpointError, UnsupportedVersionError
-from veca.model import Encoder, get_preset
+from veca import model as model_mod
+from veca.model import LISTED, Encoder, get_preset
 from veca.rng import RngStream
 
 
@@ -302,8 +304,10 @@ class TestModelCheckpoint:
 
     @given(
         field=st.sampled_from(["layers", "dim", "heads", "mlp_ratio", "patch_size", "seed"]),
-        # integers stay small, so that ``layers`` never drives a long layout loop
-        value=st.none() | st.booleans() | st.integers(-3, 64) | st.floats() | st.text(max_size=4),
+        value=(
+            st.none() | st.booleans() | st.integers(-3, 64) | st.integers(-10**18, 10**18)
+            | st.floats() | st.text(max_size=4)
+        ),
     )
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_config_value_loads_a_finite_encoder_or_is_refused(
@@ -316,9 +320,22 @@ class TestModelCheckpoint:
             config["model"][field] = value
         path = tmp_path / "m.veca"
         save_container(path, config, tiny_state)
+        walked = []
+        layout = model_mod._layout
+
+        def counted(*args):
+            for entry in layout(*args):
+                walked.append(entry[0])
+                yield entry
+
         try:
-            enc, _ = load_model(path)
+            with mock.patch.object(model_mod, "_layout", counted):
+                enc, _ = load_model(path)
         except CheckpointError:
+            enc = None
+        # bounded by the file: a model of 10^18 layers is refused after the names the file lacks start
+        assert len(walked) <= len(tiny_state) + LISTED
+        if enc is None:
             return
         y, z = enc(tiny_images[:1], 8)
         assert np.isfinite(y.data).all() and np.isfinite(z.data).all()

@@ -362,6 +362,9 @@ class TestExitCodes:
         "checkpoint model heads zero": ("checkpoint", tiny_checkpoint(model=tiny_model(heads=0)), 3),
         "checkpoint model heads a boolean": ("checkpoint", tiny_checkpoint(model=tiny_model(heads=True)), 3),
         "checkpoint model mlp ratio infinite": ("checkpoint", tiny_checkpoint(model=tiny_model(mlp_ratio=math.inf)), 3),
+        "checkpoint model head width of petabytes": ("checkpoint", tiny_checkpoint(model=tiny_model(heads=1, dim=4 * 10**15)), 3),
+        "checkpoint model of 10^18 layers": ("checkpoint", tiny_checkpoint(model=tiny_model(layers=10**18)), 3),
+        "checkpoint model hidden width overflowing a float": ("checkpoint", tiny_checkpoint(model=tiny_model(mlp_ratio=1e308)), 3),
         "checkpoint seed infinite": ("checkpoint", tiny_checkpoint(seed=math.inf), 3),
         "checkpoint seed negative infinite": ("checkpoint", tiny_checkpoint(seed=-math.inf), 3),
         "checkpoint seed fractional": ("checkpoint", tiny_checkpoint(seed=2.7), 3),

@@ -218,8 +218,9 @@ class TestLossNodes:
         rng = np.random.default_rng(1)
         y, ys = Tensor(rng.normal(size=shape), requires_grad=True), Tensor(rng.normal(size=shape), requires_grad=True)
         out = loss(y, ys)
+        assert out._parents == (y,)  # backward() releases the node's parent links
         out.backward()
-        assert out._parents == (y,) and ys.grad is None and y.grad.shape == shape
+        assert ys.grad is None and y.grad.shape == shape
 
     @pytest.mark.parametrize("name", sorted(LOSSES))
     def test_mismatches_refused(self, name):

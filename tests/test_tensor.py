@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veca.errors import DTypeError, NonFiniteError, ShapeError
+from veca.data import synthetic_images
+from veca.distill import DistillConfig, SyntheticTeacher, total_loss
+from veca.errors import DTypeError, GraphReleasedError, NonFiniteError, ShapeError
+from veca.model import Encoder, get_preset
 from veca.rope import apply as rope_apply
 from veca.tensor import (
     SHORT_ROW,
@@ -391,6 +395,47 @@ class TestAutogradMechanics:
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3)), requires_grad=True)
         tsum(mul(x, x)).backward()
         assert x.grad.shape == x.shape
+
+    def test_second_backward_through_one_graph_raises(self):
+        # it would reuse the interior gradients of the first, leaving x.grad at 6x, not 4x
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        loss = tsum(mul(x, x))
+        loss.backward()
+        with pytest.raises(GraphReleasedError):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_new_graph_reaching_a_released_node_raises(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        square = mul(x, x)
+        tsum(square).backward()
+        with pytest.raises(GraphReleasedError):
+            tsum(add(square, x)).backward()
+
+    def test_training_step_holds_only_parameter_gradients_after_backward(self):
+        # tiny-test, float32, B = 8, 16 px, C = 64: the whole tape held 6 MB until the caller dropped the loss
+        config = get_preset("tiny-test")
+        enc = Encoder(config, seed=0, dtype=np.float32)
+        images = synthetic_images(RngStream(0, "released-tape"), 8, 16)
+        targets = SyntheticTeacher(config, dtype=np.float32).targets(images)
+
+        def step() -> Tensor:
+            enc.zero_grad()
+            loss, _ = total_loss(images, 64, enc, None, DistillConfig(), targets=targets)
+            loss.backward()
+            return loss
+
+        step()  # fills the caches a step reads: grid coordinates and vectors of ones
+        enc.zero_grad()
+        tracemalloc.start()
+        try:
+            loss = step()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grads = sum(p.grad.nbytes for p in enc.params.values() if p.grad is not None)
+        assert loss.size == 1 and grads > 0
+        assert held <= grads + 64 * 1024
 
 
 class TestInvariants:
