@@ -19,7 +19,9 @@ normalized synthetic batch of eight 224 px images, the size the
 ``encode_small`` benchmark draws (``synthetic_images`` normalizes it in
 the buffer it was drawn into); and the bytes of ``train_log.csv`` and
 ``checkpoint.veca`` that ``veca train-toy --steps 8 --batch 2 --seed 3``
-writes (its stdout is captured, not printed). Every array is hashed with
+writes, of the CSV ``veca eval-budgets`` writes from that checkpoint and of
+the two layer maps ``veca export-maps --layers 0,1`` writes from it (their
+stdout is captured, not printed). Every array is hashed with
 its name, dtype and shape, in a fixed order. The digest holds only at a
 fixed BLAS thread count: OpenBLAS splits some products differently across
 threads, so pin it (``OPENBLAS_NUM_THREADS=1``) when comparing two
@@ -107,20 +109,34 @@ def outputs() -> dict[str, np.ndarray]:
         arrays[f"small/float32/forward/C{c}/global"] = y.data
         arrays[f"small/float32/forward/C{c}/dense"] = z.data
     arrays["synthetic/8x224"] = synthetic_images(RngStream(0, "digest-batch"), 8, 224)
-    arrays.update(train_toy_files())
+    arrays.update(cli_files())
     return arrays
 
 
-def train_toy_files() -> dict[str, np.ndarray]:
-    """The bytes of the files one ``veca train-toy`` run writes, as uint8 arrays."""
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        argv = ["train-toy", "--steps", "8", "--batch", "2", "--seed", "3", "--out", tmp]
-        if cli.main(argv) != 0:
-            raise RuntimeError(f"veca {' '.join(argv)} failed")
-        return {
-            f"cli/train-toy/{name}": np.frombuffer((Path(tmp) / name).read_bytes(), dtype=np.uint8)
-            for name in ("train_log.csv", "checkpoint.veca")
-        }
+# each CLI run, in order, and the files of it that are hashed
+CLI_RUNS = (
+    (["train-toy", "--steps", "8", "--batch", "2", "--seed", "3", "--out", "run"],
+     ["run/train_log.csv", "run/checkpoint.veca"]),
+    (["eval-budgets", "--checkpoint", "run/checkpoint.veca", "--out", "eval.csv"], ["eval.csv"]),
+    (["export-maps", "--checkpoint", "run/checkpoint.veca", "--layers", "0,1", "--out", "maps"],
+     ["maps/layer_00.csv", "maps/layer_01.csv"]),
+)
+
+
+def cli_files() -> dict[str, np.ndarray]:
+    """The bytes of the files each of :data:`CLI_RUNS` writes, as uint8 arrays.
+
+    They run in a temporary directory on relative paths, so the checkpoint
+    path that the CSV headers echo is the same in every run.
+    """
+    arrays = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), contextlib.redirect_stdout(io.StringIO()):
+        for argv, names in CLI_RUNS:
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"veca {' '.join(argv)} failed")
+            for name in map(Path, names):
+                arrays[f"cli/{argv[0]}/{name.name}"] = np.frombuffer(name.read_bytes(), dtype=np.uint8)
+    return arrays
 
 
 def train_run(prefix: str, teacher, cfg: DistillConfig, dtype) -> dict[str, np.ndarray]:

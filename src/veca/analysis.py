@@ -8,12 +8,15 @@ reproduces the reference table, and is stated in every report header). In
 core mode the token count is patches plus active cores, and the score-matmul
 MACs equal D * (2NC + C^2) exactly, tying the cost model to the interaction
 count. FLOPs are reported as 2 x MACs throughout.
+
+This module formats and writes no file: the cost table and the contribution
+maps come back as CSV lines (:func:`cost_csv_lines`,
+:func:`core_map_csv_lines`), which the CLI writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -160,14 +163,9 @@ def export_core_maps(
     return out
 
 
-def write_core_map_csv(
-    path: str | Path, matrix: np.ndarray, image_name: str, layer: int, active_c: int, header: str
-) -> None:
-    """One layer's patch-over-core matrix as CSV, after the run's config header line."""
-    lines = [header, f"# image={image_name} layer={layer} C={active_c}"]
-    for row in matrix:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("".join(line + "\n" for line in lines))
+def core_map_csv_lines(matrix: np.ndarray, image_name: str, layer: int, active_c: int) -> list[str]:
+    """One layer's patch-over-core matrix as CSV lines: a map header, then one %.17g row per patch."""
+    return [f"# image={image_name} layer={layer} C={active_c}"] + [",".join(f"{v:.17g}" for v in row) for row in matrix]
 
 
 # -- structural probe: two-hop patch mixing ---------------------------------------

@@ -3,8 +3,11 @@
 Subcommands: verify, bench-flops, train-toy, eval-budgets, export-maps,
 param-count. Every value of a run comes from its flags, and every command
 echoes its fully-resolved configuration as a '#' comment header into its
-output. Exit codes: 0 success, 1 verification/runtime failure, 2 usage
-error, 3 I/O error (a malformed checkpoint included).
+output. The modules compute and format; the CLI writes: every text file
+(CSV tables, maps, the training log) goes through :func:`_emit`, and the
+checkpoint through :mod:`veca.checkpoint`. Exit codes: 0 success,
+1 verification/runtime failure, 2 usage error, 3 I/O error (a malformed
+checkpoint, or an output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import analysis, checkpoint, verify
 from .data import load_raster, normalize, synthetic_images
-from .distill import TEACHER_SEED, DistillConfig, FileTeacher, SyntheticTeacher, total_loss, train
+from .distill import TEACHER_SEED, DistillConfig, FileTeacher, SyntheticTeacher, budget_losses, train
 from .elastic import BUDGETS, DEFAULT_WEIGHTS, BudgetDistribution
 from .errors import (
     BudgetError,
@@ -37,7 +40,11 @@ def _config_header(command: str, resolved: dict) -> str:
     return f"# {command} config: {json.dumps(resolved, sort_keys=True)}"
 
 
-def _emit(lines: list[str], out: str | None) -> None:
+def _emit(lines: list[str], out: str | Path | None) -> None:
+    """Write ``lines``, each newline-terminated, to the file ``out``, or to stdout when ``out`` is empty.
+
+    This is the one place the CLI writes a text file.
+    """
     text = "".join(line + "\n" for line in lines)
     if out:
         Path(out).write_text(text)
@@ -129,19 +136,16 @@ def cmd_train_toy(args) -> int:
     )
 
     out_dir = Path(args.out or "toy-run")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        header = _config_header("train-toy", resolved)
-        log_lines = [header, "step,budget,loss,lr"]
-        log_lines += [f"{r.step},{r.budget},{r.loss:.10g},{r.lr:.10g}" for r in records]
-        (out_dir / "train_log.csv").write_text("".join(l + "\n" for l in log_lines))
-        checkpoint.save_model(
-            out_dir / "checkpoint.veca",
-            student,
-            extra_config={"train": {k: resolved[k] for k in sorted(resolved) if k != "targets_file"}},
-        )
-    except OSError as err:
-        raise CheckpointError(f"cannot write outputs to {out_dir}: {err}") from err
+    out_dir.mkdir(parents=True, exist_ok=True)
+    header = _config_header("train-toy", resolved)
+    log_lines = [header, "step,budget,loss,lr"]
+    log_lines += [f"{r.step},{r.budget},{r.loss:.10g},{r.lr:.10g}" for r in records]
+    _emit(log_lines, out_dir / "train_log.csv")
+    checkpoint.save_model(
+        out_dir / "checkpoint.veca",
+        student,
+        extra_config={"train": {k: resolved[k] for k in sorted(resolved) if k != "targets_file"}},
+    )
     early = float(np.mean([r.loss for r in records[:10]]))
     final = float(np.mean([r.loss for r in records[-10:]]))
     print(header)
@@ -179,13 +183,9 @@ def cmd_eval_budgets(args) -> int:
         "seed": seed,
         "res": res,
     }
-    teacher = SyntheticTeacher(student.config, seed=TEACHER_SEED, dtype=student.dtype)
-    images = synthetic_images(RngStream(seed, "eval-data"), args.eval_batch, res)
-    targets = teacher.targets(images)
-
+    losses = budget_losses(student, budgets, seed=seed, batch=args.eval_batch, resolution=res)
     lines = [_config_header("eval-budgets", resolved), "budget,global_loss,dense_loss,total"]
-    for budget in budgets:
-        _, parts = total_loss(images, budget, student, None, DistillConfig(), targets=targets)
+    for budget, parts in zip(budgets, losses):
         lg, ld = parts["global"], parts["dense"]
         lines.append(f"{budget},{lg:.10g},{ld:.10g},{lg + ld:.10g}")
     _emit(lines, args.out)
@@ -219,13 +219,10 @@ def cmd_export_maps(args) -> int:
     maps = analysis.export_core_maps(student, image, args.budget, layers)
     out_dir = Path(args.out or "core-maps")
     header = _config_header("export-maps", resolved)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for layer, matrix in sorted(maps.items()):
-            path = out_dir / f"layer_{layer:02d}.csv"
-            analysis.write_core_map_csv(path, matrix, image_name, layer, args.budget, header)
-    except OSError as err:
-        raise CheckpointError(f"cannot write maps to {out_dir}: {err}") from err
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for layer, matrix in sorted(maps.items()):
+        lines = analysis.core_map_csv_lines(matrix, image_name, layer, args.budget)
+        _emit([header, *lines], out_dir / f"layer_{layer:02d}.csv")
     print(header)
     print(f"wrote {len(maps)} layer map(s) to {out_dir}/")
     return 0

@@ -237,6 +237,15 @@ class SyntheticTeacher:
         return dense.mean(axis=1), dense
 
 
+def budget_losses(student: Encoder, budgets, *, seed: int, batch: int, resolution: int) -> list[dict[str, float]]:
+    """:func:`total_loss`'s parts at each of ``budgets``, in order, on ``batch`` synthetic ``resolution`` px
+    images from the ``"eval-data"`` stream of ``seed``, against the synthetic teacher in the student's dtype."""
+    teacher = SyntheticTeacher(student.config, dtype=student.dtype)
+    images = synthetic_images(RngStream(seed, "eval-data"), batch, resolution)
+    targets = teacher.targets(images)
+    return [total_loss(images, c, student, None, DistillConfig(), targets=targets)[1] for c in budgets]
+
+
 def _check_targets(images: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
     """Require images [B, C, H, W], global targets [B, D] and dense targets [B, N, D], B >= 1."""
     if (

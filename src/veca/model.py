@@ -50,7 +50,9 @@ class ModelConfig:
     channels, a bank of ``elastic.MAX_CORES`` = 64 cores in chunks of
     ``elastic.CHUNK`` = 8, the budget set ``elastic.BUDGETS``, rotary base
     ``rope.BASE`` = 100, and ``tensor.LAYER_NORM_EPS`` = 1e-6. ``budgets`` is
-    ``elastic.BUDGETS``, readable here as a class attribute."""
+    ``elastic.BUDGETS``, readable here as a class attribute. Only the benchmark
+    under ``bench/`` uses it (a test pins it equal to ``elastic.BUDGETS``); it
+    goes once the benchmark reads ``elastic.BUDGETS`` itself."""
 
     layers: int
     dim: int

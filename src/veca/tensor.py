@@ -157,7 +157,8 @@ class Tensor:
 
         Leaves keep the gradients accumulated into them; every interior node
         is released as its backward runs (see the module notes), so a second
-        call raises :class:`~veca.errors.GraphReleasedError`.
+        call raises :class:`~veca.errors.GraphReleasedError`. So does a graph
+        that reaches a released node, before any gradient moves.
         """
         if self.size != 1:
             raise ShapeError(f"backward() requires a scalar output, got shape {self.shape}")
@@ -169,6 +170,8 @@ class Tensor:
             # leaves and constants have no backward, so they are neither kept nor sorted
             if node._grad_fn is None or id(node) in seen:
                 continue
+            if node._grad_fn is _released:  # refused before any gradient moves
+                _released(None)
             seen.add(id(node))
             nodes.append(node)
             stack.extend(node._parents)

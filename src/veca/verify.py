@@ -131,13 +131,12 @@ def budget_sampler_fit(streams: list[RngStream], draws: int = 100_000) -> list[C
     ]
 
 
-def rope_properties(rngs, enc: Encoder, images: np.ndarray, budget: int, corrupt: bool = False) -> list[Check]:
-    """Rotary isometry and translation invariance of logits, then bounded cores.
+def rotary_invariances(rngs, corrupt: bool = False) -> list[Check]:
+    """Rotary isometry and translation invariance of logits.
 
     Draw ``i`` takes q, k, coordinates and a shift for 4 tokens from
-    ``rngs[i]``; both rotary checks pass at max error <= 1e-6. The third check
-    encodes ``images`` at ``budget`` and needs every core coordinate in (-1, 1)
-    at every layer. ``corrupt`` scales the first rotated q, a negative control.
+    ``rngs[i]``; both checks pass at max error <= 1e-6. ``corrupt`` scales
+    the first rotated q, a negative control.
     """
     def rotate(z: Tensor, cc: np.ndarray) -> np.ndarray:
         return rope_apply(z, reshape(cos_sin(8, Tensor(cc)), (1, 1, 4, 8))).data
@@ -154,26 +153,37 @@ def rope_properties(rngs, enc: Encoder, images: np.ndarray, budget: int, corrupt
         worst_iso = max(worst_iso, float(iso))
         dots = [np.einsum("bhtd,bhsd->bhts", rotate(q, cc), rotate(k, cc)) for cc in (coords, coords - shift)]
         worst_shift = max(worst_shift, float(np.abs(dots[0] - dots[1]).max()))
-
-    capture: list[dict] = []
-    enc(images, budget, capture=capture)
-    bounded = all(np.all(np.abs(layer["coords"][:, :budget]) < 1.0) for layer in capture)
     n = len(rngs)
     return [
         (f"rotation isometry ({n} draws)", worst_iso <= 1e-6, f"max = {worst_iso:.2e} (tol 1e-6)"),
         (f"translation invariance of logits ({n} draws)", worst_shift <= 1e-6, f"max = {worst_shift:.2e} (tol 1e-6)"),
-        ("core coordinates in (-1,1) at every layer", bounded, f"{len(capture)} layers at C={budget}"),
     ]
 
 
-def prefix_invariance(enc: Encoder, images: np.ndarray, corrupt: bool = False) -> list[Check]:
+def cores_bounded(enc: Encoder, images: np.ndarray, budget: int) -> Check:
+    """Encoding ``images`` at ``budget`` captures every layer, and every core coordinate is in (-1, 1)."""
+    capture: list[dict] = []
+    enc(images, budget, capture=capture)
+    bounded = len(capture) == enc.config.layers and all(
+        np.all(np.abs(layer["coords"][:, :budget]) < 1.0) for layer in capture
+    )
+    return ("core coordinates in (-1,1) at every layer", bounded, f"{len(capture)} layers at C={budget}")
+
+
+# (token shift, coordinate-state map) pairs: tokens +123.4 with states -7, then tokens +1e6 with states -42
+PERTURBATIONS = ((123.4, lambda r: r - 7.0), (1e6, lambda r: np.full_like(r, -42.0)))
+
+
+def prefix_invariance(
+    enc: Encoder, images: np.ndarray, perturbations=PERTURBATIONS, corrupt: bool = False
+) -> list[Check]:
     """Exact core-bank prefix nesting, and bit-identical outputs under
     perturbation of every inactive chunk at each budget below ``MAX_CORES``.
 
-    Two perturbations are applied in turn: tokens +123.4 with coordinate
-    states -7, and tokens +1e6 with coordinate states set to -42. ``corrupt``
-    also perturbs the first active chunk at the smallest budget, a negative
-    control. Parameters are restored afterwards.
+    Each (shift, map) perturbation in turn adds ``shift`` to the chunk's
+    tokens and maps its coordinate states. ``corrupt`` also perturbs the first
+    active chunk at the smallest budget, a negative control. Parameters are
+    restored afterwards.
     """
     bank = (enc.core_tokens, enc.core_coords)
     nested = all(
@@ -181,7 +191,6 @@ def prefix_invariance(enc: Encoder, images: np.ndarray, corrupt: bool = False) -
         for c1, c2 in combinations(BUDGETS, 2)
         for small, large in zip(active_prefix(*bank, c1), active_prefix(*bank, c2))
     )
-    perturbations = ((123.4, lambda r: r - 7.0), (1e6, lambda r: np.full_like(r, -42.0)))
     saved = enc.state()
     invariant = True
     for c in BUDGETS[:-1]:
@@ -195,10 +204,10 @@ def prefix_invariance(enc: Encoder, images: np.ndarray, corrupt: bool = False) -
             g1, d1 = enc(images, c)
             enc.load_state(saved)
             invariant &= np.array_equal(g0.data, g1.data) and np.array_equal(d0.data, d1.data)
-    budgets = f"budgets {BUDGETS[0]}..{BUDGETS[-2]}"
+    detail = f"budgets {BUDGETS[0]}..{BUDGETS[-2]}, {len(perturbations)} perturbations"
     return [
         ("prefix nesting exact", nested, "all budget pairs"),
-        ("inactive-core perturbation leaves outputs bit-identical", invariant, f"{budgets}, 2 perturbations"),
+        ("inactive-core perturbation leaves outputs bit-identical", invariant, detail),
     ]
 
 
@@ -206,21 +215,25 @@ def graph_diameter(cases, corrupt: bool = False) -> list[Check]:
     """Cross-patch influence through one block is zero, through two present.
 
     ``cases`` are (encoder, [C, H, W] image) pairs. Off-diagonal one-block
-    influence must be <= 1e-12 on every case; on every case at least 90% of
-    off-diagonal two-block entries must exceed 1e-9. ``corrupt`` offsets the
-    first one-block probe, a negative control.
+    influence must be <= 1e-12 on every case, with every diagonal entry (the
+    residual path) positive; on every case at least 90% of off-diagonal
+    two-block entries must exceed 1e-9. ``corrupt`` offsets the first
+    one-block probe, a negative control.
     """
     one_max = 0.0
+    self_min = np.inf
     frac_min = 1.0
     for i, (enc, img) in enumerate(cases):
         j1 = influence_probe(enc, img, 1) + (1e-6 if corrupt and i == 0 else 0.0)
         j2 = influence_probe(enc, img, 2)
         off = ~np.eye(j1.shape[0], dtype=bool)
         one_max = max(one_max, float(j1[off].max()))
+        self_min = min(self_min, float(np.diag(j1).min()))
         frac_min = min(frac_min, float((j2[off] > 1e-9).mean()))
     n = len(cases)
+    zero = one_max <= 1e-12 and self_min > 0
     return [
-        (f"one-block cross-patch influence is zero ({n} cases)", one_max <= 1e-12, f"max = {one_max:.2e} (tol 1e-12)"),
+        (f"one-block cross-patch influence is zero ({n} cases)", zero, f"max = {one_max:.2e} (tol 1e-12)"),
         (
             f"two-block cross-patch influence present (>=90% of pairs, {n} cases)",
             frac_min >= 0.9,
@@ -229,72 +242,86 @@ def graph_diameter(cases, corrupt: bool = False) -> list[Check]:
     ]
 
 
-def suite_attention(seed: int = 0, corrupt: bool = False) -> list[Check]:
-    checks = [
-        oracle_equivalence(seed, lambda i: RngStream(seed * 1000 + i, "attn"), corrupt=corrupt),
-        oracle_equivalence_f32(seed, lambda i: RngStream(seed * 1000 + i, "attn-f32")),
-    ]
-
-    params = AttnParams.init(16, 2, RngStream(seed, "cap"))
-    x = Tensor(np.random.default_rng(seed + 1).normal(size=(2, 20, 16)))
-    coords = Tensor(np.random.default_rng(seed + 2).uniform(-1, 1, size=(20, 2)))
-    checks.append(attention_row_sums(params, x, coords, (4, 20)))
-
-    # permuting patches together with their coordinates permutes outputs
-    rng = np.random.default_rng(seed + 3)
-    c, n = 4, 9
-    xp = rng.normal(size=(1, c + n, 16))
-    cp = rng.uniform(-1, 1, size=(c + n, 2))
+def patch_permutation_equivariance(params: AttnParams, rng: np.random.Generator, c: int, n: int) -> Check:
+    """Permuting the N patch rows with their coordinates (all drawn from ``rng``)
+    permutes the patch outputs alike and keeps the C core outputs, within 1e-12."""
+    x = rng.normal(size=(1, c + n, params.dim))
+    coords = rng.uniform(-1, 1, size=(c + n, 2))
     perm = rng.permutation(n)
-    x2 = xp.copy()
-    c2 = cp.copy()
-    x2[0, c:] = xp[0, c + perm]
-    c2[c:] = cp[c + perm]
-    out1 = core_attention(params, Tensor(xp), Tensor(cp), c).data
-    out2 = core_attention(params, Tensor(x2), Tensor(c2), c).data
+    x2, coords2 = x.copy(), coords.copy()
+    x2[0, c:] = x[0, c + perm]
+    coords2[c:] = coords[c + perm]
+    out1 = core_attention(params, Tensor(x), Tensor(coords), c).data
+    out2 = core_attention(params, Tensor(x2), Tensor(coords2), c).data
     diff = max(
         float(np.abs(out2[0, c:] - out1[0, c + perm]).max()),
         float(np.abs(out2[0, :c] - out1[0, :c]).max()),
     )
-    checks.append(("patch permutation equivariance", diff <= 1e-12, f"max |diff| = {diff:.2e}"))
-
-    ok = all(
-        interaction_count(n, c) < dense_count(n)
-        for c in (2, 8, 64)
-        for n in (3 * c, 4 * c, 100 * c)
-    )
-    checks.append(("2NC+C^2 < N^2 whenever N >= 3C", ok, "checked C in {2,8,64}"))
-    return checks
+    return ("patch permutation equivariance", diff <= 1e-12, f"max |diff| = {diff:.2e}")
 
 
-def suite_rope(seed: int = 0, corrupt: bool = False) -> list[Check]:
-    rng = np.random.default_rng(seed)
-    img = synthetic_images(RngStream(seed, "rope-img"), 1, 16)
-    checks = rope_properties([rng] * 100, _tiny_encoder(seed), img, 16, corrupt=corrupt)
+def sparse_beats_dense(budgets=(2, 8, 64), multiples=(3, 4, 100)) -> Check:
+    """2NC + C^2 < N^2 at N = m C, for every C in ``budgets`` and m (>= 3) in ``multiples``."""
+    ok = all(interaction_count(m * c, c) < dense_count(m * c) for c in budgets for m in multiples)
+    return ("2NC+C^2 < N^2 whenever N >= 3C", ok, f"checked C in {{{','.join(map(str, budgets))}}}")
 
-    grid = patch_grid(3, 5)
-    flipped = patch_grid(3, 5).reshape(3, 5, 2)[:, ::-1].reshape(-1, 2)
-    refl = bool(np.array_equal(flipped[:, 0], -grid[:, 0]) and np.array_equal(flipped[:, 1], grid[:, 1]))
-    checks.append(("patch grid x-reflection", refl, "column flip negates x exactly"))
 
+def grid_reflection(hp: int, wp: int) -> Check:
+    """Flipping an hp x wp patch grid's columns negates every x exactly and keeps every y."""
+    grid = patch_grid(hp, wp).reshape(hp, wp, 2)
+    flipped = grid[:, ::-1]
+    ok = bool(np.array_equal(flipped[..., 0], -grid[..., 0]) and np.array_equal(flipped[..., 1], grid[..., 1]))
+    return ("patch grid x-reflection", ok, "column flip negates x exactly")
+
+
+def farthest_point_spread(rng: np.random.Generator) -> Check:
+    """Farthest-point init is deterministic, and its 64 cores on the 64 x 64 lattice have a min pairwise
+    distance no smaller than any of 100 random 64-point lattice subsets drawn from ``rng``."""
     same = np.array_equal(fps_init(16, 16), fps_init(16, 16))
     pts = np.tanh(fps_init(64, 64))
-    fps_min = np.min(
-        [np.linalg.norm(pts[i] - pts[j]) for i in range(64) for j in range(i + 1, 64)]
-    )
-    rng = np.random.default_rng(seed)
+    fps_min = min(np.linalg.norm(pts[i] - pts[j]) for i in range(64) for j in range(i + 1, 64))
     lattice = patch_grid(64, 64)
     beats = 0
     for _ in range(100):
         subset = lattice[rng.choice(64 * 64, size=64, replace=False)]
         dmat = np.linalg.norm(subset[:, None] - subset[None, :], axis=-1)
         np.fill_diagonal(dmat, np.inf)
-        if fps_min >= dmat.min():
-            beats += 1
-    checks.append(
-        ("farthest-point init deterministic and well-spread", same and beats == 100,
-         f"min pairwise dist {fps_min:.3f} beats {beats}/100 random subsets")
+        beats += bool(fps_min >= dmat.min())
+    return (
+        "farthest-point init deterministic and well-spread",
+        same and beats == 100,
+        f"min pairwise dist {fps_min:.3f} beats {beats}/100 random subsets",
     )
+
+
+def score_macs_link() -> Check:
+    """The cost model's core-mode score MACs at ``small``'s width D are D times the interaction count 2NC + C^2."""
+    dim = get_preset("small").dim
+    linked = all(
+        score_macs_core(n, c, dim) == dim * interaction_count(n, c) for n in (64, 256, 1024, 4096) for c in (8, 24, 64)
+    )
+    return ("score MACs equal D*(2NC+C^2)", linked, "cost model matches interaction count")
+
+
+def suite_attention(seed: int = 0, corrupt: bool = False) -> list[Check]:
+    params = AttnParams.init(16, 2, RngStream(seed, "cap"))
+    x = Tensor(np.random.default_rng(seed + 1).normal(size=(2, 20, 16)))
+    coords = Tensor(np.random.default_rng(seed + 2).uniform(-1, 1, size=(20, 2)))
+    return [
+        oracle_equivalence(seed, lambda i: RngStream(seed * 1000 + i, "attn"), corrupt=corrupt),
+        oracle_equivalence_f32(seed, lambda i: RngStream(seed * 1000 + i, "attn-f32")),
+        attention_row_sums(params, x, coords, (4, 20)),
+        patch_permutation_equivariance(params, np.random.default_rng(seed + 3), 4, 9),
+        sparse_beats_dense(),
+    ]
+
+
+def suite_rope(seed: int = 0, corrupt: bool = False) -> list[Check]:
+    img = synthetic_images(RngStream(seed, "rope-img"), 1, 16)
+    checks = rotary_invariances([np.random.default_rng(seed)] * 100, corrupt=corrupt)
+    checks.append(cores_bounded(_tiny_encoder(seed), img, 16))
+    checks.append(grid_reflection(3, 5))
+    checks.append(farthest_point_spread(np.random.default_rng(seed)))
     return checks
 
 
@@ -354,16 +381,7 @@ def suite_diameter(seed: int = 0, corrupt: bool = False) -> list[Check]:
     cases = [
         (_tiny_encoder(seed + s), synthetic_images(RngStream(seed + s, "probe"), 1, 16)[0]) for s in range(2)
     ]
-    checks = graph_diameter(cases, corrupt=corrupt)
-
-    config = get_preset("small")
-    linked = all(
-        score_macs_core(n, c, config.dim) == config.dim * interaction_count(n, c)
-        for n in (64, 256, 1024)
-        for c in (8, 64)
-    )
-    checks.append(("score MACs equal D*(2NC+C^2)", linked, "cost model matches interaction count"))
-    return checks
+    return graph_diameter(cases, corrupt=corrupt) + [score_macs_link()]
 
 
 SUITES = {

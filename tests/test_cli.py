@@ -23,6 +23,8 @@ from veca.elastic import BudgetDistribution
 from veca.model import Encoder, ModelConfig, get_preset
 from veca.rng import RngStream
 
+from test_acceptance import COST_GFLOPS, COST_RTOL, PARAMS_M, PARAMS_RTOL, RATIO_RTOL, SMALL_RATIO
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -37,8 +39,9 @@ class TestBenchFlops:
         assert out.startswith("# bench-flops config:")
         core_row = [l for l in out.splitlines() if ",core(64)," in l][0]
         fields = core_row.split(",")
-        assert abs(int(fields[5]) - 5.72e9) / 5.72e9 <= 0.005
-        assert abs(float(fields[6]) - 5.36) <= 0.06
+        want = COST_GFLOPS["small", "core"] * 1e9
+        assert abs(int(fields[5]) - want) / want <= COST_RTOL
+        assert abs(float(fields[6]) - SMALL_RATIO) / SMALL_RATIO <= RATIO_RTOL
 
     def test_multi_resolution_cardinality(self, capsys):
         code, out, _ = run(capsys, "bench-flops", "--preset", "base", "--res", "256,512,1024")
@@ -65,8 +68,8 @@ class TestParamCount:
             l.split(",") for l in out.splitlines() if "," in l and not l.startswith("#")
         )
         del rows["preset"]
-        assert abs(int(rows["small"]) - 21_630_000) / 21_630_000 <= 0.005
-        assert abs(int(rows["large"]) - 303_200_000) / 303_200_000 <= 0.005
+        for preset, millions in PARAMS_M.items():
+            assert abs(int(rows[preset]) / 1e6 - millions) / millions <= PARAMS_RTOL
 
 
 class TestTrainToy:
@@ -422,6 +425,19 @@ def test_an_empty_list_flag_is_a_usage_error(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error:"), argv
     assert not (tmp_path / "maps").exists()
+
+
+def test_an_output_path_that_cannot_be_written_is_an_io_error(capsys, tmp_path):
+    # a path under a regular file cannot be created, even by a user who may write anywhere
+    ckpt = tmp_path / "m.veca"
+    save_model(ckpt, Encoder(TINY, seed=0))
+    for argv in (
+        ["train-toy", "--steps", "2", "--batch", "2"],
+        ["export-maps", "--checkpoint", str(ckpt), "--budget", "8"],
+        ["eval-budgets", "--checkpoint", str(ckpt), "--eval-batch", "2"],
+    ):
+        code, _, err = run(capsys, *argv, "--out", str(ckpt / "out"))
+        assert code == 3 and err.startswith("i/o error:"), argv
 
 
 # any integer, and 16 * 10**e up to 403 digits (a 16 px multiple whose cost overflows a float from e = 156)

@@ -15,6 +15,7 @@ from veca.elastic import (
 from veca.errors import BudgetError, ConfigError
 from veca.rng import RngStream
 from veca.tensor import Tensor
+from veca.verify import budget_sampler_fit
 
 
 class TestBudgetDistribution:
@@ -57,14 +58,9 @@ class TestSampler:
         assert all(sample_budget(dist, stream) == 64 for _ in range(200))
 
     def test_empirical_frequencies_100k(self):
-        dist = BudgetDistribution()
-        stream = RngStream(0, "freq")
-        counts = dict.fromkeys(BUDGETS, 0)
-        n = 100_000
-        for _ in range(n):
-            counts[sample_budget(dist, stream)] += 1
-        assert abs(counts[64] / n - 0.20) <= 0.005
-        assert abs(counts[8] / n - 0.05) <= 0.005
+        # every budget's frequency within 0.005 of p_C (0.05 at C = 8 ... 0.20 at C = 64), and chi^2
+        checks = budget_sampler_fit([RngStream(0, "freq")])
+        assert all(ok for _, ok, _ in checks), checks
 
     def test_replayable(self):
         dist = BudgetDistribution()

@@ -5,7 +5,7 @@ from veca import tensor
 from veca.attention import AttnParams
 from veca.data import synthetic_images
 from veca.distill import SyntheticTeacher
-from veca.elastic import BUDGETS, CHUNK, MAX_CORES
+from veca.elastic import BUDGETS
 from veca.errors import BudgetError, ConfigError, DTypeError, ResolutionError, ShapeError
 from veca.model import (
     PRESETS,
@@ -19,6 +19,9 @@ from veca.model import (
 )
 from veca.rng import RngStream
 from veca.tensor import Tensor, grad_check, mul, silu, tsum
+from veca.verify import cores_bounded, prefix_invariance
+
+from test_acceptance import PARAMS_M, PARAMS_RTOL, param_rel_err
 
 
 class TestConfig:
@@ -60,13 +63,9 @@ class TestParamCount:
         cfg = ModelConfig(layers=1, dim=16, heads=2, mlp_ratio=2.67, patch_size=4)
         assert sum(t.size for t in Encoder(cfg, seed=1).params.values()) == param_count(cfg)
 
-    @pytest.mark.parametrize(
-        "preset,reference_millions",
-        [("small", 21.63), ("small_plus", 28.72), ("base", 85.73), ("large", 303.20)],
-    )
-    def test_reference_counts_within_half_percent(self, preset, reference_millions):
-        got = param_count(get_preset(preset))
-        assert abs(got / 1e6 - reference_millions) / reference_millions <= 0.005
+    @pytest.mark.parametrize("preset", [pytest.param(p, id=f"{p}-{m}") for p, m in PARAMS_M.items()])
+    def test_reference_counts_within_half_percent(self, preset):
+        assert param_rel_err(preset) <= PARAMS_RTOL
 
 
 class TestPatchEmbed:
@@ -228,17 +227,8 @@ class TestEncoder:
         assert "(8, 16, 24, 32, 40, 48, 56, 64)" in str(err.value)
 
     def test_inactive_chunk_invariance_bitwise(self, tiny_encoder, tiny_images):
-        enc = tiny_encoder
-        for budget in BUDGETS[:-1]:
-            g0, d0 = enc(tiny_images, budget)
-            saved = enc.state()
-            for j in range(budget // CHUNK, MAX_CORES // CHUNK):
-                enc.params[f"core.tokens.{j}"].data += 999.0
-                enc.params[f"core.coords.{j}"].data *= -3.0
-            g1, d1 = enc(tiny_images, budget)
-            enc.load_state(saved)
-            np.testing.assert_array_equal(g0.data, g1.data)
-            np.testing.assert_array_equal(d0.data, d1.data)
+        checks = prefix_invariance(tiny_encoder, tiny_images, perturbations=((999.0, lambda r: r * -3.0),))
+        assert all(ok for _, ok, _ in checks), checks
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float16, np.complex128])
     def test_non_float_dtype_refused(self, tiny_config, dtype):
@@ -283,11 +273,8 @@ class TestEncoder:
                 assert plain.data.tobytes() == captured.data.tobytes()
 
     def test_core_coordinates_stay_bounded(self, tiny_encoder, tiny_images):
-        capture = []
-        tiny_encoder(tiny_images, 32, capture=capture)
-        assert len(capture) == tiny_encoder.config.layers
-        for layer in capture:
-            assert np.all(np.abs(layer["coords"][:, :32]) < 1.0)
+        _, ok, detail = cores_bounded(tiny_encoder, tiny_images, 32)
+        assert ok, detail
 
     def test_token_count_scales_with_resolution(self, tiny_encoder):
         imgs16 = synthetic_images(RngStream(1, "r"), 1, 16)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from veca.errors import CapacityError, ConfigError, ShapeError
 from veca.rope import apply, cos_sin, fps_init, freqs, patch_grid
 from veca.tensor import Tensor, grad_check, mul, reshape, tsum
+from veca.verify import farthest_point_spread, grid_reflection, rotary_invariances
 
 
 class TestPatchGrid:
@@ -26,10 +27,8 @@ class TestPatchGrid:
     @given(hp=st.integers(1, 12), wp=st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
     def test_column_flip_negates_x_exactly(self, hp, wp):
-        grid = patch_grid(hp, wp).reshape(hp, wp, 2)
-        flipped = grid[:, ::-1]
-        np.testing.assert_array_equal(flipped[..., 0], -grid[..., 0])
-        np.testing.assert_array_equal(flipped[..., 1], grid[..., 1])
+        _, ok, _ = grid_reflection(hp, wp)
+        assert ok
 
     def test_entries_in_unit_square(self):
         grid = patch_grid(7, 3)
@@ -146,20 +145,8 @@ class TestApply:
         assert worst <= 1e-6
 
     def test_translation_invariance_of_dots(self):
-        worst = 0.0
-        for seed in range(100):
-            rng = np.random.default_rng(seed + 1)
-            q = Tensor(rng.normal(size=(1, 1, 4, 8)))
-            k = Tensor(rng.normal(size=(1, 1, 4, 8)))
-            coords = rng.uniform(-1, 1, size=(1, 4, 2))
-            shift = rng.uniform(-0.5, 0.5, size=2)
-
-            def dots(cc):
-                table = _table(8, cc)
-                return np.einsum("bhtd,bhsd->bhts", apply(q, table).data, apply(k, table).data)
-
-            worst = max(worst, float(np.abs(dots(coords) - dots(coords - shift)).max()))
-        assert worst <= 1e-6
+        checks = rotary_invariances([np.random.default_rng(seed + 1) for seed in range(100)])
+        assert all(ok for _, ok, _ in checks), checks
 
     def test_gradients(self):
         worst = 0.0
@@ -275,14 +262,5 @@ class TestFpsInit:
         assert np.all(np.abs(pts) < 1.0)
 
     def test_beats_random_subsets(self):
-        pts = np.tanh(fps_init(64, 64))
-        dmat = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-        np.fill_diagonal(dmat, np.inf)
-        fps_min = dmat.min()
-        lattice = patch_grid(64, 64)
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            subset = lattice[rng.choice(lattice.shape[0], size=64, replace=False)]
-            sub = np.linalg.norm(subset[:, None] - subset[None, :], axis=-1)
-            np.fill_diagonal(sub, np.inf)
-            assert fps_min >= sub.min()
+        _, ok, detail = farthest_point_spread(np.random.default_rng(11))
+        assert ok, detail

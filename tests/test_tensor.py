@@ -412,6 +412,15 @@ class TestAutogradMechanics:
         with pytest.raises(GraphReleasedError):
             tsum(add(square, x)).backward()
 
+    def test_graph_reaching_a_released_node_moves_no_gradient(self):
+        # the refusal comes before any backward runs: x.grad keeps the first pass's [2, -4]
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        sq = mul(x, x)
+        tsum(sq).backward()
+        with pytest.raises(GraphReleasedError):
+            tsum(add(sq, x)).backward()
+        np.testing.assert_array_equal(x.grad, [2.0, -4.0])
+
     def test_training_step_holds_only_parameter_gradients_after_backward(self):
         # tiny-test, float32, B = 8, 16 px, C = 64: the whole tape held 6 MB until the caller dropped the loss
         config = get_preset("tiny-test")
