@@ -242,6 +242,19 @@ class TestPermutationEquivariance:
 
 
 class TestInteractionCount:
+    def test_headline_reduction(self):
+        ic = interaction_count(1024, 64)
+        assert ic == 135_168
+        assert dense_count(1024) == 1_048_576
+        reduction = (1 - ic / dense_count(1024)) * 100
+        assert abs(reduction - 87.1) <= 0.05
+
+    def test_connection_ratios(self):
+        assert interaction_count(256, 8) == 4160
+        assert abs(interaction_count(256, 8) / dense_count(256) * 100 - 6.3) <= 0.1
+        assert interaction_count(1024, 8) == 16448
+        assert abs(interaction_count(1024, 8) / dense_count(1024) * 100 - 1.6) <= 0.1
+
     @given(c=st.integers(1, 64), mult=st.integers(3, 50))
     @settings(max_examples=60, deadline=None)
     def test_sparse_beats_dense_when_n_at_least_3c(self, c, mult):
