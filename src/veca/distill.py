@@ -33,7 +33,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .model import BlockParams, Encoder, ModelConfig, block_forward, grid_coords, patchify
-from .rng import RngStream
+from .rng import RngStream, trunc_normals
 from .tensor import (
     Tensor,
     _accumulate,
@@ -197,27 +197,27 @@ class SyntheticTeacher:
         self._grid_cache: dict[tuple[int, int, int], Tensor] = {}
         root = RngStream(seed, "teacher")
         d, hidden = config.dim, config.hidden
-
-        def w(name: str, shape) -> Tensor:
-            return Tensor(root.spawn(name).trunc_normal(0.02, size=shape).astype(self.dtype))
-
-        def const(value: float, size: int) -> Tensor:
-            return Tensor(np.full(size, value, dtype=self.dtype))
-
         pdim = config.patch_size * config.patch_size * CHANNELS
-        self.patch_w, self.patch_b = w("patch.w", (pdim, d)), const(0.0, d)
+        shapes = {"patch.w": (pdim, d)}
+        for i in range(2):
+            shapes.update({f"b{i}.{p}": (d, d) for p in ("wq", "wk", "wv", "wo")})
+            shapes.update({f"b{i}.w1": (d, 2 * hidden), f"b{i}.w2": (hidden, d)})
+        # every weight drawn from its own named stream, all inverted in one call
+        draws = trunc_normals([(root.spawn(name), shape) for name, shape in shapes.items()], 0.02)
+        w = {name: Tensor(x.astype(self.dtype, copy=False)) for name, x in zip(shapes, draws)}
+        # frozen, so the constant vectors are shared: zeros and ones of width d, zeros of width 2 * hidden
+        zero, one, zero_h = (
+            Tensor(np.full(n, v, dtype=self.dtype)) for n, v in ((d, 0.0), (d, 1.0), (2 * hidden, 0.0))
+        )
+
+        self.patch_w, self.patch_b = w["patch.w"], zero
         self.blocks: list[BlockParams] = []
         for i in range(2):
             attn = AttnParams(
-                w(f"b{i}.wq", (d, d)), const(0.0, d), w(f"b{i}.wk", (d, d)), const(0.0, d),
-                w(f"b{i}.wv", (d, d)), const(0.0, d), w(f"b{i}.wo", (d, d)), const(0.0, d),
-                config.heads,
+                w[f"b{i}.wq"], zero, w[f"b{i}.wk"], zero, w[f"b{i}.wv"], zero, w[f"b{i}.wo"], zero, config.heads,
             )
-            self.blocks.append(BlockParams(
-                const(1.0, d), const(0.0, d), attn, const(1.0, d), const(0.0, d),
-                w(f"b{i}.w1", (d, 2 * hidden)), const(0.0, 2 * hidden), w(f"b{i}.w2", (hidden, d)), const(0.0, d),
-            ))
-        self.fg, self.fb = const(1.0, d), const(0.0, d)
+            self.blocks.append(BlockParams(one, zero, attn, one, zero, w[f"b{i}.w1"], zero_h, w[f"b{i}.w2"], zero))
+        self.fg, self.fb = one, zero
 
     def batch(
         self, step: int, data_stream: RngStream, cfg: DistillConfig

@@ -24,6 +24,8 @@ from .rope import apply as rope_apply
 from .tensor import Tensor, central_difference_error, grad_check, mul, reshape, silu, softmax_rows, tanh, tsum
 
 Check = tuple[str, bool, str]
+# upper 1e-3 point of chi^2 with len(BUDGETS) - 1 = 7 degrees of freedom (scipy.stats.chi2.isf(1e-3, 7))
+CHI2_CRIT = 24.321886347856854
 
 
 def _tiny_encoder(seed: int) -> Encoder:
@@ -110,10 +112,7 @@ def budget_sampler_fit(streams: list[RngStream], draws: int = 100_000) -> list[C
     Two checks: every frequency within 0.005 of p_C, and the chi^2 statistic
     below its critical value at significance 1e-3, on every stream.
     """
-    from scipy import stats as sp_stats  # only this check needs it, and scipy.stats is slow to import
-
     dist = BudgetDistribution()
-    crit = float(sp_stats.chi2.isf(1e-3, df=len(BUDGETS) - 1))
     expected = dist.probs * draws
     max_dev = 0.0
     max_stat = 0.0
@@ -127,7 +126,7 @@ def budget_sampler_fit(streams: list[RngStream], draws: int = 100_000) -> list[C
     n = len(streams)
     return [
         (f"sampler frequencies within 0.005 of p_C ({n} streams)", max_dev <= 0.005, f"max dev = {max_dev:.4f}"),
-        (f"chi^2 goodness of fit at 1e-3 ({n} streams)", max_stat < crit, f"max stat {max_stat:.2f} < {crit:.2f}"),
+        (f"chi^2 goodness of fit at 1e-3 ({n} streams)", max_stat < CHI2_CRIT, f"max stat {max_stat:.2f} < {CHI2_CRIT:.2f}"),
     ]
 
 

@@ -11,7 +11,7 @@ from veca.analysis import (
     flop_sweep,
     patch_core_profiles,
 )
-from veca.attention import AttnParams, core_attention
+from veca.attention import AttnParams, core_attention, interaction_count
 from veca.data import synthetic_images
 from veca.errors import ConfigError, ResolutionError
 from veca.model import Encoder, get_preset
@@ -71,10 +71,21 @@ class TestFlopSweep:
         assert all(a.flops < b.flops for a, b in zip(dense, dense[1:]))
 
     def test_attention_term_scaling_is_exact(self):
-        # patch-involving attention interactions: core 2NC scales x4, dense N^2 x16
-        for n in (256, 1024):
-            assert 2 * (4 * n) * 64 == 4 * (2 * n * 64)
-            assert (4 * n) ** 2 == 16 * n**2
+        # beyond the 4TD^2 projections, core mode costs 2D(2NC + C^2) and dense mode 2DT^2;
+        # doubling the resolution quadruples N, so the 2NC part scales exactly x4
+        small, c = get_preset("small"), 64
+        d = small.dim
+        patch_terms = []
+        for res in (512, 1024):
+            n = (res // small.patch_size) ** 2
+            t, macs = attention_macs(small, res, "core", c)
+            assert t == n + c
+            assert macs - 4 * t * d * d == 2 * d * interaction_count(n, c)
+            patch_terms.append(2 * d * (interaction_count(n, c) - c * c))
+            t, macs = attention_macs(small, res, "dense")
+            assert t == n + 5  # the global token and four registers
+            assert macs - 4 * t * d * d == 2 * d * t * t
+        assert patch_terms[1] == 4 * patch_terms[0]
 
     def test_full_path_ratios_approach_limits(self):
         small = get_preset("small")
