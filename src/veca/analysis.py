@@ -16,13 +16,14 @@ maps come back as CSV lines (:func:`cost_csv_lines`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .elastic import BUDGETS
 from .errors import BudgetError, ConfigError, ResolutionError
-from .model import Encoder, ModelConfig, get_preset
+from .model import Encoder, ModelConfig, _layout, get_preset
+from .tensor import Tensor
 
 FLOPS_PER_MAC = 2
 DENSE_EXTRA_TOKENS = 5  # one global token + four registers in the dense baseline
@@ -182,31 +183,28 @@ def influence_probe(model: Encoder, image: np.ndarray, layer_count_used: int) ->
     route influence through the cores.
     """
     budget, h = BUDGETS[0], 1e-4
+    if not 0 < layer_count_used <= model.config.layers:
+        raise ConfigError(f"layer_count_used must be in [1, {model.config.layers}], got {layer_count_used}")
     if image.ndim == 3:
         image = image[None]
     tokens, (hp, wp) = model.patch_embed(image)
     base = tokens.data.copy()
     _, n, d = base.shape
-    flags = {name: p.requires_grad for name, p in model.params.items()}
-    for p in model.params.values():
-        p.requires_grad = False
-    try:
-        from .tensor import Tensor
+    # the first blocks as an encoder of their own over the model's arrays; it is frozen, so it records no tape
+    config = replace(model.config, layers=layer_count_used)
+    state = {name: model.params[name].data for name, _, _ in _layout(config, 0)}
+    truncated = Encoder(config, model.seed, model.dtype, state)
 
-        def run(tok: np.ndarray) -> np.ndarray:
-            out = model.encode_tokens(Tensor(tok), hp, wp, budget, num_blocks=layer_count_used)
-            return out.data[0, 1:, :]
+    def run(tok: np.ndarray) -> np.ndarray:
+        return truncated.encode_tokens(Tensor(tok), hp, wp, budget).data[0, 1:, :]
 
-        sq = np.zeros((n, n))
-        for i in range(n):
-            for dd in range(d):
-                plus = base.copy()
-                plus[0, i, dd] += h
-                minus = base.copy()
-                minus[0, i, dd] -= h
-                diff = (run(plus) - run(minus)) / (2.0 * h)
-                sq[i] += np.sum(diff * diff, axis=1)
-        return np.sqrt(sq)
-    finally:
-        for name, p in model.params.items():
-            p.requires_grad = flags[name]
+    sq = np.zeros((n, n))
+    for i in range(n):
+        for dd in range(d):
+            plus = base.copy()
+            plus[0, i, dd] += h
+            minus = base.copy()
+            minus[0, i, dd] -= h
+            diff = (run(plus) - run(minus)) / (2.0 * h)
+            sq[i] += np.sum(diff * diff, axis=1)
+    return np.sqrt(sq)

@@ -36,7 +36,6 @@ from .tensor import (
     getitem,
     linear,
     matmul,
-    reshape,
     softmax_rows,
     transpose,
 )
@@ -92,10 +91,10 @@ class AttnParams:
         return {name: getattr(self, name) for name in PROJECTIONS}
 
 
-def _validate(x: Tensor, active_c: int, heads: int) -> tuple[int, int, int]:
+def _validate(x: Tensor, active_c: int, params: AttnParams) -> tuple[int, int, int]:
+    if x.ndim != 3 or x.shape[-1] != params.dim:
+        raise ShapeError(f"attention: x must be [B, T, {params.dim}], got {x.shape}")
     b, t, d = x.shape
-    if d % heads != 0:
-        raise ConfigError(f"model dim {d} not divisible by {heads} heads")
     if active_c < 1 or active_c > t:
         raise BudgetError(f"active core count must satisfy 1 <= C <= T, got C={active_c}, T={t}")
     return b, t, d
@@ -161,7 +160,7 @@ def core_attention(
     copies of what ran: the kept core rows' probabilities [B, H, k, T], the
     patch rows' [B, H, T - C, C], every token's values and ``wo``.
     """
-    b, t, d = _validate(x, active_c, params.heads)
+    b, t, d = _validate(x, active_c, params)
     coords = _coords_3d(coords, b, t, x.data.dtype)
     h, hd = params.heads, params.head_dim
     c = active_c
@@ -174,7 +173,7 @@ def core_attention(
     k = _split_heads(linear(x, params.wk, params.bk), h)
     v = _split_heads(linear(x, params.wv, params.bv), h)
 
-    table = reshape(rope_mod.cos_sin(hd, coords), (b, 1, t, hd))
+    table = rope_mod.cos_sin(hd, coords)
     q = rope_mod.apply(q, table)
     k = rope_mod.apply(k, table)
 
@@ -215,7 +214,7 @@ def masked_dense_oracle(params: AttnParams, x: Tensor, coords: Tensor, active_c:
     Returns the same values as :func:`core_attention`; used as the
     independent equivalence reference.
     """
-    b, t, d = _validate(x, active_c, params.heads)
+    b, t, d = _validate(x, active_c, params)
     coords = _coords_3d(coords, b, t, x.data.dtype)
     h, hd, c = params.heads, params.head_dim, active_c
     xv = x.data

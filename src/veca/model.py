@@ -354,7 +354,6 @@ class Encoder:
         hp: int,
         wp: int,
         active_c: int,
-        num_blocks: int | None = None,
         *,
         capture: list | None = None,
     ) -> Tensor:
@@ -363,17 +362,13 @@ class Encoder:
         Returns [B, 1 + N, D] after the final LayerNorm: core token 0, then the
         N patch tokens, the only rows the features are read from; the last
         block of the stack computes no other query row. ``capture`` receives
-        each layer's attention internals as they ran. ``num_blocks`` truncates
-        the stack (used by structural probes).
+        each layer's attention internals as they ran.
         """
         cfg = self.config
         c = active_c
         b, n, d = patch_tokens.shape
         if n != hp * wp:
             raise ShapeError(f"got {n} patch tokens for an {hp}x{wp} grid")
-        depth = cfg.layers if num_blocks is None else num_blocks
-        if not 0 < depth <= cfg.layers:
-            raise ConfigError(f"num_blocks must be in [1, {cfg.layers}], got {depth}")
 
         core_tokens, rho = active_prefix(self.core_tokens, self.core_coords, c)
         cores_b = broadcast_to(core_tokens, (b, c, d))
@@ -383,7 +378,7 @@ class Encoder:
 
         x = concat([cores_b, patch_tokens], axis=1)
         core_u = tanh(rho_b)
-        for li in range(depth):
+        for li in range(cfg.layers):
             if li > 0:
                 w, bias, alpha = self.coord_heads[li - 1]
                 feats = getitem(x, (slice(None), slice(0, c)))
@@ -395,7 +390,7 @@ class Encoder:
             if capture is not None:
                 layer_capture = {"coords": coords.data.copy()}
                 capture.append(layer_capture)
-            last = li == depth - 1
+            last = li == cfg.layers - 1
             x = block_forward(x, coords, c, self.blocks[li], layer_capture, core_rows=1 if last else None)
         return layer_norm(x, self.final_gamma, self.final_beta)
 

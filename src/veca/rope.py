@@ -10,7 +10,7 @@ only on the head width, which must be a positive multiple of 4 (:func:`check_hea
 This ordering (x pairs first, adjacent-element pairing) is part of the
 checkpoint contract. :func:`cos_sin` stores each pair's rotation as the
 unit complex number e^{i theta} = (cos theta, sin theta) in that pair's two
-slots, one table for all heads, and :func:`apply` multiplies by it.
+slots, and :func:`apply` multiplies every head of an input by that one table.
 
 Also provides the fixed patch coordinate grid and the deterministic
 farthest-point initialization of core coordinate states.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ConfigError, ShapeError
-from .tensor import Tensor, _accumulate, _from_op, _same_dtype, _unbroadcast
+from .tensor import Tensor, _accumulate, _from_op, _same_dtype
 
 
 BASE = 100.0
@@ -90,28 +90,29 @@ def _pairs(x: np.ndarray) -> np.ndarray:
 
 
 def apply(q_or_k: Tensor, table: Tensor) -> Tensor:
-    """Rotate each adjacent element pair (a, b) = (2t, 2t+1) by its angle.
+    """Rotate each adjacent element pair (a, b) = (2t, 2t+1) of every head by its angle.
 
-    (a, b) -> (a cos - b sin, a sin + b cos), computed as one complex multiply
-    (a + ib)(cos + i sin) with the pairs of the input and of the
-    :func:`cos_sin` table viewed as complex numbers (RoFormer's formulation);
-    the backward multiplies by the conjugates. The table must have the
-    input's last axis and dtype and be numpy-broadcastable to its shape (the
-    deliberate exception to the substrate's no-broadcast rule: attention
-    shares one table across heads). Per-token vector norms are preserved.
+    ``q_or_k`` is [..., H, T, hd] and ``table`` the :func:`cos_sin` table
+    [..., T, hd] of the same dtype, shared by all H heads (the substrate's
+    one broadcast over an inner axis); the backward sums the table's
+    gradient over the heads. (a, b) -> (a cos - b sin, a sin + b cos),
+    computed as one complex multiply (a + ib)(cos + i sin) with the pairs of
+    the input and of the table viewed as complex numbers (RoFormer's
+    formulation); the backward multiplies by the conjugates. Per-token
+    vector norms are preserved.
     """
     _same_dtype("rope.apply", q_or_k, table)
-    hd = q_or_k.shape[-1]
-    if hd % 2 or table.shape[-1] != hd:
-        raise ShapeError(f"apply: table {table.shape} does not pair with input {q_or_k.shape}")
-    z, e = _pairs(q_or_k.data), _pairs(table.data)
+    shape = q_or_k.shape
+    if len(shape) < 3 or shape[-1] % 2 or table.shape != shape[:-3] + shape[-2:]:
+        raise ShapeError(f"apply: table {table.shape} does not pair with input {shape}")
+    z, e = _pairs(q_or_k.data), _pairs(table.data)[..., None, :, :]
     out = (z * e).view(q_or_k.dtype)
 
     def grad_fn(g: np.ndarray) -> None:
         gz = _pairs(g)
-        _accumulate(q_or_k, _unbroadcast((gz * e.conj()).view(g.dtype), q_or_k.shape))
-        # Re and Im of g * conj(z) are the cos and sin gradients
-        _accumulate(table, _unbroadcast(gz * z.conj(), e.shape).view(g.dtype))
+        _accumulate(q_or_k, (gz * e.conj()).view(g.dtype))
+        # Re and Im of g * conj(z), summed over the heads, are the cos and sin gradients
+        _accumulate(table, (gz * z.conj()).sum(axis=-3).view(g.dtype))
 
     return _from_op(out, (q_or_k, table), grad_fn, "rope_apply")
 

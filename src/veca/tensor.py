@@ -2,8 +2,8 @@
 
 The substrate for everything else in the package: a row-major float32/float64
 array type and the primitive ops the model uses, each recording a tape node:
-add, mul, tanh, silu, reshape, transpose, getitem, concat, broadcast_to,
-tsum (over every element), matmul, softmax_rows, layer_norm and linear. The
+add, mul, tanh, silu, transpose, getitem, concat, broadcast_to, tsum
+(over every element), matmul, softmax_rows, layer_norm and linear. The
 last three sit inside every transformer block, so they are single tape nodes
 with hand-written backwards; everything else composes. Rotary's table and
 rotation (``rope.cos_sin`` and ``rope.apply``) and the two distillation
@@ -23,9 +23,13 @@ central finite differences. Design constraints, all deliberate:
 * a backward builds a parent's gradient only when that parent requires one,
   and the backward pass sorts only the nodes that have a backward;
 * ops take :class:`Tensor` operands of one float dtype and convert nothing;
-  binary elementwise ops require exactly matching shapes, a one-element
-  Tensor, or an explicit :func:`broadcast_to` beforehand (no silent
-  broadcasting);
+* one broadcasting rule: operands have equal shapes, with three exceptions,
+  each of which a caller uses. :func:`mul` takes a one-element *first*
+  factor (the coordinate head's scale); :func:`broadcast_to` only prepends
+  leading axes (the core bank, its coordinates and 2-D attention
+  coordinates, over the batch); ``rope.apply`` shares one table over the
+  head axis. Each backward sums what its forward repeated. The fused ops'
+  parameters (a bias, gamma, beta) have checked shapes and apply to every row;
 * the backward pass visits nodes in reverse creation order, which is a
   topological order of the recorded graph, and always accumulates (sums)
   gradients into parents;
@@ -249,53 +253,37 @@ def _same_dtype(op: str, x: Tensor, *others: Tensor) -> None:
             raise DTypeError(f"{op}: dtypes differ: {x.dtype} vs {t.dtype}")
 
 
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    _same_dtype(op, a, b)
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise ShapeError(f"{op}: shapes differ: {a.shape} vs {b.shape}")
-
-
-def _unbroadcast_scalar(t: Tensor, g: np.ndarray) -> np.ndarray:
-    # the only implicit broadcast allowed is a single-element operand
-    if t.size == 1 and g.size > 1:
-        return np.sum(g).reshape(t.shape)
-    return g
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` back to ``shape`` over the axes numpy broadcasting expanded."""
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (ds, dg) in enumerate(zip(shape, g.shape)) if ds == 1 and dg != 1)
-    return g.sum(axis=axes, keepdims=True) if axes else g
-
-
 # -- primitive elementwise ops -------------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "add")
+    """a + b over operands of one shape."""
+    _same_dtype("add", a, b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes differ: {a.shape} vs {b.shape}")
     data = a.data + b.data
 
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast_scalar(a, g))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast_scalar(b, g))
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _from_op(data, (a, b), grad_fn, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "mul")
+    """a * b over operands of one shape, or with a one-element first factor that scales b."""
+    _same_dtype("mul", a, b)
+    scale = a.shape != b.shape
+    if scale and (a.size != 1 or a.ndim > b.ndim):
+        raise ShapeError(f"mul: shapes differ: {a.shape} vs {b.shape} (only a one-element first factor scales)")
     data = a.data * b.data
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, _unbroadcast_scalar(a, g * b.data))
+            ga = g * b.data
+            _accumulate(a, np.sum(ga).reshape(a.shape) if scale else ga)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast_scalar(b, g * a.data))
+            _accumulate(b, g * a.data)
 
     return _from_op(data, (a, b), grad_fn, "mul")
 
@@ -343,16 +331,6 @@ def silu(a: Tensor) -> Tensor:
 # -- shape ops -----------------------------------------------------------------
 
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    data = a.data.reshape(shape)
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, g.reshape(a.shape))
-
-    return _from_op(data, (a,), grad_fn, "reshape", check=False)
-
-
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
@@ -398,12 +376,15 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
-    """Explicit numpy-rules broadcast; backward sums over the expanded axes."""
+    """``a`` repeated over new leading axes, so ``shape`` must end in ``a.shape``; backward sums those axes."""
     shape = tuple(shape)
+    lead = len(shape) - a.ndim
+    if lead < 0 or shape[lead:] != a.shape:
+        raise ShapeError(f"broadcast_to: {shape} does not end in the operand's shape {a.shape}")
     data = np.broadcast_to(a.data, shape).copy()
 
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(a, g.sum(axis=tuple(range(lead))))
 
     return _from_op(data, (a,), grad_fn, "broadcast_to", check=False)
 
@@ -475,10 +456,7 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row standardization over the last axis (epsilon ``LAYER_NORM_EPS``),
-    then affine by gamma/beta, which must have x's dtype.
-
-    The gamma/beta broadcast over leading axes is the one sanctioned
-    trailing-dimension affine.
+    then affine by gamma/beta, which must have x's dtype and shape [D].
     """
     _same_dtype("layer_norm", x, gamma, beta)
     d = x.shape[-1]

@@ -21,7 +21,7 @@ from .model import Encoder, ModelConfig, get_preset
 from .rng import RngStream
 from .rope import cos_sin, fps_init, patch_grid
 from .rope import apply as rope_apply
-from .tensor import Tensor, central_difference_error, grad_check, mul, reshape, silu, softmax_rows, tanh, tsum
+from .tensor import Tensor, central_difference_error, grad_check, mul, silu, softmax_rows, tanh, tsum
 
 Check = tuple[str, bool, str]
 # upper 1e-3 point of chi^2 with len(BUDGETS) - 1 = 7 degrees of freedom (scipy.stats.chi2.isf(1e-3, 7))
@@ -138,7 +138,7 @@ def rotary_invariances(rngs, corrupt: bool = False) -> list[Check]:
     the first rotated q, a negative control.
     """
     def rotate(z: Tensor, cc: np.ndarray) -> np.ndarray:
-        return rope_apply(z, reshape(cos_sin(8, Tensor(cc)), (1, 1, 4, 8))).data
+        return rope_apply(z, cos_sin(8, Tensor(cc))).data
 
     worst_iso = 0.0
     worst_shift = 0.0

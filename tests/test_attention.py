@@ -83,6 +83,14 @@ class TestCoreAttention:
         with pytest.raises(ConfigError):
             AttnParams.init(10, 3, RngStream(0, "bad"))
 
+    @pytest.mark.parametrize("fn", [core_attention, masked_dense_oracle], ids=["core", "oracle"])
+    def test_input_of_another_width_refused(self, fn):
+        # dim-16 weights: an input whose width is not 16, or that is not [B, T, D], is a typed refusal
+        params, _, coords = random_case(5, dim=16)
+        for shape in [(1, 12, 32), (1, 12, 8), (12, 16)]:
+            with pytest.raises(ShapeError, match=r"x must be \[B, T, 16\]"):
+                fn(params, Tensor(np.zeros(shape)), coords, 4)
+
     def test_head_width_without_rotary_pairs(self):
         # dim 8 over 4 heads is head width 2: too narrow for 2D rotary pairs
         with pytest.raises(ConfigError):

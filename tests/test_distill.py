@@ -433,7 +433,7 @@ class TestTrain:
         before = next(tensor._counter)
         train(enc, teacher, BudgetDistribution(), DistillConfig(total_steps=1),
               data_stream=RngStream(0, "data"), budget_stream=RngStream(0, "budgets"))
-        assert next(tensor._counter) - before - 1 == 149
+        assert next(tensor._counter) - before - 1 == 145
 
     def test_constant_patch_grid_keeps_no_gradient(self, tiny_config):
         # the cached grids are shared across steps; a gradient on one would grow forever

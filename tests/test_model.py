@@ -257,7 +257,7 @@ class TestEncoder:
         enc(images, budget)
         before = next(tensor._counter)
         enc(images, budget)
-        assert next(tensor._counter) - before - 1 == 87
+        assert next(tensor._counter) - before - 1 == 85
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_features_equal_with_and_without_capture(self, tiny_config, tiny_images, dtype):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from veca.errors import CapacityError, ConfigError, ShapeError
 from veca.rope import apply, cos_sin, fps_init, freqs, patch_grid
-from veca.tensor import Tensor, grad_check, mul, reshape, tsum
+from veca.tensor import Tensor, grad_check, mul, tsum
 from veca.verify import farthest_point_spread, grid_reflection, rotary_invariances
 
 
@@ -45,12 +45,6 @@ class TestFreqs:
         assert f[0] == 1.0
         assert np.all(np.diff(f) < 0)
         np.testing.assert_allclose(f, 100.0 ** (-np.arange(4) / 4))
-
-
-def _table(head_dim, coords_arr):
-    # one table shared across the heads axis, as attention uses it
-    t = coords_arr.shape[-2]
-    return reshape(cos_sin(head_dim, Tensor(coords_arr)), coords_arr.shape[:-2] + (1, t, head_dim))
 
 
 def table_formula(head_dim, coords):
@@ -124,20 +118,20 @@ class TestApply:
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(0)
         q = Tensor(rng.normal(size=(1, 1, 3, 8)))
-        np.testing.assert_array_equal(apply(q, _table(8, np.zeros((1, 3, 2)))).data, q.data)
+        np.testing.assert_array_equal(apply(q, cos_sin(8, Tensor(np.zeros((1, 3, 2))))).data, q.data)
 
     def test_table_without_a_pair_per_element_refused(self):
         # a table of one angle per pair (head_dim/2 wide) does not pair with the input
         q = Tensor(np.zeros((1, 1, 3, 8)))
         with pytest.raises(ShapeError, match="does not pair"):
-            apply(q, Tensor(np.ones((1, 1, 3, 4))))
+            apply(q, Tensor(np.ones((1, 3, 4))))
 
     def test_isometry(self):
         worst = 0.0
         for seed in range(100):
             rng = np.random.default_rng(seed)
             q = rng.normal(size=(1, 2, 5, 8))
-            out = apply(Tensor(q), _table(8, rng.uniform(-1, 1, size=(1, 5, 2)))).data
+            out = apply(Tensor(q), cos_sin(8, Tensor(rng.uniform(-1, 1, size=(1, 5, 2))))).data
             worst = max(
                 worst,
                 float(np.abs(np.linalg.norm(out, axis=-1) - np.linalg.norm(q, axis=-1)).max()),
@@ -156,13 +150,13 @@ class TestApply:
             probe = Tensor(rng.normal(size=(1, 2, 3, 8)))
 
             def f_coords(t):
-                return tsum(mul(apply(q, reshape(cos_sin(8, t), (1, 1, 3, 8))), probe))
+                return tsum(mul(apply(q, cos_sin(8, t)), probe))
 
             worst = max(
                 worst, grad_check(f_coords, Tensor(rng.uniform(-1, 1, size=(1, 3, 2))), 1e-5)
             )
 
-            table = _table(8, rng.uniform(-1, 1, size=(1, 3, 2)))
+            table = cos_sin(8, Tensor(rng.uniform(-1, 1, size=(1, 3, 2))))
 
             def f_q(t):
                 return tsum(mul(apply(t, table), probe))
@@ -172,23 +166,28 @@ class TestApply:
 
 
 def pair_rotation(x, ct, st_):
-    """(a, b) -> (a cos - b sin, a sin + b cos) over the (2t, 2t+1) pairs, written out."""
+    """(a, b) -> (a cos - b sin, a sin + b cos) over the (2t, 2t+1) pairs of every head, written out.
+
+    x is [B, H, T, hd]; the cos and sin tables are [B, T, hd/2], shared by the heads.
+    """
     a, b = x[..., 0::2], x[..., 1::2]
-    out = np.empty(np.broadcast_shapes(a.shape, ct.shape) + (2,), dtype=x.dtype)
+    ct, st_ = ct[:, None], st_[:, None]
+    out = np.empty(a.shape + (2,), dtype=x.dtype)
     out[..., 0] = a * ct - b * st_
     out[..., 1] = a * st_ + b * ct
-    return out.reshape(out.shape[:-2] + (x.shape[-1],))
+    return out.reshape(x.shape)
 
 
 def pair_rotation_grads(x, ct, st_, g):
-    """Gradients of sum(g * pair_rotation(x, ct, st_)) for cos and sin tables [B, 1, T, hd/2]."""
+    """Gradients of sum(g * pair_rotation(x, ct, st_)) for cos and sin tables [B, T, hd/2]."""
     a, b = x[..., 0::2], x[..., 1::2]
     ge, go = g[..., 0::2], g[..., 1::2]
+    ct, st_ = ct[:, None], st_[:, None]
     dx = np.empty(x.shape[:-1] + (x.shape[-1] // 2, 2), dtype=x.dtype)
     dx[..., 0] = ge * ct + go * st_
     dx[..., 1] = go * ct - ge * st_
-    dcos = (ge * a + go * b).sum(axis=1, keepdims=True)
-    dsin = (go * a - ge * b).sum(axis=1, keepdims=True)
+    dcos = (ge * a + go * b).sum(axis=1)
+    dsin = (go * a - ge * b).sum(axis=1)
     return dx.reshape(x.shape), dcos, dsin
 
 
@@ -218,12 +217,12 @@ class TestApplyAgainstPairRotation:
             else:
                 x = split_heads_view(rng, b, h, t, hd, dtype)
                 assert not x.flags.c_contiguous
-            theta = rng.uniform(-np.pi, np.pi, size=(b, 1, t, hd // 2))
+            theta = rng.uniform(-np.pi, np.pi, size=(b, t, hd // 2))
             ct, st_ = np.cos(theta).astype(dtype), np.sin(theta).astype(dtype)
             g = rng.normal(size=(b, h, t, hd)).astype(dtype)
 
             q = Tensor(x, requires_grad=True)
-            table = Tensor(np.stack([ct, st_], axis=-1).reshape(b, 1, t, hd), requires_grad=True)
+            table = Tensor(np.stack([ct, st_], axis=-1).reshape(b, t, hd), requires_grad=True)
             out = apply(q, table)
             tsum(mul(out, Tensor(g))).backward()
 

@@ -30,7 +30,6 @@ from veca.tensor import (
     linear,
     matmul,
     mul,
-    reshape,
     silu,
     softmax_rows,
     tanh,
@@ -235,11 +234,10 @@ def test_silu_backward_at_extreme_inputs(dtype):
 UNARY_OPS = [
     ("tanh", tanh, 3.0),
     ("silu", silu, 3.0),
-    ("reshape", lambda t: reshape(t, (6,)), 3.0),
     ("transpose", lambda t: transpose(t, (1, 0)), 3.0),
     ("getitem", lambda t: getitem(t, (slice(0, 2), slice(0, None, 2))), 3.0),
     ("getitem-rows", lambda t: getitem(t, (slice(None), np.array([2, 0]))), 3.0),
-    ("broadcast", lambda t: broadcast_to(reshape(t, (2, 3, 1)), (2, 3, 4)), 3.0),
+    ("broadcast", lambda t: broadcast_to(t, (4, 2, 3)), 3.0),
     ("sum", tsum, 3.0),
 ]
 
@@ -278,6 +276,9 @@ def test_getitem_distinct_integer_rows_are_exact(dtype):
 BINARY_OPS = [
     ("add", add),
     ("mul", mul),
+    # a one-element first factor scales the second, as the coordinate head's alpha does
+    ("mul-scale", lambda a, b: mul(getitem(a, (slice(0, 1), 0)), b)),
+    ("mul-scaled", lambda a, b: mul(getitem(b, (slice(0, 1), 0)), a)),
     ("matmul", lambda a, b: matmul(a, transpose(b, (1, 0)))),
     ("concat", lambda a, b: concat([a, b], axis=0)),
     ("linear-w", lambda a, b: linear(transpose(b, (1, 0)), a, Tensor(np.array([0.5, -1.0, 2.0])))),
@@ -298,6 +299,30 @@ def test_binary_op_gradients_20_seeds(name, op):
 
         worst = max(worst, grad_check(f, theta, 1e-5))
     assert worst <= 1e-6, f"{name}: {worst}"
+
+
+SHAPE_REFUSALS = {
+    # (op, operand shapes): beyond equal shapes, a one-element first factor of mul, broadcast_to
+    # over new leading axes and rope.apply's one table for every head, nothing broadcasts
+    "add one-element second": (add, [(2, 3), (1,)]),
+    "add one-element first": (add, [(1,), (2, 3)]),
+    "add broadcastable": (add, [(2, 3), (3,)]),
+    "mul one-element second": (mul, [(2, 3), (1,)]),
+    "mul one-element first of higher rank": (mul, [(1, 1, 1), (2, 3)]),
+    "mul broadcastable": (mul, [(3,), (2, 3)]),
+    "broadcast_to trailing axis": (lambda a: broadcast_to(a, (2, 4)), [(2, 1)]),
+    "broadcast_to inner axis": (lambda a: broadcast_to(a, (5, 2, 4, 3)), [(2, 1, 3)]),
+    "broadcast_to fewer axes": (lambda a: broadcast_to(a, (3,)), [(1, 3)]),
+    "rope.apply table with a head axis": (rope_apply, [(2, 3, 5, 8), (2, 1, 5, 8)]),
+    "rope.apply table per head": (rope_apply, [(2, 3, 5, 8), (2, 3, 5, 8)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_REFUSALS))
+def test_broadcasts_beyond_the_rule_refused(case):
+    op, shapes = SHAPE_REFUSALS[case]
+    with pytest.raises(ShapeError):
+        op(*(Tensor(np.ones(shape)) for shape in shapes))
 
 
 def test_layer_norm_and_linear_gradients_20_seeds():
@@ -335,7 +360,7 @@ def _fused_op_cases(dtype, sliced):
         ("layer_norm", layer_norm, [operand(3, 5, 8), operand(8), operand(8)]),
         ("softmax_rows", softmax_rows, [operand(2, 3, 7)]),
         ("silu", silu, [operand(3, 5, 8)]),
-        ("rope.apply", rope_apply, [operand(2, 3, 5, 8), operand(2, 1, 5, 8)]),
+        ("rope.apply", rope_apply, [operand(2, 3, 5, 8), operand(2, 5, 8)]),
     ]
 
 
@@ -637,7 +662,7 @@ class TestRowMax:
 
 def _operands(dtype_of: dict[str, type]) -> dict[str, Tensor]:
     """Operands of linear, layer_norm and rope.apply; float32 unless ``dtype_of`` names another dtype."""
-    shapes = {"x": (2, 4), "w": (4, 3), "b": (3,), "gamma": (4,), "beta": (4,), "table": (2, 4)}
+    shapes = {"x": (2, 4), "w": (4, 3), "b": (3,), "gamma": (4,), "beta": (4,), "q": (3, 2, 4), "table": (2, 4)}
     rng = np.random.default_rng(0)
     return {k: Tensor(rng.normal(size=s).astype(dtype_of.get(k, np.float32))) for k, s in shapes.items()}
 
@@ -648,8 +673,8 @@ MIXED_DTYPE_CALLS = {
     "linear bias": (lambda o: linear(o["x"], o["w"], o["b"]), {"b": np.float64}),
     "layer_norm gamma": (lambda o: layer_norm(o["x"], o["gamma"], o["beta"]), {"gamma": np.float64}),
     "layer_norm beta": (lambda o: layer_norm(o["x"], o["gamma"], o["beta"]), {"beta": np.float64}),
-    "rope.apply tables": (lambda o: rope_apply(o["x"], o["table"]), {"table": np.float64}),
-    "rope.apply input": (lambda o: rope_apply(o["x"], o["table"]), {"x": np.float64}),
+    "rope.apply tables": (lambda o: rope_apply(o["q"], o["table"]), {"table": np.float64}),
+    "rope.apply input": (lambda o: rope_apply(o["q"], o["table"]), {"q": np.float64}),
 }
 
 
